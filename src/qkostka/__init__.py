@@ -20,6 +20,7 @@ from .coinvariants import (
 from .compositions import (
     Composition,
     InvalidWeightError,
+    InvariantError,
     ShapeContent,
     bridge_to_partition,
     composition_from_factors,
@@ -75,6 +76,25 @@ from .weyl import (
     shifted_reflection,
 )
 
+
+def clear_caches() -> None:
+    """Empty every in-memory result cache, so the next calls compute cold.
+
+    Covers the Gaussian-binomial table and the memoized charge oracle,
+    unrestricted polynomials and fusion weight characters. Results do not
+    change; only the time to the next answer does.
+    """
+    # imported here to keep private names out of the package namespace
+    from .charge import _oracle_cached
+    from .kostka import _fusion_weight_cached, _unrestricted_cached
+    from .qexact import _gaussian_cache
+
+    _gaussian_cache.clear()
+    _oracle_cached.cache_clear()
+    _unrestricted_cached.cache_clear()
+    _fusion_weight_cached.cache_clear()
+
+
 __all__ = [
     "AbfLabel",
     "AffineWeight",
@@ -83,6 +103,7 @@ __all__ = [
     "Composition",
     "FunctionalModelSpec",
     "InvalidWeightError",
+    "InvariantError",
     "LimitTermData",
     "MinimalModel",
     "OracleScaleExceeded",
@@ -98,6 +119,7 @@ __all__ = [
     "bridge_to_partition",
     "build_constraint_matrix",
     "charge",
+    "clear_caches",
     "closed_form_action",
     "composition_from_factors",
     "conformal_weight",

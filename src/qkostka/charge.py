@@ -3,17 +3,26 @@
 Semistandard tableaux on two-row shapes are enumerated directly and graded by
 the Lascoux-Schutzenberger charge statistic; the generating function is the
 Kostka-Foulkes polynomial, and a degree reversal bridges it to the
-weight-indexed polynomials the production routes compute. Everything here is
-deliberately naive: it is the independent check, not the fast path.
+weight-indexed polynomials the production routes compute.
+
+This is the independent check, not the fast path. Enumeration stays
+exhaustive: every tableau is built and graded, with no closed form for the
+count or the charge distribution. It goes letter by letter, placing all
+copies of a value at once, so the search never builds a row that breaks
+column strictness; charge finds each subword letter by bisection. The module
+shares no helper with the fermionic route in kostka.py, so that one bug
+cannot make both routes agree on a wrong answer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
 from .compositions import (
     CompositionLike,
+    InvariantError,
     ShapeContent,
     as_composition,
     bridge_to_partition,
@@ -30,42 +39,31 @@ def enumerate_ssyt(sc: ShapeContent) -> list[Tableau]:
 
     content[v-1] is the number of entries equal to v. Rows weakly increase,
     columns strictly increase. Returns [] when the counts cannot fill the
-    shape.
+    shape. Tableaux come in lexicographic order of their first row.
+
+    Letters are placed one value at a time: the copies of v go to the ends of
+    the two rows, x of them to row 2. Row lengths bound x from both sides, and
+    x <= r1 - r2 keeps every new row-2 entry under a smaller row-1 entry,
+    which is all column strictness asks of two rows.
     """
     len1, len2 = sc.shape
-    counts = list(sc.content)
+    counts = sc.content
     if sum(counts) != len1 + len2:
         return []
     letters = len(counts)
     results: list[Tableau] = []
-    row1 = [0] * len1
-    row2 = [0] * len2
 
-    def fill_row1(i: int) -> None:
-        if i == len1:
-            fill_row2(0)
+    def place(v: int, row1: tuple[int, ...], row2: tuple[int, ...]) -> None:
+        if v > letters:
+            results.append((row1, row2))
             return
-        lo = row1[i - 1] if i else 1
-        for v in range(lo, letters + 1):
-            if counts[v - 1]:
-                counts[v - 1] -= 1
-                row1[i] = v
-                fill_row1(i + 1)
-                counts[v - 1] += 1
+        c = counts[v - 1]
+        r1, r2 = len(row1), len(row2)
+        # ascending x puts the most copies of v in row 1 first
+        for x in range(max(0, r1 + c - len1), min(c, r1 - r2, len2 - r2) + 1):
+            place(v + 1, row1 + (v,) * (c - x), row2 + (v,) * x)
 
-    def fill_row2(i: int) -> None:
-        if i == len2:
-            results.append((tuple(row1), tuple(row2)))
-            return
-        lo = max(row2[i - 1] if i else 1, row1[i] + 1)
-        for v in range(lo, letters + 1):
-            if counts[v - 1]:
-                counts[v - 1] -= 1
-                row2[i] = v
-                fill_row2(i + 1)
-                counts[v - 1] += 1
-
-    fill_row1(0)
+    place(1, (), ())
     return results
 
 
@@ -83,6 +81,10 @@ def charge(word: Sequence[int]) -> int:
     Within a subword the letter r+1 contributes index(r)+1 when it sits to
     the right of the chosen r and index(r) otherwise, starting from
     index(1) = 0. The charge is the sum of all indices over all subwords.
+
+    Each letter keeps the sorted positions it still holds in the word, so
+    the cyclic scan is one bisection: the nearest position to the left of
+    the current one, or else the rightmost position, which wraps around.
     """
     if not word:
         return 0
@@ -95,41 +97,34 @@ def charge(word: Sequence[int]) -> int:
     if any(counts[i] < counts[i + 1] for i in range(maxletter - 1)):
         raise ValueError("charge needs partition content")
 
-    remaining = list(word)
+    positions: list[list[int]] = [[] for _ in range(maxletter)]
+    for i, v in enumerate(word):
+        positions[v - 1].append(i)
+    ones, higher = positions[0], positions[1:]
     total = 0
-    while remaining:
-        n = len(remaining)
-        pos = max(i for i in range(n) if remaining[i] == 1)
-        chosen = [pos]
-        letter = 2
-        while letter <= max(remaining):
-            found = -1
-            for step in range(1, n):
-                i = (pos - step) % n
-                if remaining[i] == letter:
-                    found = i
-                    break
-            if found < 0:
-                break
-            chosen.append(found)
-            pos = found
-            letter += 1
+    while ones:
+        pos = ones.pop()
         index = 0
-        for a in range(1, len(chosen)):
-            if chosen[a] > chosen[a - 1]:
+        for held in higher:
+            if not held:
+                break
+            j = bisect_left(held, pos)
+            if j:
+                pos = held.pop(j - 1)
+            else:
+                pos = held.pop()
                 index += 1
             total += index
-        for i in sorted(chosen, reverse=True):
-            del remaining[i]
     return total
 
 
 def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
     """Sum of q**charge over all semistandard tableaux of the shape/content."""
-    out = QPolynomial.zero()
+    tally: dict[int, int] = {}
     for t in enumerate_ssyt(sc):
-        out = out + QPolynomial.q_power(charge(reading_word(t)))
-    return out
+        c = charge(reading_word(t))
+        tally[c] = tally.get(c, 0) + 1
+    return QPolynomial.from_integer_terms(tally)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +137,7 @@ def _oracle_cached(l: int, parts: tuple[int, ...]) -> QPolynomial:
     kf = kostka_foulkes(sc)
     out = kf.substitute_inverse().shifted(norm_ss(m))
     if not out.is_zero() and out.min_exponent() < 0:
-        raise AssertionError("reversal produced a negative exponent")
+        raise InvariantError("reversal produced a negative exponent")
     return out
 
 

@@ -16,6 +16,14 @@ class InvalidWeightError(ValueError):
     """Raised when a weight is incompatible with a composition (parity/range)."""
 
 
+class InvariantError(AssertionError):
+    """Internal error: a proven invariant failed, so the code has a bug.
+
+    Raised explicitly rather than by `assert`, so the check survives
+    `python -O`.
+    """
+
+
 class Composition:
     """Immutable vector of nonnegative multiplicities m_1..m_k."""
 
@@ -139,7 +147,8 @@ def norm_ss(m: CompositionLike) -> int:
     """The norm with 2*norm = -|m| + mAm; always an even difference."""
     c = as_composition(m)
     twice = -weighted_size(c) + min_form(c, c)
-    assert twice % 2 == 0, "mAm - |m| must be even"
+    if twice % 2:
+        raise InvariantError("mAm - |m| must be even")
     return twice // 2
 
 
@@ -159,11 +168,12 @@ def top_degree_h(m: CompositionLike) -> int:
     """h(m) = (mAm - p(m))/4, the top q-degree of the fusion product.
 
     The difference is always divisible by 4; that integrality is itself one
-    of the tested invariants, so it is asserted here.
+    of the tested invariants, so it is checked here.
     """
     c = as_composition(m)
     num = min_form(c, c) - parity_count(c)
-    assert num % 4 == 0, "mAm - p(m) must be divisible by 4"
+    if num % 4:
+        raise InvariantError("mAm - p(m) must be divisible by 4")
     return num // 4
 
 

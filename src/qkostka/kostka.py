@@ -11,14 +11,15 @@ agreement across all of them is the central correctness argument.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterator, Literal, Sequence
 
 from . import charge as charge_oracle
 from .compositions import (
     Composition,
     CompositionLike,
+    InvariantError,
     as_composition,
-    min_form,
     top_degree_h,
     weighted_size,
 )
@@ -27,7 +28,7 @@ from .qexact import QPolynomial, vector_gaussian_binomial
 Route = Literal["fermionic", "charge"]
 
 
-class StabilizationError(AssertionError):
+class StabilizationError(InvariantError):
     """Internal error: level stabilization failed, the formula has a bug."""
 
 
@@ -76,22 +77,24 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     if (size - l) % 2 or size < l:
         return QPolynomial.zero()
     v = restriction_vector(l, k)
-    mparts = comp.parts
+    # With A_ab = min(a, b), (Ax)_a = sum_{c <= a} sum_{b >= c} x_b: running
+    # sums of suffix sums give A(m - 2s) and As in O(k) per vector.
+    m_suffix = list(accumulate(reversed(comp.parts)))[::-1]
     out = QPolynomial.zero()
     for s in _occupation_vectors((size - l) // 2, k):
+        s_suffix = list(accumulate(reversed(s)))[::-1]
         tops = []
-        ok = True
-        for a in range(1, k + 1):
-            t = sum(min(a, b) * (mparts[b - 1] - 2 * s[b - 1]) for b in range(1, k + 1))
-            t += s[a - 1] - v[a - 1]
-            if t < s[a - 1]:
-                ok = False
+        a_n = a_s = exponent = 0
+        for a in range(k):
+            a_n += m_suffix[a] - 2 * s_suffix[a]
+            t = a_n + s[a] - v[a]
+            if t < s[a]:
                 break
             tops.append(t)
-        if not ok:
-            continue
-        exponent = min_form(s, s) + sum(va * sa for va, sa in zip(v, s))
-        out = out + vector_gaussian_binomial(tops, s).shifted(exponent)
+            a_s += s_suffix[a]
+            exponent += s[a] * (a_s + v[a])
+        else:
+            out = out + vector_gaussian_binomial(tops, s).shifted(exponent)
     return out
 
 

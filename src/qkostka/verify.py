@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import abf as abf_mod
 from . import kostka, verlinde, virasoro, weyl
-from .compositions import Composition, weighted_size
+from .compositions import Composition, InvariantError, weighted_size
 from .qexact import QPolynomial
 from .reports import AuditRecord
 
@@ -313,7 +313,8 @@ def suite_coset(cfg: VerifyConfig) -> SuiteResult:
         delta = virasoro.conformal_weight(mm)
         offset = virasoro.coset_prefactor_exponent(i, j, k, l)
         gap = delta - offset
-        assert gap.denominator == 1 and gap >= 0
+        if gap.denominator != 1 or gap < 0:
+            raise InvariantError(f"coset exponent gap {gap} is not a nonnegative integer")
         bs = virasoro.branching_via_kostka_limit(i, j, k, l, order + int(gap))
         rc = virasoro.rocha_caridi(mm, order)
         mismatches = virasoro.series_mismatches(bs.series, rc.series)

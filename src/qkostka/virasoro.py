@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .compositions import Composition
+from .compositions import Composition, InvariantError
 from .kostka import reversed_restricted
 from .qexact import (
     QPolynomial,
@@ -236,7 +236,8 @@ def _reversed_term_data(
     if j >= 1:
         m[j] += 1
     weighted = sum(a * ma for a, ma in enumerate(m, start=1))
-    assert (weighted - l) % 2 == 0, "inadmissible N parity"
+    if (weighted - l) % 2:
+        raise InvariantError("inadmissible N parity")
     s = [0] * level
     s[0] = (weighted - l) // 2 - sum(b * tb for b, tb in zip(range(2, level + 1), t))
     for b, tb in zip(range(2, level + 1), t):
@@ -278,7 +279,7 @@ def fermionic_term_limit(
     first = _reversed_term_data(tvec, j, l, k, n0)
     second = _reversed_term_data(tvec, j, l, k, n0 + 2)
     if first != second:
-        raise AssertionError(
+        raise InvariantError(
             f"term data depends on N at t={tvec}, j={j}, l={l}, k={k}"
         )
     exponent, tops, d = first
@@ -398,13 +399,15 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
     derived_acc = [0] * (order + 1)
     for t, n, data in _enumerate_exponents(j, l, k, order, u_derived):
         shift = data.exponent - c0
-        assert shift == n, "limit exponent disagrees with its closed form"
+        if shift != n:
+            raise InvariantError("limit exponent disagrees with its closed form")
         if data.pochhammer_index < 0:
             continue
         binprod = data.binomial_product()
         if binprod.is_zero():
             continue
-        assert n >= 0, "contributing term with negative relative exponent"
+        if n < 0:
+            raise InvariantError("contributing term with negative relative exponent")
         tail = bounded_partition_series(data.pochhammer_index, order - n)
         for e, c in binprod.terms():
             base = n + e // 4
@@ -425,7 +428,8 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
                 if base + dd <= order:
                     printed_acc[base + dd] = printed_acc.get(base + dd, 0) + c * tail.coefficient(dd)
 
-    assert all(c >= 0 for c in derived_acc), "character coefficients must be nonnegative"
+    if any(c < 0 for c in derived_acc):
+        raise InvariantError("character coefficients must be nonnegative")
     derived = BranchingSeries(
         QSeriesTruncated(derived_acc, offset=delta), route="fermionic-derived"
     )

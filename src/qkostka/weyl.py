@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .compositions import CompositionLike, as_composition, weighted_size
+from .compositions import CompositionLike, InvariantError, as_composition, weighted_size
 from .kostka import fusion_weight_char
 from .qexact import QPolynomial
 
@@ -131,7 +131,8 @@ def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
             term = fusion_weight_char(comp, -g.weight).shifted(g.grade)
             out = out + term if p % 2 == 0 else out - term
         if floor > size + 2:
-            assert floor >= prev_floor, "orbit weights stopped growing"
+            if floor < prev_floor:
+                raise InvariantError("orbit weights stopped growing")
             clear_streak += 1
             if clear_streak >= 2:
                 return out

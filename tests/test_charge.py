@@ -1,4 +1,8 @@
-from qkostka.compositions import Composition, ShapeContent, bridge_to_partition
+import random
+
+import pytest
+
+from qkostka.compositions import Composition, ShapeContent, bridge_to_partition, weighted_size
 from qkostka.charge import (
     charge,
     enumerate_ssyt,
@@ -7,6 +11,92 @@ from qkostka.charge import (
     reading_word,
 )
 from qkostka.qexact import QPolynomial, gaussian_binomial
+from qkostka.verify import admissible_compositions
+
+
+# Reference oracles: the cell-by-cell enumerator and the cyclic-scan charge
+# the library used before its letter-by-letter and bisection rewrite, kept
+# verbatim so the fast versions are held to the same tableaux in the same
+# order and to the same charges.
+
+
+def _reference_enumerate_ssyt(sc):
+    len1, len2 = sc.shape
+    counts = list(sc.content)
+    if sum(counts) != len1 + len2:
+        return []
+    letters = len(counts)
+    results = []
+    row1 = [0] * len1
+    row2 = [0] * len2
+
+    def fill_row1(i):
+        if i == len1:
+            fill_row2(0)
+            return
+        lo = row1[i - 1] if i else 1
+        for v in range(lo, letters + 1):
+            if counts[v - 1]:
+                counts[v - 1] -= 1
+                row1[i] = v
+                fill_row1(i + 1)
+                counts[v - 1] += 1
+
+    def fill_row2(i):
+        if i == len2:
+            results.append((tuple(row1), tuple(row2)))
+            return
+        lo = max(row2[i - 1] if i else 1, row1[i] + 1)
+        for v in range(lo, letters + 1):
+            if counts[v - 1]:
+                counts[v - 1] -= 1
+                row2[i] = v
+                fill_row2(i + 1)
+                counts[v - 1] += 1
+
+    fill_row1(0)
+    return results
+
+
+def _reference_charge(word):
+    if not word:
+        return 0
+    maxletter = max(word)
+    counts = [0] * maxletter
+    for v in word:
+        if v < 1:
+            raise ValueError("letters must be positive")
+        counts[v - 1] += 1
+    if any(counts[i] < counts[i + 1] for i in range(maxletter - 1)):
+        raise ValueError("charge needs partition content")
+
+    remaining = list(word)
+    total = 0
+    while remaining:
+        n = len(remaining)
+        pos = max(i for i in range(n) if remaining[i] == 1)
+        chosen = [pos]
+        letter = 2
+        while letter <= max(remaining):
+            found = -1
+            for step in range(1, n):
+                i = (pos - step) % n
+                if remaining[i] == letter:
+                    found = i
+                    break
+            if found < 0:
+                break
+            chosen.append(found)
+            pos = found
+            letter += 1
+        index = 0
+        for a in range(1, len(chosen)):
+            if chosen[a] > chosen[a - 1]:
+                index += 1
+            total += index
+        for i in sorted(chosen, reverse=True):
+            del remaining[i]
+    return total
 
 
 def test_enumerate_ssyt_counts():
@@ -89,3 +179,55 @@ def test_bridge_shapes_feed_the_oracle():
     sc = bridge_to_partition((2, 1), 0)
     assert sc.shape == (2, 2)
     assert sorted(sc.content, reverse=True) == list(sc.content)
+
+
+def test_enumerate_ssyt_matches_reference_on_every_bridge():
+    shapes = 0
+    for m in admissible_compositions(11, 11):
+        size = weighted_size(m)
+        for l in range(size % 2, size + 1, 2):
+            sc = bridge_to_partition(m, l)
+            assert enumerate_ssyt(sc) == _reference_enumerate_ssyt(sc), sc
+            shapes += 1
+    assert shapes > 500
+
+
+def test_enumerate_ssyt_matches_reference_off_partition_content():
+    # contents the bridge never produces: gaps, increasing counts, overfull
+    for shape, content in [
+        ((0, 0), ()),
+        ((2, 2), (1, 3)),
+        ((3, 1), (0, 2, 2)),
+        ((3, 2), (1, 2, 2)),
+        ((2, 1), (3,)),
+        ((4, 0), (1, 1, 1, 1)),
+    ]:
+        sc = ShapeContent(shape, content)
+        assert enumerate_ssyt(sc) == _reference_enumerate_ssyt(sc), sc
+
+
+def test_charge_matches_reference_on_random_words():
+    rng = random.Random(20050303)
+    for _ in range(5000):
+        n = rng.randint(1, 12)
+        # random partition content: weakly decreasing counts summing to n
+        counts = []
+        left = n
+        while left:
+            c = rng.randint(1, min(left, counts[-1] if counts else left))
+            counts.append(c)
+            left -= c
+        word = [v for v, c in enumerate(counts, start=1) for _ in range(c)]
+        rng.shuffle(word)
+        assert charge(word) == _reference_charge(word), word
+
+
+@pytest.mark.parametrize(
+    "word", [(0,), (1, 0), (2, -1, 1), (2,), (1, 2, 2), (3, 1, 2, 3, 1)]
+)
+def test_charge_rejects_what_the_reference_rejects(word):
+    with pytest.raises(ValueError) as ref:
+        _reference_charge(word)
+    with pytest.raises(ValueError) as new:
+        charge(word)
+    assert str(new.value) == str(ref.value)

@@ -3,8 +3,16 @@ from fractions import Fraction
 import pytest
 
 from qkostka.charge import kostka_sl2_oracle
-from qkostka.compositions import Composition, InvalidWeightError, top_degree_h, weighted_size
+from qkostka.compositions import (
+    Composition,
+    InvalidWeightError,
+    as_composition,
+    min_form,
+    top_degree_h,
+    weighted_size,
+)
 from qkostka.kostka import (
+    _occupation_vectors,
     alternating_sum_raw,
     fusion_char_hook,
     fusion_weight_char,
@@ -15,11 +23,42 @@ from qkostka.kostka import (
     reversed_restricted,
     unrestricted,
 )
-from qkostka.qexact import QPolynomial
+from qkostka.qexact import QPolynomial, vector_gaussian_binomial
+from qkostka.verify import admissible_compositions
 
 
 def poly(terms):
     return QPolynomial.from_integer_terms(terms)
+
+
+def _reference_restricted_fermionic(l, m, k):
+    # The O(k^2) tops/exponent loop of the fermionic sum before its O(k)
+    # suffix-sum rewrite, kept verbatim as an oracle for that rewrite.
+    comp = as_composition(m).trimmed()
+    if comp.width > k:
+        return QPolynomial.zero()
+    comp = comp.padded(k)
+    size = weighted_size(comp)
+    if (size - l) % 2 or size < l:
+        return QPolynomial.zero()
+    v = restriction_vector(l, k)
+    mparts = comp.parts
+    out = QPolynomial.zero()
+    for s in _occupation_vectors((size - l) // 2, k):
+        tops = []
+        ok = True
+        for a in range(1, k + 1):
+            t = sum(min(a, b) * (mparts[b - 1] - 2 * s[b - 1]) for b in range(1, k + 1))
+            t += s[a - 1] - v[a - 1]
+            if t < s[a - 1]:
+                ok = False
+                break
+            tops.append(t)
+        if not ok:
+            continue
+        exponent = min_form(s, s) + sum(va * sa for va, sa in zip(v, s))
+        out = out + vector_gaussian_binomial(tops, s).shifted(exponent)
+    return out
 
 
 def test_restriction_vector():
@@ -181,3 +220,14 @@ def test_level_monotonicity():
             assert c <= cap.coefficient(Fraction(num, 4))
         prev = cur
     assert restricted_fermionic(0, m, 6) == cap
+
+
+def test_restricted_fermionic_matches_reference():
+    nonzero = 0
+    for k in range(1, 6):
+        for m in admissible_compositions(10, k):
+            for l in range(k + 1):
+                want = _reference_restricted_fermionic(l, m, k)
+                assert restricted_fermionic(l, m, k) == want, (l, m, k)
+                nonzero += not want.is_zero()
+    assert nonzero > 500
