@@ -49,7 +49,6 @@ from .qexact import (
     finite_pochhammer,
     gaussian_binomial,
     partition_series,
-    substitute_inverse,
     vector_gaussian_binomial,
 )
 from .reports import AuditRecord
@@ -157,7 +156,6 @@ __all__ = [
     "shifted_reflection",
     "stabilization_order",
     "structure_constants",
-    "substitute_inverse",
     "top_degree_h",
     "unrestricted",
     "vector_gaussian_binomial",

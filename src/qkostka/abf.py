@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .compositions import Composition
 from .kostka import restricted_fermionic
-from .qexact import QPolynomial, gaussian_binomial
+from .qexact import QPolynomial, gaussian_binomial, shifted_sum
 from .reports import AuditRecord
 
 
@@ -45,16 +45,16 @@ def abf_polynomial(lab: AbfLabel) -> QPolynomial:
         raise ValueError("N must have the parity of b - a")
     r, b, a, N = lab.r, lab.b, lab.a, lab.N
     period = r + 1
-    out = QPolynomial.zero()
     span = (N + abs(b) + abs(a)) // (2 * period) + 2
+    items = []
     for n in range(-span, span + 1):
         e1 = r * period * n * n + (period * b - r * a) * n
         x1 = (N - b + a) // 2 - period * n
-        out = out + gaussian_binomial(N, x1).shifted(e1)
+        items.append((1, e1, gaussian_binomial(N, x1)))
         e2 = r * period * n * n + (period * b + r * a) * n + b * a
         x2 = (N - b - a) // 2 - period * n
-        out = out - gaussian_binomial(N, x2).shifted(e2)
-    return out
+        items.append((-1, e2, gaussian_binomial(N, x2)))
+    return shifted_sum(items)
 
 
 def inversion_check(lab: AbfLabel) -> AuditRecord:
@@ -63,13 +63,14 @@ def inversion_check(lab: AbfLabel) -> AuditRecord:
     period = r + 1
     shift = Fraction(N * N - (a - b) ** 2, 4)
     lhs = abf_polynomial(lab).substitute_inverse().shifted(shift)
-    rhs = QPolynomial.zero()
     span = (N + abs(b) + abs(a)) // (2 * period) + 2
+    items = []
     for n in range(-span, span + 1):
         x1 = (N - b + a) // 2 - period * n
-        rhs = rhs + gaussian_binomial(N, x1).shifted(period * n * n - n * a)
+        items.append((1, period * n * n - n * a, gaussian_binomial(N, x1)))
         x2 = (N - b - a) // 2 - period * n
-        rhs = rhs - gaussian_binomial(N, x2).shifted(period * n * n + n * a)
+        items.append((-1, period * n * n + n * a, gaussian_binomial(N, x2)))
+    rhs = shifted_sum(items)
     return AuditRecord(
         params={"r": r, "b": b, "a": a, "N": N},
         route_a="reversed-finitization",

@@ -1,9 +1,10 @@
 """Content-addressed JSON result cache for table sweeps.
 
-One JSON file per result, named by a hash of (library version, kind,
-parameters). Values are deterministic functions of the key, so concurrent
-writers clobbering each other with identical bytes is harmless; writes go
-through a temp file and rename so readers never see a partial file.
+One JSON file per result, named by a hash of (results schema, library
+version, kind, parameters). Values are deterministic functions of the key,
+so concurrent writers clobbering each other with identical bytes is
+harmless; writes go through a temp file and rename so readers never see a
+partial file.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import tempfile
 from pathlib import Path
 
 ENV_VAR = "KOSTKA_CACHE_DIR"
+
+# Bump whenever a change to the computing code could change a cached table,
+# so that no cache directory serves results from older code. A golden test
+# pins the bytes of one table to catch such a change.
+RESULTS_SCHEMA = 1
 
 
 def resolve_cache_dir(explicit: str | None) -> Path | None:
@@ -29,7 +35,7 @@ def resolve_cache_dir(explicit: str | None) -> Path | None:
 
 def cache_key(version: str, kind: str, params: dict) -> str:
     canonical = json.dumps(
-        {"version": version, "kind": kind, "params": params},
+        {"schema": RESULTS_SCHEMA, "version": version, "kind": kind, "params": params},
         sort_keys=True,
         separators=(",", ":"),
     )

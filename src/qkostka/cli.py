@@ -6,8 +6,10 @@ Commands:
   table   write a CSV/JSON table over a parameter grid, with caching
 
 Exit codes: 0 success / all checks pass, 1 hard verification failure,
-2 usage error. Audit-class residuals (published formulas known to disagree
-with their derivations) are reported as data and never affect exit codes.
+2 usage error, 3 internal error: a program fault, reported as one JSON line
+{"error": <exception type>, "message": <text>} on stderr. Audit-class
+residuals (published formulas known to disagree with their derivations) are
+reported as data and never affect exit codes.
 All output is deterministic and independent of the worker count.
 """
 
@@ -322,6 +324,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault (InvariantError, RecursionError, ...) must not exit 1,
+        # which means a hard identity failed
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .compositions import (
     top_degree_h,
     weighted_size,
 )
-from .qexact import QPolynomial, vector_gaussian_binomial
+from .qexact import QPolynomial, shifted_sum, vector_gaussian_binomial
 
 Route = Literal["fermionic", "charge"]
 
@@ -80,22 +80,24 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     # With A_ab = min(a, b), (Ax)_a = sum_{c <= a} sum_{b >= c} x_b: running
     # sums of suffix sums give A(m - 2s) and As in O(k) per vector.
     m_suffix = list(accumulate(reversed(comp.parts)))[::-1]
-    out = QPolynomial.zero()
-    for s in _occupation_vectors((size - l) // 2, k):
-        s_suffix = list(accumulate(reversed(s)))[::-1]
-        tops = []
-        a_n = a_s = exponent = 0
-        for a in range(k):
-            a_n += m_suffix[a] - 2 * s_suffix[a]
-            t = a_n + s[a] - v[a]
-            if t < s[a]:
-                break
-            tops.append(t)
-            a_s += s_suffix[a]
-            exponent += s[a] * (a_s + v[a])
-        else:
-            out = out + vector_gaussian_binomial(tops, s).shifted(exponent)
-    return out
+
+    def terms() -> Iterator[tuple[int, int, QPolynomial]]:
+        for s in _occupation_vectors((size - l) // 2, k):
+            s_suffix = list(accumulate(reversed(s)))[::-1]
+            tops = []
+            a_n = a_s = exponent = 0
+            for a in range(k):
+                a_n += m_suffix[a] - 2 * s_suffix[a]
+                t = a_n + s[a] - v[a]
+                if t < s[a]:
+                    break
+                tops.append(t)
+                a_s += s_suffix[a]
+                exponent += s[a] * (a_s + v[a])
+            else:
+                yield 1, exponent, vector_gaussian_binomial(tops, s)
+
+    return shifted_sum(terms())
 
 
 @lru_cache(maxsize=None)

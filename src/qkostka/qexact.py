@@ -6,11 +6,29 @@ one carrying every quarter power the character formulas produce; rational
 offsets with other denominators (conformal weights) are kept separately on
 truncated series, never folded into the grid. Coefficients are Python ints
 throughout, so nothing is floated and nothing overflows.
+
+Storage is a dict from numerator to nonzero coefficient. Multiplication
+packs both operands into single big integers (Kronecker substitution), lets
+CPython multiply those once, and reads the product's coefficients back off
+the bytes. Exponents are taken on the operands' common stride, so integer-
+and quarter-grid inputs pack densely; each coefficient is one byte-aligned
+digit, biased by half the digit base so signed values pack as nonnegative
+digits. The digit is wide enough for any product coefficient: one is a sum
+of at most min(|a|, |b|) term products, so its magnitude is at most
+min(|a|, |b|) * max|a_i| * max|b_j|, and the width adds two bits to that
+bound, so the biased digits never carry into each other. Operands whose
+dense span exceeds their number of term products keep the term-by-term
+convolution instead, so a sparse factor such as 1 + q**(10**9) costs its
+term products, not 10**9 digits.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 EXPONENT_DENOMINATOR = 4
@@ -134,14 +152,10 @@ class QPolynomial:
                 data[num] = new
             else:
                 data.pop(num, None)
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = data
-        return out
+        return _wrap(data)
 
     def __neg__(self) -> "QPolynomial":
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = {num: -coeff for num, coeff in self._terms.items()}
-        return out
+        return _wrap({num: -coeff for num, coeff in self._terms.items()})
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
@@ -152,42 +166,36 @@ class QPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return QPolynomial.zero()
-            out = QPolynomial.__new__(QPolynomial)
-            out._terms = {num: coeff * other for num, coeff in self._terms.items()}
-            return out
+            return _wrap({num: coeff * other for num, coeff in self._terms.items()})
         if not isinstance(other, QPolynomial):
             return NotImplemented
         if len(self._terms) > len(other._terms):
             long, short = self._terms, other._terms
         else:
             long, short = other._terms, self._terms
-        data: dict[int, int] = {}
-        for num2, c2 in short.items():
-            for num1, c1 in long.items():
-                key = num1 + num2
-                new = data.get(key, 0) + c1 * c2
-                if new:
-                    data[key] = new
-                else:
-                    del data[key]
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = data
-        return out
+        if len(short) <= 1:
+            if not short:
+                return QPolynomial.zero()
+            ((shift, factor),) = short.items()
+            return _wrap({num + shift: coeff * factor for num, coeff in long.items()})
+        low_l, low_s = min(long), min(short)
+        stride = math.gcd(*(num - low_l for num in long), *(num - low_s for num in short))
+        len_l = (max(long) - low_l) // stride + 1
+        len_s = (max(short) - low_s) // stride + 1
+        if len_l + len_s - 1 > len(long) * len(short):
+            return _wrap(_convolution(long, short))
+        return _wrap(_kronecker_product(long, low_l, len_l, short, low_s, len_s, stride))
 
     __rmul__ = __mul__
 
     def shifted(self, exponent: ExponentLike) -> "QPolynomial":
         """Multiply by q**exponent."""
         delta = exponent_numerator(exponent)
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = {num + delta: coeff for num, coeff in self._terms.items()}
-        return out
+        return _wrap({num + delta: coeff for num, coeff in self._terms.items()})
 
     def substitute_inverse(self) -> "QPolynomial":
         """Return p(1/q): every exponent negated, exactly."""
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = {-num: coeff for num, coeff in self._terms.items()}
-        return out
+        return _wrap({-num: coeff for num, coeff in self._terms.items()})
 
     # -- serialization -----------------------------------------------------
 
@@ -234,9 +242,86 @@ class QPolynomial:
         return f"QPolynomial({self!s})"
 
 
-def substitute_inverse(p: QPolynomial) -> QPolynomial:
-    """Return p(1/q) with all exponents negated."""
-    return p.substitute_inverse()
+def _wrap(data: dict[int, int]) -> QPolynomial:
+    """A QPolynomial owning `data`, which must hold no zero coefficient."""
+    out = QPolynomial.__new__(QPolynomial)
+    out._terms = data
+    return out
+
+
+def _convolution(long: dict[int, int], short: dict[int, int]) -> dict[int, int]:
+    """Term-by-term product, for operands too sparse to pack."""
+    data: dict[int, int] = {}
+    for num2, c2 in short.items():
+        for num1, c1 in long.items():
+            key = num1 + num2
+            new = data.get(key, 0) + c1 * c2
+            if new:
+                data[key] = new
+            else:
+                del data[key]
+    return data
+
+
+# memoryview formats that read a whole buffer of 1-, 2-, 4- or 8-byte digits
+_NATIVE_DIGITS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _kronecker_product(
+    a: dict[int, int], low_a: int, len_a: int,
+    b: dict[int, int], low_b: int, len_b: int,
+    stride: int,
+) -> dict[int, int]:
+    """Product of two multi-term operands by one big-integer multiply.
+
+    Every numerator of `a` is low_a + stride * i with 0 <= i < len_a, and
+    likewise for `b`. Coefficient i becomes digit i of a base-2**(8 * width)
+    integer; see the module docstring for why the width is safe. Up to 8
+    bytes the width is rounded up to a native integer size, so the product's
+    digits are read back in one memoryview pass. Bytes are laid out in the
+    platform's order, which is the order memoryview reads them in.
+    """
+    order = sys.byteorder
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound.bit_length() + 2 + 7) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    bias = 1 << (8 * width - 1)
+    bias_digit = bias.to_bytes(width, order)
+
+    def pack(terms: dict[int, int], low: int, length: int) -> int:
+        digits = [bias_digit] * length
+        for num, coeff in terms.items():
+            digits[(num - low) // stride] = (coeff + bias).to_bytes(width, order)
+        return int.from_bytes(b"".join(digits), order) - int.from_bytes(
+            bias_digit * length, order
+        )
+
+    span = len_a + len_b - 1
+    product = pack(a, low_a, len_a) * pack(b, low_b, len_b)
+    raw = (product + int.from_bytes(bias_digit * span, order)).to_bytes(span * width, order)
+    if width in _NATIVE_DIGITS:
+        digits = memoryview(raw).cast(_NATIVE_DIGITS[width]).tolist()
+    else:
+        digits = [int.from_bytes(raw[k : k + width], order) for k in range(0, len(raw), width)]
+    low = low_a + low_b
+    return {low + k * stride: d - bias for k, d in enumerate(digits) if d != bias}
+
+
+def shifted_sum(items: Iterable[tuple[int, ExponentLike, QPolynomial]]) -> QPolynomial:
+    """Sum of sign * q**exponent * poly over (sign, exponent, poly) items.
+
+    Accumulates into one dict, where adding `poly.shifted(exponent)` term by
+    term would copy the running sum once per item.
+    """
+    data: dict[int, int] = {}
+    get = data.get
+    for sign, exponent, poly in items:
+        delta = exponent_numerator(exponent)
+        for num, coeff in poly._terms.items():
+            key = num + delta
+            data[key] = get(key, 0) + sign * coeff
+    return _wrap({num: coeff for num, coeff in data.items() if coeff})
 
 
 _ONE = QPolynomial.one()
@@ -277,8 +362,18 @@ def gaussian_binomial(m: int, n: int) -> QPolynomial:
     hit = _gaussian_cache.get(key)
     if hit is not None:
         return hit
-    # Pascal-style recurrence; builds on smaller m values already cached.
-    value = gaussian_binomial(m - 1, n - 1) + gaussian_binomial(m - 1, n).shifted(n)
+    # Product formula prod_{i=1..n} (1 - q^(m-n+i)) / (1 - q^i) on a dense
+    # coefficient list. After step i the list holds [m-n+i choose i]_q, so
+    # every division is exact.
+    coeffs = [1]
+    for i in range(1, n + 1):
+        pad = [0] * (m - n + i)
+        coeffs = list(map(operator.sub, coeffs + pad, pad + coeffs))
+        # dividing by 1 - q^i is a running sum along each residue class mod i
+        for r in range(i):
+            coeffs[r::i] = accumulate(coeffs[r::i])
+        del coeffs[len(coeffs) - i :]
+    value = _wrap({EXPONENT_DENOMINATOR * e: c for e, c in enumerate(coeffs)})
     _gaussian_cache[key] = value
     return value
 
@@ -289,10 +384,12 @@ def vector_gaussian_binomial(a: Sequence[int], b: Sequence[int]) -> QPolynomial:
         raise ValueError("vector length mismatch")
     out = _ONE
     for m, n in zip(a, b):
-        factor = gaussian_binomial(m, n)
-        if factor.is_zero():
+        if 0 < n < m:
+            factor = gaussian_binomial(m, n)
+            out = factor if out is _ONE else out * factor
+        elif m < 0 or n not in (0, m):
             return _ZERO
-        out = out * factor
+        # else the factor is [m choose 0] = [m choose m] = 1: nothing to multiply
     return out
 
 

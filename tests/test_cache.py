@@ -1,0 +1,25 @@
+import hashlib
+
+from qkostka import cache, cli
+
+
+def test_cache_key_changes_with_the_results_schema(monkeypatch):
+    params = {"max_weight": 8, "max_level": 3}
+    before = cache.cache_key("0.1.0", "kostka", params)
+    monkeypatch.setattr(cache, "RESULTS_SCHEMA", cache.RESULTS_SCHEMA + 1)
+    assert cache.cache_key("0.1.0", "kostka", params) != before
+
+
+# sha256 of `qkostka table kostka --max-weight 8 --max-level 3` as CSV
+GOLDEN_TABLE_SHA256 = "a89c5beec23be7c8de92a89359a6594b454e327347c393059c4d7655edf06bbf"
+
+
+def test_golden_table_bytes(capsys):
+    code = cli.main(["table", "kostka", "--max-weight", "8", "--max-level", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") == 289
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256, (
+        "the computed table changed: disk caches now hold stale results, so bump "
+        "qkostka.cache.RESULTS_SCHEMA and then update GOLDEN_TABLE_SHA256"
+    )

@@ -280,3 +280,27 @@ def test_factor_string_round_trip(capsys):
     assert cli.factor_string(Composition((4,))) == "1^4"
     assert cli.factor_string(Composition((4, 1))) == "1^4,2"
     assert cli.factor_string(Composition(())) == "0^0"
+
+
+def test_exit_code_3_on_internal_fault(monkeypatch, capsys):
+    from qkostka import verify as verify_mod
+
+    def faulty(cfg):
+        raise RuntimeError("route exploded")
+
+    monkeypatch.setitem(verify_mod.SUITES, "routes", faulty)
+    code, out, err = run(capsys, "verify", "routes")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "RuntimeError", "message": "route exploded"}
+
+
+def test_exit_code_3_on_recursion_error(capsys):
+    # the occupation-vector recursion is deeper than the interpreter allows
+    code, out, err = run(
+        capsys,
+        "kostka", "--m", "1^2202", "--weight", "0", "--level", "1", "--route", "alternating",
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "RecursionError"

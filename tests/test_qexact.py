@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import qkostka
+from qkostka import qexact
 from qkostka.qexact import (
     QPolynomial,
     QSeriesTruncated,
@@ -11,6 +14,7 @@ from qkostka.qexact import (
     finite_pochhammer,
     gaussian_binomial,
     partition_series,
+    shifted_sum,
     vector_gaussian_binomial,
 )
 
@@ -165,3 +169,175 @@ def test_series_products():
     shifted = s.times_polynomial(QPolynomial.q_power(1))
     assert shifted.offset == Fraction(3, 2)
     assert shifted.coefficient(0) == 1
+
+
+# -- oracle tests for the packed kernel ------------------------------------
+#
+# The three references below are the dict-convolution multiply, the Pascal
+# recursion for Gaussian binomials and the `+`/`.shifted` accumulation loop
+# that the packed multiply, the product formula and `shifted_sum` replaced,
+# kept verbatim. Every route multiplies and sums through this kernel, so a
+# kernel bug could make all routes agree on a wrong answer; these tests hold
+# the kernel to code that shares none of its packing.
+
+
+def reference_mul(self, other):
+    if len(self._terms) > len(other._terms):
+        long, short = self._terms, other._terms
+    else:
+        long, short = other._terms, self._terms
+    data: dict[int, int] = {}
+    for num2, c2 in short.items():
+        for num1, c1 in long.items():
+            key = num1 + num2
+            new = data.get(key, 0) + c1 * c2
+            if new:
+                data[key] = new
+            else:
+                del data[key]
+    out = QPolynomial.__new__(QPolynomial)
+    out._terms = data
+    return out
+
+
+_reference_gaussian_cache: dict[tuple[int, int], QPolynomial] = {}
+
+
+def reference_gaussian_binomial(m: int, n: int) -> QPolynomial:
+    if n < 0 or m < 0 or n > m:
+        return QPolynomial.zero()
+    n = min(n, m - n)
+    if n == 0:
+        return QPolynomial.one()
+    key = (m, n)
+    hit = _reference_gaussian_cache.get(key)
+    if hit is not None:
+        return hit
+    # Pascal-style recurrence; builds on smaller m values already cached.
+    value = reference_gaussian_binomial(m - 1, n - 1) + reference_gaussian_binomial(
+        m - 1, n
+    ).shifted(n)
+    _reference_gaussian_cache[key] = value
+    return value
+
+
+def reference_shifted_sum(items) -> QPolynomial:
+    out = QPolynomial.zero()
+    for sign, exponent, poly in items:
+        if sign > 0:
+            out = out + poly.shifted(exponent)
+        else:
+            out = out - poly.shifted(exponent)
+    return out
+
+
+def _random_operand(rng: random.Random, stride: int) -> QPolynomial:
+    """Signed, strided, possibly negative-exponent and possibly sparse."""
+    shape = rng.random()
+    if shape < 0.05:
+        return QPolynomial.zero()
+    size = 1 if shape < 0.15 else rng.randint(2, 40)
+    bits = rng.choice((1, 2, 8, 31, 32, 33, 63, 64, 65, 100, 130))
+    low = rng.randint(-60, 60)
+    spread = rng.choice((size, 2 * size, 40 * size)) if shape < 0.9 else 10**6
+    terms = {}
+    for _ in range(size):
+        e = low + stride * rng.randint(0, spread)
+        terms[e] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+    if rng.random() < 0.2:
+        # every coefficient at the extreme: the product meets the digit bound
+        top = 2**bits - 1
+        terms = {e: rng.choice((-top, top)) for e in terms}
+    return QPolynomial(terms)
+
+
+def _cancelling_pair(rng: random.Random, stride: int) -> tuple[QPolynomial, QPolynomial]:
+    """(sum_{i<n} c q^(d i)) * (1 - q^d) = c (1 - q^(d n)): inner terms cancel."""
+    n, d, c = rng.randint(2, 30), stride * rng.randint(1, 3), rng.randint(1, 2**70)
+    low = rng.randint(-40, 40)
+    geometric = QPolynomial({low + d * i: c for i in range(n)})
+    return geometric, QPolynomial({0: 1, d: -1})
+
+
+def test_packed_multiply_matches_the_dict_convolution(monkeypatch):
+    calls = {"_convolution": 0, "_kronecker_product": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(qexact, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(qexact, name, counted)
+    rng = random.Random(20091)
+    for trial in range(2400):
+        stride = rng.choice((1, 2, 3, 4, 8))
+        if trial % 8 == 0:
+            a, b = _cancelling_pair(rng, stride)
+        else:
+            a, b = _random_operand(rng, stride), _random_operand(rng, stride)
+        want = reference_mul(a, b)
+        got = a * b
+        assert got._terms == want._terms, (trial, a, b)
+        assert 0 not in got._terms.values()
+        assert (b * a)._terms == want._terms
+    # sparse operands took the convolution branch and dense ones the packed
+    # product (each pair is multiplied both ways round)
+    assert calls["_convolution"] > 800
+    assert calls["_kronecker_product"] > 1200
+
+
+def test_packed_multiply_edge_cases():
+    q = QPolynomial.q_power
+    one, zero = QPolynomial.one(), QPolynomial.zero()
+    p = q(Fraction(-5, 4), -3) + q(Fraction(3, 4), 2**130)
+    assert (p * zero).is_zero() and (zero * p).is_zero()
+    assert p * one == p
+    assert (p * q(2, -1))._terms == reference_mul(p, q(2, -1))._terms
+    assert ((one + q(1)) * (one - q(1))) == one - q(2)
+    sparse = one + q(10**9)
+    assert (sparse * (one + q(1) + q(2)))._terms == reference_mul(
+        sparse, one + q(1) + q(2)
+    )._terms
+    assert sparse * sparse == one + q(10**9, 2) + q(2 * 10**9)
+
+
+def test_gaussian_binomial_matches_the_pascal_recursion():
+    for m in range(0, 61):
+        for n in range(-1, m + 2):
+            assert gaussian_binomial(m, n) == reference_gaussian_binomial(m, n), (m, n)
+
+
+def test_gaussian_binomial_cold_large_arguments():
+    # the Pascal recursion raised RecursionError on a cold (1100, 3)
+    qkostka.clear_caches()
+    for m, n in ((1100, 3), (500, 3), (60, 30)):
+        b = gaussian_binomial(m, n)
+        assert b.evaluate_at_one() == math.comb(m, n)
+        assert b.max_exponent() == n * (m - n)
+        assert b == gaussian_binomial(m, m - n)
+        assert b.substitute_inverse().shifted(n * (m - n)) == b
+    assert gaussian_binomial(500, 3) == reference_gaussian_binomial(500, 3)
+
+
+def test_vector_gaussian_binomial_skips_unit_factors():
+    # every 2-vector with entries from -1 to 6, unit and out-of-range factors included
+    pairs = [(m, n) for m in range(-1, 7) for n in range(-1, 8)]
+    for m1, n1 in pairs:
+        for m2, n2 in pairs:
+            want = reference_mul(
+                reference_gaussian_binomial(m1, n1), reference_gaussian_binomial(m2, n2)
+            )
+            assert vector_gaussian_binomial((m1, m2), (n1, n2)) == want
+
+
+def test_shifted_sum_matches_the_accumulation_loop():
+    rng = random.Random(7)
+    for _ in range(300):
+        items = []
+        for _ in range(rng.randint(0, 12)):
+            exponent = rng.choice((rng.randint(-30, 30), Fraction(rng.randint(-120, 120), 4)))
+            items.append((rng.choice((1, -1)), exponent, _random_operand(rng, rng.choice((1, 4)))))
+        if items and rng.random() < 0.2:
+            sign, exponent, poly = items[0]
+            items.append((-sign, exponent, poly))
+        assert shifted_sum(iter(items))._terms == reference_shifted_sum(items)._terms
+    assert shifted_sum([]).is_zero()
