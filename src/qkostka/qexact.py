@@ -19,16 +19,17 @@ min(|a|, |b|) * max|a_i| * max|b_j|, and the width adds two bits to that
 bound, so the biased digits never carry into each other. Operands whose
 dense span exceeds their number of term products keep the term-by-term
 convolution instead, so a sparse factor such as 1 + q**(10**9) costs its
-term products, not 10**9 digits.
+term products, not 10**9 digits. Gaussian binomials run their product
+formula on one packed integer too: times 1 - q**a is a shift and a
+subtraction, and the exact division by 1 - q**i multiplies by
+(1 + q**i)(1 + q**(2i))(1 + q**(4i))... and masks off the tail.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 EXPONENT_DENOMINATOR = 4
@@ -267,6 +268,24 @@ def _convolution(long: dict[int, int], short: dict[int, int]) -> dict[int, int]:
 _NATIVE_DIGITS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+def _digit_bytes(bits: int) -> int:
+    """Bytes per digit for digits of `bits` bits: 1, 2, 4 or 8 up to 8, else whole bytes."""
+    width = (bits + 7) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _digits(value: int, width: int, count: int) -> list[int]:
+    """The lowest `count` base-2**(8 * width) digits of `value` >= 0, lowest first.
+
+    Bytes are laid out in the platform's order, which is the order
+    memoryview reads native-size digits in.
+    """
+    raw = value.to_bytes(count * width, sys.byteorder)
+    if width in _NATIVE_DIGITS:
+        return memoryview(raw).cast(_NATIVE_DIGITS[width]).tolist()
+    return [int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width)]
+
+
 def _kronecker_product(
     a: dict[int, int], low_a: int, len_a: int,
     b: dict[int, int], low_b: int, len_b: int,
@@ -276,16 +295,11 @@ def _kronecker_product(
 
     Every numerator of `a` is low_a + stride * i with 0 <= i < len_a, and
     likewise for `b`. Coefficient i becomes digit i of a base-2**(8 * width)
-    integer; see the module docstring for why the width is safe. Up to 8
-    bytes the width is rounded up to a native integer size, so the product's
-    digits are read back in one memoryview pass. Bytes are laid out in the
-    platform's order, which is the order memoryview reads them in.
+    integer; see the module docstring for why the width is safe.
     """
     order = sys.byteorder
     bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    width = (bound.bit_length() + 2 + 7) // 8
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
+    width = _digit_bytes(bound.bit_length() + 2)
     bias = 1 << (8 * width - 1)
     bias_digit = bias.to_bytes(width, order)
 
@@ -299,11 +313,7 @@ def _kronecker_product(
 
     span = len_a + len_b - 1
     product = pack(a, low_a, len_a) * pack(b, low_b, len_b)
-    raw = (product + int.from_bytes(bias_digit * span, order)).to_bytes(span * width, order)
-    if width in _NATIVE_DIGITS:
-        digits = memoryview(raw).cast(_NATIVE_DIGITS[width]).tolist()
-    else:
-        digits = [int.from_bytes(raw[k : k + width], order) for k in range(0, len(raw), width)]
+    digits = _digits(product + int.from_bytes(bias_digit * span, order), width, span)
     low = low_a + low_b
     return {low + k * stride: d - bias for k, d in enumerate(digits) if d != bias}
 
@@ -362,18 +372,27 @@ def gaussian_binomial(m: int, n: int) -> QPolynomial:
     hit = _gaussian_cache.get(key)
     if hit is not None:
         return hit
-    # Product formula prod_{i=1..n} (1 - q^(m-n+i)) / (1 - q^i) on a dense
-    # coefficient list. After step i the list holds [m-n+i choose i]_q, so
-    # every division is exact.
-    coeffs = [1]
+    # Product formula prod_{i=1..n} (1 - q^(d+i)) / (1 - q^i), d = m - n, on
+    # one packed integer g = sum_k c_k 2**(bits*k). After step i, g packs
+    # [d+i choose i], whose coefficients are positive and at most C(m, n).
+    d = m - n
+    width = _digit_bytes(math.comb(m, n).bit_length())
+    bits = 8 * width
+    g = 1
     for i in range(1, n + 1):
-        pad = [0] * (m - n + i)
-        coeffs = list(map(operator.sub, coeffs + pad, pad + coeffs))
-        # dividing by 1 - q^i is a running sum along each residue class mod i
-        for r in range(i):
-            coeffs[r::i] = accumulate(coeffs[r::i])
-        del coeffs[len(coeffs) - i :]
-    value = _wrap({EXPONENT_DENOMINATOR * e: c for e, c in enumerate(coeffs)})
+        g -= g << (bits * (d + i))
+        # Divide by 1 - x, x = q^i, as a product (1 + x)(1 + x^2)(1 + x^4)...
+        # = (1 - q^span) / (1 - x), doubling span until it exceeds the
+        # quotient r's degree i*d. Then g = r - r q^span, the two parts do
+        # not overlap, and the mask keeps r.
+        span = i
+        while span <= i * d:
+            g += g << (bits * span)
+            span *= 2
+        g &= (1 << (bits * span)) - 1
+    count = n * d + 1
+    exponents = range(0, EXPONENT_DENOMINATOR * count, EXPONENT_DENOMINATOR)
+    value = _wrap(dict(zip(exponents, _digits(g, width, count))))
     _gaussian_cache[key] = value
     return value
 
