@@ -5,18 +5,15 @@ no floating point anywhere. The same quantities are computed by several
 independent routes (quasi-particle sums, tableau statistics, Weyl-orbit
 alternating sums, functional models, theta quotients) and the test suite
 holds the routes against each other.
+
+Importing the package loads only the core every route needs:
+`compositions`, `qexact`, `kostka` and `charge`. The names exported from
+`abf`, `coinvariants`, `reports`, `verlinde`, `virasoro` and `weyl` load
+their module on first use, so a short process pays only for what it calls.
 """
 
 __version__ = "0.1.0"
 
-from .abf import AbfLabel, abf_polynomial, finitization_audit, grouped_identity_check, inversion_check
-from .charge import charge, enumerate_ssyt, kostka_foulkes, kostka_sl2_oracle, reading_word
-from .coinvariants import (
-    FunctionalModelSpec,
-    OracleScaleExceeded,
-    build_constraint_matrix,
-    restricted_kostka_oracle,
-)
 from .compositions import (
     Composition,
     InvalidWeightError,
@@ -31,6 +28,15 @@ from .compositions import (
     top_degree_h,
     weighted_size,
 )
+from .qexact import (
+    QPolynomial,
+    QSeriesTruncated,
+    bounded_partition_series,
+    finite_pochhammer,
+    gaussian_binomial,
+    partition_series,
+    vector_gaussian_binomial,
+)
 from .kostka import (
     alternating_sum_raw,
     fusion_char_hook,
@@ -42,38 +48,46 @@ from .kostka import (
     reversed_restricted,
     unrestricted,
 )
-from .qexact import (
-    QPolynomial,
-    QSeriesTruncated,
-    bounded_partition_series,
-    finite_pochhammer,
-    gaussian_binomial,
-    partition_series,
-    vector_gaussian_binomial,
-)
-from .reports import AuditRecord
-from .verlinde import fuse_basic, q1_consistency, structure_constants
-from .virasoro import (
-    BranchingSeries,
-    LimitTermData,
-    MinimalModel,
-    branching_via_kostka_limit,
-    conformal_weight,
-    coset_central_charge,
-    fermionic_character_sum,
-    fermionic_term_limit,
-    rocha_caridi,
-    series_mismatches,
-    stabilization_order,
-)
-from .weyl import (
-    AffineWeight,
-    bgg_generators,
-    closed_form_action,
-    euler_characteristic_bgg,
-    homology_dim_predicate,
-    shifted_reflection,
-)
+from .charge import charge, enumerate_ssyt, kostka_foulkes, kostka_sl2_oracle, reading_word
+
+# exported name -> defining submodule, for the modules loaded on first use
+_LAZY_EXPORTS = {
+    name: module
+    for module, names in (
+        ("abf", ("AbfLabel", "abf_polynomial", "finitization_audit",
+                 "grouped_identity_check", "inversion_check")),
+        ("coinvariants", ("FunctionalModelSpec", "OracleScaleExceeded",
+                          "build_constraint_matrix", "restricted_kostka_oracle")),
+        ("reports", ("AuditRecord",)),
+        ("verlinde", ("fuse_basic", "q1_consistency", "structure_constants")),
+        ("virasoro", ("BranchingSeries", "LimitTermData", "MinimalModel",
+                      "branching_via_kostka_limit", "conformal_weight",
+                      "coset_central_charge", "fermionic_character_sum",
+                      "fermionic_term_limit", "rocha_caridi", "series_mismatches",
+                      "stabilization_order")),
+        ("weyl", ("AffineWeight", "bgg_generators", "closed_form_action",
+                  "euler_characteristic_bgg", "homology_dim_predicate",
+                  "shifted_reflection")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a lazy export on first access (PEP 562)."""
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    # later lookups find the global and never come back here
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))
 
 
 def clear_caches() -> None:

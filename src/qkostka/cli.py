@@ -21,12 +21,12 @@ import io
 import json
 import sys
 
-from . import __version__, kostka, virasoro
-from .cache import cache_key, load, resolve_cache_dir, store
+from . import __version__, kostka
 from .compositions import Composition, parse_factor_list
 from .qexact import QPolynomial
-from .verify import SUITES, VerifyConfig, admissible_compositions, run_suites
-from .weyl import euler_characteristic_bgg
+
+# sorted(verify.SUITES), spelled out so that parsing needs no import of verify
+SUITE_NAMES = ("abf", "bgg", "coset", "fermionic-virasoro", "routes", "verlinde", "weyl")
 
 
 def factor_argument(text: str) -> Composition:
@@ -89,6 +89,8 @@ def cmd_kostka(args) -> int:
             poly = kostka.restricted_alternating(l, m, k, source="charge")
             route = "charge"
         else:
+            from .weyl import euler_characteristic_bgg
+
             poly = euler_characteristic_bgg(m, l, k)
             route = "bgg"
         params = {
@@ -128,6 +130,8 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import VerifyConfig, run_suites
+
     cfg = VerifyConfig(
         max_weight=args.max_weight,
         max_level=args.max_level,
@@ -162,6 +166,8 @@ def cmd_verify(args) -> int:
 
 def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
     if kind == "kostka":
+        from .verify import admissible_compositions
+
         params = {"max_weight": args.max_weight, "max_level": args.max_level}
         columns = ["level", "weight", "m", "exponent_numerator", "coefficient"]
         items = [
@@ -180,6 +186,7 @@ def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
                 )
         return params, rows, columns
     if kind == "verlinde":
+        from .verify import admissible_compositions
         from .verlinde import structure_constants
 
         params = {"max_weight": args.max_weight, "max_level": args.max_level}
@@ -201,6 +208,8 @@ def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
                         )
         return params, rows, columns
     # characters
+    from .virasoro import MinimalModel, rocha_caridi
+
     p, pp = args.model
     params = {"p": p, "p_prime": pp, "order": args.order}
     columns = [
@@ -215,7 +224,7 @@ def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
     rows = []
     for r in range(1, p):
         for s in range(1, pp):
-            bs = virasoro.rocha_caridi(virasoro.MinimalModel(p, pp, r, s), args.order)
+            bs = rocha_caridi(MinimalModel(p, pp, r, s), args.order)
             for d, c in enumerate(bs.coefficients()):
                 if c:
                     rows.append(
@@ -233,6 +242,8 @@ def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
 
 
 def cmd_table(args) -> int:
+    from .cache import cache_key, load, resolve_cache_dir, store
+
     kind = args.kind
     cache_dir = resolve_cache_dir(args.cache_dir)
     payload = None
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.set_defaults(func=cmd_kostka)
 
     pv = sub.add_parser("verify", help="run an invariant sweep")
-    pv.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    pv.add_argument("suite", choices=[*SUITE_NAMES, "all"])
     pv.add_argument("--max-weight", type=int, default=10)
     pv.add_argument("--max-level", type=int, default=4)
     pv.add_argument("--order", type=int, default=15)

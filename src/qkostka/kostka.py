@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterator, Literal, Sequence
 
-from . import charge as charge_oracle
+from .charge import kostka_sl2_oracle
 from .compositions import (
     Composition,
     CompositionLike,
@@ -130,7 +130,7 @@ def _unrestricted_source(route: Route) -> Callable[[int, Composition], QPolynomi
     if route == "fermionic":
         return unrestricted
     if route == "charge":
-        return charge_oracle.kostka_sl2_oracle
+        return kostka_sl2_oracle
     raise ValueError(f"unknown unrestricted route {route!r}")
 
 

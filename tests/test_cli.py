@@ -304,3 +304,46 @@ def test_exit_code_3_on_recursion_error(capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "RecursionError"
+
+
+def test_suite_names_are_the_sorted_verify_suites():
+    from qkostka import verify as verify_mod
+
+    assert list(cli.SUITE_NAMES) == sorted(verify_mod.SUITES)
+
+
+# `verify --help` and the invalid-choice error as the CLI printed them when
+# the choices came from sorted(verify.SUITES) (argparse of Python 3.10/3.11)
+VERIFY_HELP = """\
+usage: qkostka verify [-h] [--max-weight MAX_WEIGHT] [--max-level MAX_LEVEL]
+                      [--order ORDER] [--workers WORKERS]
+                      [--format {text,json}] [--out OUT]
+                      {abf,bgg,coset,fermionic-virasoro,routes,verlinde,weyl,all}
+
+positional arguments:
+  {abf,bgg,coset,fermionic-virasoro,routes,verlinde,weyl,all}
+
+options:
+  -h, --help            show this help message and exit
+  --max-weight MAX_WEIGHT
+  --max-level MAX_LEVEL
+  --order ORDER
+  --workers WORKERS
+  --format {text,json}
+  --out OUT             write the report here instead of stdout
+"""
+
+VERIFY_NOSUCH_ERROR = """\
+usage: qkostka verify [-h] [--max-weight MAX_WEIGHT] [--max-level MAX_LEVEL]
+                      [--order ORDER] [--workers WORKERS]
+                      [--format {text,json}] [--out OUT]
+                      {abf,bgg,coset,fermionic-virasoro,routes,verlinde,weyl,all}
+qkostka verify: error: argument suite: invalid choice: 'nosuch' (choose from \
+'abf', 'bgg', 'coset', 'fermionic-virasoro', 'routes', 'verlinde', 'weyl', 'all')
+"""
+
+
+def test_verify_help_and_choice_error_bytes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "verify", "--help") == (0, VERIFY_HELP, "")
+    assert run(capsys, "verify", "nosuch") == (2, "", VERIFY_NOSUCH_ERROR)

@@ -1,5 +1,12 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
+
+import pytest
 
 import qkostka
 from qkostka.charge import _oracle_cached, kostka_sl2_oracle
@@ -50,3 +57,106 @@ def test_no_assert_statements_in_the_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# Modules a `kostka --route fermionic` process has no use for. Loading any of
+# them at start-up puts their import time back into every short CLI call.
+NOT_AT_START_UP = (
+    "qkostka.verify",
+    "qkostka.virasoro",
+    "qkostka.abf",
+    "qkostka.coinvariants",
+    "qkostka.weyl",
+    "qkostka.verlinde",
+    "qkostka.reports",
+    "qkostka.cache",
+    "concurrent.futures",
+    "dataclasses",
+    "hashlib",
+)
+
+
+def _fresh_process(code: str):
+    """Run code in a new interpreter and return the JSON of its last line."""
+    src = str(Path(qkostka.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_start_up_loads_only_the_core():
+    # modules the interpreter loaded before qkostka (site hooks) do not count
+    loaded_after_import, loaded_after_kostka = _fresh_process(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"watched = {NOT_AT_START_UP!r}\n"
+        "def new():\n"
+        "    return sorted(m for m in watched if m in sys.modules and m not in before)\n"
+        "import qkostka.cli\n"
+        "after_import = new()\n"
+        "qkostka.cli.main(['kostka', '--m', '1^4', '--weight', '0', '--level', '2'])\n"
+        "print(json.dumps([after_import, new()]))\n"
+    )
+    assert loaded_after_import == []
+    assert loaded_after_kostka == []
+
+
+def test_lazy_export_loads_its_module_on_first_access():
+    lazy = sorted(set(qkostka._LAZY_EXPORTS.values()))
+    assert lazy == ["abf", "coinvariants", "reports", "verlinde", "virasoro", "weyl"]
+    before, after, stored = _fresh_process(
+        "import json, sys\n"
+        "import qkostka\n"
+        f"lazy = {['qkostka.' + m for m in lazy]!r}\n"
+        "before = [m for m in lazy if m in sys.modules]\n"
+        "qkostka.rocha_caridi\n"
+        "after = [m for m in lazy if m in sys.modules]\n"
+        "print(json.dumps([before, after, 'rocha_caridi' in vars(qkostka)]))\n"
+    )
+    assert before == []
+    # virasoro imports nothing lazy beyond itself
+    assert after == ["qkostka.virasoro"]
+    assert stored
+
+
+def test_every_export_is_its_defining_modules_object():
+    for name in qkostka.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(qkostka, name)
+        module = sys.modules[value.__module__]
+        # clear_caches is the one export the package itself defines
+        assert module.__name__.partition(".")[0] == "qkostka", name
+        assert getattr(module, name) is value, name
+        if name in qkostka._LAZY_EXPORTS:
+            assert module.__name__ == "qkostka." + qkostka._LAZY_EXPORTS[name], name
+    assert set(qkostka._LAZY_EXPORTS) <= set(qkostka.__all__)
+    assert set(qkostka.__all__) <= set(dir(qkostka))
+
+
+def test_star_import_fills_a_fresh_namespace():
+    namespace: dict = {}
+    exec("from qkostka import *", namespace)
+    assert set(qkostka.__all__) <= set(namespace)
+    assert namespace["rocha_caridi"] is qkostka.rocha_caridi
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'qkostka' has no attribute 'no_such_name'"):
+        qkostka.no_such_name
+    assert not hasattr(qkostka, "no_such_name")
+
+
+def test_charge_stays_the_function_after_every_lazy_export_loads():
+    for name in qkostka._LAZY_EXPORTS:
+        getattr(qkostka, name)
+    assert not isinstance(qkostka.charge, ModuleType)
+    assert qkostka.charge is sys.modules["qkostka.charge"].charge
+    m = (3, 1)
+    for l in range(3):
+        assert qkostka.restricted_alternating(l, m, 2, source="charge") == (
+            qkostka.restricted_fermionic(l, m, 2)
+        )
