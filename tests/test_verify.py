@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from qkostka import cli
 from qkostka.compositions import Composition
 from qkostka.verify import (
     SUITES,
@@ -57,3 +61,43 @@ def test_suite_result_json_shape():
     assert obj["passed"] is True
     assert obj["checked"] == result.checked
     assert isinstance(obj["records"], list)
+
+
+# sha256 of `qkostka verify all --max-weight 6 --max-level 2 --order 8
+# --format json` stdout (84517 bytes), and a 16-hex-digit prefix of the
+# sha256 of each suite's entry in that report (compact JSON, sorted keys)
+GOLDEN_VERIFY_SHA256 = "2e2d8ee8a7cdaad2bc713da6b4349b060cc1adfd7e0a80cb36a33ebe550a5e37"
+GOLDEN_SUITE_SHA256 = {
+    "routes": "477fa1378dbfaabc",
+    "verlinde": "79c9ee0aff1d80dd",
+    "weyl": "5582a9024a1dae50",
+    "bgg": "3df1597191349e82",
+    "coset": "2a1a86cdae917ea8",
+    "fermionic-virasoro": "b72052d197351b1b",
+    "abf": "791435ad6a55f450",
+}
+
+
+def test_golden_verify_report(capsys):
+    code = cli.main(
+        ["verify", "all", "--max-weight", "6", "--max-level", "2", "--order", "8",
+         "--format", "json"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    if hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_SHA256:
+        return
+    suites = {s["suite"]: s for s in json.loads(out)["suites"]}
+    changed = sorted(
+        name
+        for name in GOLDEN_SUITE_SHA256.keys() | suites.keys()
+        if name not in suites
+        or name not in GOLDEN_SUITE_SHA256
+        or hashlib.sha256(
+            json.dumps(suites[name], sort_keys=True).encode()
+        ).hexdigest()[:16] != GOLDEN_SUITE_SHA256[name]
+    )
+    pytest.fail(
+        f"the verify report changed; suites whose records changed: {changed or 'none'} "
+        "(none means only the report's layout changed)"
+    )
