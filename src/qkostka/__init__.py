@@ -32,7 +32,6 @@ from .qexact import (
     QPolynomial,
     QSeriesTruncated,
     bounded_partition_series,
-    finite_pochhammer,
     gaussian_binomial,
     partition_series,
     vector_gaussian_binomial,
@@ -63,8 +62,7 @@ _LAZY_EXPORTS = {
         ("virasoro", ("BranchingSeries", "LimitTermData", "MinimalModel",
                       "branching_via_kostka_limit", "conformal_weight",
                       "coset_central_charge", "fermionic_character_sum",
-                      "fermionic_term_limit", "rocha_caridi", "series_mismatches",
-                      "stabilization_order")),
+                      "fermionic_term_limit", "rocha_caridi", "series_mismatches")),
         ("weyl", ("AffineWeight", "bgg_generators", "closed_form_action",
                   "euler_characteristic_bgg", "homology_dim_predicate",
                   "shifted_reflection")),
@@ -141,7 +139,6 @@ __all__ = [
     "euler_characteristic_bgg",
     "fermionic_character_sum",
     "fermionic_term_limit",
-    "finite_pochhammer",
     "finitization_audit",
     "fuse_basic",
     "fusion_char_hook",
@@ -168,7 +165,6 @@ __all__ = [
     "rocha_caridi",
     "series_mismatches",
     "shifted_reflection",
-    "stabilization_order",
     "structure_constants",
     "top_degree_h",
     "unrestricted",

@@ -10,7 +10,7 @@ Exit codes: 0 success / all checks pass, 1 hard verification failure,
 {"error": <exception type>, "message": <text>} on stderr. Audit-class
 residuals (published formulas known to disagree with their derivations) are
 reported as data and never affect exit codes.
-All output is deterministic and independent of the worker count.
+All output is deterministic: repeated runs print the same bytes.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ def cmd_verify(args) -> int:
         max_weight=args.max_weight,
         max_level=args.max_level,
         order=args.order,
-        workers=args.workers,
     )
     results = run_suites([args.suite], cfg)
     report = {"suites": [r.to_json_dict() for r in results]}
@@ -147,13 +146,10 @@ def cmd_verify(args) -> int:
     else:
         lines = []
         for r in results:
-            audits = sum(
-                1 for rec in r.records if not rec.hard and not rec.residual.is_zero()
-            )
             status = "pass" if r.passed else "FAIL"
             lines.append(
-                f"suite {r.suite}: checked {r.checked}, "
-                f"failures {len(r.failures)}, audit mismatches {audits} -> {status}"
+                f"suite {r.suite}: checked {r.checked}, failures {len(r.failures)}, "
+                f"audit mismatches {r.audit_mismatches} -> {status}"
             )
         text = "\n".join(lines) + "\n"
         _emit(text, args.out)
@@ -286,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="factor list, e.g. 2,1,1 or 1^4,2 (spins, not multiplicities)")
     pk.add_argument("--weight", "-l", type=int, required=True)
     pk.add_argument("--level", "-k", type=int, default=None)
-    pk.add_argument("--restricted", action="store_true",
-                    help="synonym for passing --level; kept for readable invocations")
     pk.add_argument("--reversed", action="store_true",
                     help="degree-reversed restricted polynomial (needs --level)")
     pk.add_argument("--route",
@@ -301,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-weight", type=int, default=10)
     pv.add_argument("--max-level", type=int, default=4)
     pv.add_argument("--order", type=int, default=15)
-    pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.add_argument("--out", default=None, help="write the report here instead of stdout")
     pv.set_defaults(func=cmd_verify)
@@ -313,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--order", type=int, default=20)
     pt.add_argument("--model", type=int, nargs=2, default=(3, 4),
                     metavar=("P", "P_PRIME"))
-    pt.add_argument("--workers", type=int, default=1)
     pt.add_argument("--format", choices=["csv", "json"], default="csv")
     pt.add_argument("--out", default="-", help="output path, - for stdout")
     pt.add_argument("--cache-dir", default=None,
@@ -325,11 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "kostka":
-        if args.restricted and args.level is None:
-            parser.error("--restricted needs --level")
-        if args.weight < 0:
-            parser.error("--weight must be nonnegative")
+    if args.command == "kostka" and args.weight < 0:
+        parser.error("--weight must be nonnegative")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

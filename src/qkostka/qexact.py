@@ -116,23 +116,6 @@ class QPolynomial:
     def evaluate_at_one(self) -> int:
         return sum(self._terms.values())
 
-    def integer_coefficients(self, order: int) -> list[int]:
-        """Coefficients of q^0 .. q^order.
-
-        Requires an integer-grid polynomial with no negative exponents; terms
-        above the order are simply not reported.
-        """
-        out = [0] * (order + 1)
-        for num, coeff in self._terms.items():
-            if num % EXPONENT_DENOMINATOR:
-                raise ValueError("polynomial has non-integer exponents")
-            if num < 0:
-                raise ValueError("polynomial has negative exponents")
-            e = num // EXPONENT_DENOMINATOR
-            if e <= order:
-                out[e] = coeff
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -336,22 +319,6 @@ def shifted_sum(items: Iterable[tuple[int, ExponentLike, QPolynomial]]) -> QPoly
 
 _ONE = QPolynomial.one()
 _ZERO = QPolynomial.zero()
-
-
-def finite_pochhammer(n: int) -> QPolynomial:
-    """(q)_n = prod_{a=1..n} (1 - q^a); the empty product for n = 0.
-
-    Negative n is permitted as a signal value: callers dividing by (q)_n
-    treat the reciprocal as 0 when n < 0, so here the product itself is
-    returned only for n >= 0 and 1 is returned for negative n to keep the
-    function total. Division helpers must check the sign themselves.
-    """
-    if n <= 0:
-        return _ONE
-    out = _ONE
-    for a in range(1, n + 1):
-        out = out * QPolynomial({0: 1, EXPONENT_DENOMINATOR * a: -1})
-    return out
 
 
 _gaussian_cache: dict[tuple[int, int], QPolynomial] = {}

@@ -55,14 +55,3 @@ def _plain(v):
     if isinstance(v, (int, str, bool)) or v is None:
         return v
     return str(v)
-
-
-def summarize(records: list[AuditRecord]) -> dict:
-    failures = [r for r in records if r.failed]
-    audits = [r for r in records if not r.hard and not r.residual.is_zero()]
-    return {
-        "checked": len(records),
-        "failures": len(failures),
-        "audit_mismatches": len(audits),
-        "records": [r.to_json_dict() for r in records],
-    }

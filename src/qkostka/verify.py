@@ -3,8 +3,7 @@
 Every suite counts the identities it checked and keeps a record for each
 failure of a hard identity plus a record for each audit-class comparison
 (published closed forms that are wrong in print; their residuals are data).
-Suites are deterministic: fixed seeds, sorted enumeration, and sharding
-that preserves order regardless of worker count.
+Suites are deterministic: fixed seeds and sorted enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class VerifyConfig:
     max_weight: int = 10
     max_level: int = 4
     order: int = 15
-    workers: int = 1
 
 
 @dataclass
@@ -42,31 +40,19 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def audit_mismatches(self) -> int:
+        return sum(1 for r in self.records if r.verdict == "audit-mismatch")
+
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
             "checked": self.checked,
             "failures": len(self.failures),
-            "audit_mismatches": len(
-                [r for r in self.records if not r.hard and not r.residual.is_zero()]
-            ),
+            "audit_mismatches": self.audit_mismatches,
             "passed": self.passed,
             "records": [r.to_json_dict() for r in self.records],
         }
-
-
-def _run_sharded(items: list, fn, workers: int) -> list:
-    """Apply fn to each item, in order, optionally on a worker pool.
-
-    Results are merged in input order, so output never depends on the
-    worker count.
-    """
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def admissible_compositions(max_weight: int, max_width: int) -> list[Composition]:
@@ -97,68 +83,43 @@ def _marker(flag: bool) -> QPolynomial:
 def suite_routes(cfg: VerifyConfig) -> SuiteResult:
     """Fermionic sum vs signed charge-oracle sum vs Weyl-orbit Euler sum."""
     result = SuiteResult("routes")
-    items = [
-        (k, m)
-        for k in range(1, cfg.max_level + 1)
-        for m in admissible_compositions(cfg.max_weight, k)
-    ]
-
-    def check(item) -> tuple[int, list[AuditRecord]]:
-        k, m = item
-        count = 0
-        records = []
-        for l in range(k + 1):
-            count += 1
-            ferm = kostka.restricted_fermionic(l, m, k)
-            alt = kostka.restricted_alternating(l, m, k, source="charge")
-            eul = weyl.euler_characteristic_bgg(m, l, k)
-            params = {"k": k, "l": l, "m": list(m.parts)}
-            if alt != ferm:
-                records.append(
-                    AuditRecord(params, "fermionic", "alternating-charge", alt - ferm)
-                )
-            if eul != ferm:
-                records.append(
-                    AuditRecord(params, "fermionic", "weyl-euler", eul - ferm)
-                )
-        return count, records
-
-    for count, records in _run_sharded(items, check, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
+    for k in range(1, cfg.max_level + 1):
+        for m in admissible_compositions(cfg.max_weight, k):
+            for l in range(k + 1):
+                result.checked += 1
+                ferm = kostka.restricted_fermionic(l, m, k)
+                alt = kostka.restricted_alternating(l, m, k, source="charge")
+                eul = weyl.euler_characteristic_bgg(m, l, k)
+                params = {"k": k, "l": l, "m": list(m.parts)}
+                if alt != ferm:
+                    result.records.append(
+                        AuditRecord(params, "fermionic", "alternating-charge", alt - ferm)
+                    )
+                if eul != ferm:
+                    result.records.append(
+                        AuditRecord(params, "fermionic", "weyl-euler", eul - ferm)
+                    )
     return result
 
 
 def suite_verlinde(cfg: VerifyConfig) -> SuiteResult:
     """q = 1 specialization against fusion-ring multiplicities."""
     result = SuiteResult("verlinde")
-    items = [
-        (k, m)
-        for k in range(1, cfg.max_level + 1)
-        for m in admissible_compositions(cfg.max_weight, k)
-    ]
-
-    def check(item) -> tuple[int, list[AuditRecord]]:
-        k, m = item
-        records = []
-        reports = verlinde.q1_consistency(m, k)
-        for rep in reports:
-            if not rep.passed:
-                records.append(
-                    AuditRecord(
-                        {"k": k, "l": rep.l, "m": list(m.parts)},
-                        "fermionic-at-one",
-                        "fusion-multiplicity",
-                        QPolynomial.q_power(
-                            0, rep.fermionic_at_one - rep.fusion_multiplicity
-                        ),
+    for k in range(1, cfg.max_level + 1):
+        for m in admissible_compositions(cfg.max_weight, k):
+            for rep in verlinde.q1_consistency(m, k):
+                result.checked += 1
+                if not rep.passed:
+                    result.records.append(
+                        AuditRecord(
+                            {"k": k, "l": rep.l, "m": list(m.parts)},
+                            "fermionic-at-one",
+                            "fusion-multiplicity",
+                            QPolynomial.q_power(
+                                0, rep.fermionic_at_one - rep.fusion_multiplicity
+                            ),
+                        )
                     )
-                )
-        return len(reports), records
-
-    for count, records in _run_sharded(items, check, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
     return result
 
 
@@ -299,41 +260,32 @@ def suite_coset(cfg: VerifyConfig) -> SuiteResult:
                                 _marker(False),
                             )
                         )
-    items = [
-        (k, i, j, l)
-        for k in range(1, 3)
-        for i in (0, 1)
-        for j in range(k + 1)
-        for l in range(k + 2)
-        if (i + j + l) % 2 == 0
-    ]
-
-    def check(item) -> tuple[int, list[AuditRecord]]:
-        k, i, j, l = item
-        mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
-        delta = virasoro.conformal_weight(mm)
-        offset = virasoro.coset_prefactor_exponent(i, j, k, l)
-        gap = delta - offset
-        if gap.denominator != 1 or gap < 0:
-            raise InvariantError(f"coset exponent gap {gap} is not a nonnegative integer")
-        bs = virasoro.branching_via_kostka_limit(i, j, k, l, order + int(gap))
-        rc = virasoro.rocha_caridi(mm, order)
-        mismatches = virasoro.series_mismatches(bs.series, rc.series)
-        records = []
-        if mismatches:
-            records.append(
-                _mismatch_record(
-                    {"i": i, "j": j, "k": k, "l": l, "order": order},
-                    "kostka-limit",
-                    "rocha-caridi",
-                    mismatches,
-                )
-            )
-        return 1, records
-
-    for count, records in _run_sharded(items, check, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
+    for k in range(1, 3):
+        for i in (0, 1):
+            for j in range(k + 1):
+                for l in range(k + 2):
+                    if (i + j + l) % 2:
+                        continue
+                    result.checked += 1
+                    mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
+                    delta = virasoro.conformal_weight(mm)
+                    gap = delta - virasoro.coset_prefactor_exponent(i, j, k, l)
+                    if gap.denominator != 1 or gap < 0:
+                        raise InvariantError(
+                            f"coset exponent gap {gap} is not a nonnegative integer"
+                        )
+                    bs = virasoro.branching_via_kostka_limit(i, j, k, l, order + int(gap))
+                    rc = virasoro.rocha_caridi(mm, order)
+                    mismatches = virasoro.series_mismatches(bs.series, rc.series)
+                    if mismatches:
+                        result.records.append(
+                            _mismatch_record(
+                                {"i": i, "j": j, "k": k, "l": l, "order": order},
+                                "kostka-limit",
+                                "rocha-caridi",
+                                mismatches,
+                            )
+                        )
     return result
 
 
@@ -342,43 +294,30 @@ def suite_fermionic_virasoro(cfg: VerifyConfig) -> SuiteResult:
     published-exponent audit."""
     result = SuiteResult("fermionic-virasoro")
     order = cfg.order
-    items = [
-        (k, j, l)
-        for k in range(1, 3)
-        for j in range(k + 1)
-        for l in range(k + 2)
-    ]
-
-    def check(item) -> tuple[int, list[AuditRecord]]:
-        k, j, l = item
-        fc = virasoro.fermionic_character_sum(j, l, k, order)
-        mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
-        rc = virasoro.rocha_caridi(mm, order)
-        records = []
-        mismatches = virasoro.series_mismatches(fc.derived.series, rc.series)
-        if mismatches:
-            records.append(
-                _mismatch_record(
-                    {"j": j, "k": k, "l": l, "order": order},
-                    "fermionic-derived",
-                    "rocha-caridi",
-                    mismatches,
+    for k in range(1, 3):
+        for j in range(k + 1):
+            for l in range(k + 2):
+                result.checked += 1
+                params = {"j": j, "k": k, "l": l, "order": order}
+                fc = virasoro.fermionic_character_sum(j, l, k, order)
+                mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
+                rc = virasoro.rocha_caridi(mm, order)
+                mismatches = virasoro.series_mismatches(fc.derived.series, rc.series)
+                if mismatches:
+                    result.records.append(
+                        _mismatch_record(
+                            params, "fermionic-derived", "rocha-caridi", mismatches
+                        )
+                    )
+                result.records.append(
+                    AuditRecord(
+                        params,
+                        "fermionic-derived",
+                        "fermionic-printed",
+                        fc.printed_minus_derived,
+                        hard=False,
+                    )
                 )
-            )
-        records.append(
-            AuditRecord(
-                {"j": j, "k": k, "l": l, "order": order},
-                "fermionic-derived",
-                "fermionic-printed",
-                fc.printed_minus_derived,
-                hard=False,
-            )
-        )
-        return 1, records
-
-    for count, records in _run_sharded(items, check, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
     return result
 
 
@@ -386,81 +325,44 @@ def suite_abf(cfg: VerifyConfig) -> SuiteResult:
     """Finitization identities: reversal lemma, grouped Kostka identity,
     published-proposition audit, and the large-N character limit."""
     result = SuiteResult("abf")
-
-    inversion_items = [
-        (r, b, a, N)
-        for r in range(2, 5)
-        for b in range(-4, 5)
-        for a in range(1, 5)
-        for N in range(0, 11)
-        if (N - (b - a)) % 2 == 0
-    ]
-
-    def check_inversion(item) -> tuple[int, list[AuditRecord]]:
-        r, b, a, N = item
-        rec = abf_mod.inversion_check(abf_mod.AbfLabel(r, b, a, N))
-        return 1, ([rec] if rec.failed else [])
-
-    for count, records in _run_sharded(inversion_items, check_inversion, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
-
-    grouped_items = [
-        (k, j, l, N)
-        for k in range(1, 4)
-        for j in range(k)
-        for l in range(k + 1)
-        for N in range(0, 11)
-    ]
-
-    def check_grouped(item) -> tuple[int, list[AuditRecord]]:
-        k, j, l, N = item
-        rec = abf_mod.grouped_identity_check(k, j, l, N)
-        return 1, ([rec] if rec.failed else [])
-
-    for count, records in _run_sharded(grouped_items, check_grouped, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
-
-    audit_items = [
-        (k, j, l, N)
-        for k in range(1, 4)
-        for j in range(k)
-        for l in range(k + 1)
-        for N in range(0, 7)
-        if (N + j + 1 - l) % 2 == 0
-    ]
-
-    def check_audit(item) -> tuple[int, list[AuditRecord]]:
-        k, j, l, N = item
-        printed, repaired = abf_mod.finitization_audit(k, j, l, N)
-        records = []
-        if not printed.residual.is_zero():
-            records.append(printed)
-        if repaired.failed:
-            records.append(repaired)
-        return 1, records
-
-    for count, records in _run_sharded(audit_items, check_audit, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
-
-    limit_items = [
-        (r, b, a)
-        for r in range(2, 5)
-        for b in range(1, r)
-        for a in range(1, r + 1)
-    ]
+    for r in range(2, 5):
+        for b in range(-4, 5):
+            for a in range(1, 5):
+                for N in range(0, 11):
+                    if (N - (b - a)) % 2:
+                        continue
+                    result.checked += 1
+                    rec = abf_mod.inversion_check(abf_mod.AbfLabel(r, b, a, N))
+                    if rec.failed:
+                        result.records.append(rec)
+    for k in range(1, 4):
+        for j in range(k):
+            for l in range(k + 1):
+                for N in range(0, 11):
+                    result.checked += 1
+                    rec = abf_mod.grouped_identity_check(k, j, l, N)
+                    if rec.failed:
+                        result.records.append(rec)
+    for k in range(1, 4):
+        for j in range(k):
+            for l in range(k + 1):
+                for N in range(0, 7):
+                    if (N + j + 1 - l) % 2:
+                        continue
+                    result.checked += 1
+                    printed, repaired = abf_mod.finitization_audit(k, j, l, N)
+                    if not printed.residual.is_zero():
+                        result.records.append(printed)
+                    if repaired.failed:
+                        result.records.append(repaired)
     limit_order = min(cfg.order, 12)
-
-    def check_limit(item) -> tuple[int, list[AuditRecord]]:
-        r, b, a = item
-        rec = _abf_limit_record(r, b, a, limit_order)
-        return 1, ([rec] if rec.failed else [])
-
-    for count, records in _run_sharded(limit_items, check_limit, cfg.workers):
-        result.checked += count
-        result.records.extend(records)
+    for r in range(2, 5):
+        for b in range(1, r):
+            for a in range(1, r + 1):
+                result.checked += 1
+                rec = _abf_limit_record(r, b, a, limit_order)
+                if rec.failed:
+                    result.records.append(rec)
     return result
 
 

@@ -202,11 +202,6 @@ def branching_via_kostka_limit(
     )
 
 
-def stabilization_order(n: int, s: int, i: int) -> int:
-    """Guaranteed-agreement order n + s(s+i-1) used to pre-size adaptive loops."""
-    return n + s * (s + i - 1)
-
-
 @dataclass(frozen=True)
 class LimitTermData:
     """One quasi-particle term of the limiting fermionic character.

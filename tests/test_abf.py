@@ -8,7 +8,7 @@ from qkostka.abf import (
     inversion_check,
 )
 from qkostka.qexact import QPolynomial
-from qkostka.reports import AuditRecord, summarize
+from qkostka.reports import AuditRecord
 
 
 def test_label_validation():
@@ -101,14 +101,3 @@ def test_audit_record_json():
     assert obj["params"] == {"k": 2}
     assert obj["verdict"] == "audit-mismatch"
     assert obj["residual_polynomial"] == {"den": 4, "terms": [[4, "1"]]}
-
-
-def test_summarize():
-    records = [
-        AuditRecord({}, "a", "b", QPolynomial.zero()),
-        AuditRecord({}, "a", "b", QPolynomial.one(), hard=False),
-    ]
-    out = summarize(records)
-    assert out["checked"] == 2
-    assert out["failures"] == 0
-    assert out["audit_mismatches"] == 1

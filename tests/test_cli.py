@@ -24,14 +24,6 @@ def test_kostka_text(capsys):
     assert out.strip() == "q^2 + q^4"
 
 
-def test_kostka_restricted_flag(capsys):
-    code, out, _ = run(
-        capsys, "kostka", "--m", "1^4", "--weight", "0", "--level", "2", "--restricted"
-    )
-    assert code == 0
-    assert out.strip() == "q^2 + q^4"
-
-
 def test_kostka_routes_agree(capsys):
     outputs = set()
     for route in ("fermionic", "alternating", "charge", "bgg"):
@@ -92,9 +84,6 @@ def test_exit_code_2_on_bad_input(capsys):
     assert code == 2
     assert "level" in err
 
-    code, _, err = run(capsys, "kostka", "--m", "1^4", "--weight", "0", "--restricted")
-    assert code == 2
-
     code, _, _ = run(capsys, "kostka", "--m", "1^4", "--weight", "-1")
     assert code == 2
 
@@ -135,14 +124,19 @@ def test_verify_json(capsys):
     assert report["suites"][0]["failures"] == 0
 
 
-def test_verify_worker_independence(capsys):
-    for suite in ("routes", "weyl"):
-        args = ["verify", suite, "--max-weight", "4", "--max-level", "2",
-                "--order", "6", "--format", "json"]
-        code_a, out_a, _ = run(capsys, *args, "--workers", "1")
-        code_b, out_b, _ = run(capsys, *args, "--workers", "3")
-        assert code_a == code_b == 0
-        assert out_a == out_b
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "routes", "--workers", "2"),
+        ("table", "kostka", "--workers", "2"),
+        ("kostka", "--m", "1^4", "--weight", "0", "--level", "2", "--restricted"),
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_verify_exit_one_on_hard_failure(monkeypatch, capsys):
@@ -316,8 +310,7 @@ def test_suite_names_are_the_sorted_verify_suites():
 # the choices came from sorted(verify.SUITES) (argparse of Python 3.10/3.11)
 VERIFY_HELP = """\
 usage: qkostka verify [-h] [--max-weight MAX_WEIGHT] [--max-level MAX_LEVEL]
-                      [--order ORDER] [--workers WORKERS]
-                      [--format {text,json}] [--out OUT]
+                      [--order ORDER] [--format {text,json}] [--out OUT]
                       {abf,bgg,coset,fermionic-virasoro,routes,verlinde,weyl,all}
 
 positional arguments:
@@ -328,15 +321,13 @@ options:
   --max-weight MAX_WEIGHT
   --max-level MAX_LEVEL
   --order ORDER
-  --workers WORKERS
   --format {text,json}
   --out OUT             write the report here instead of stdout
 """
 
 VERIFY_NOSUCH_ERROR = """\
 usage: qkostka verify [-h] [--max-weight MAX_WEIGHT] [--max-level MAX_LEVEL]
-                      [--order ORDER] [--workers WORKERS]
-                      [--format {text,json}] [--out OUT]
+                      [--order ORDER] [--format {text,json}] [--out OUT]
                       {abf,bgg,coset,fermionic-virasoro,routes,verlinde,weyl,all}
 qkostka verify: error: argument suite: invalid choice: 'nosuch' (choose from \
 'abf', 'bgg', 'coset', 'fermionic-virasoro', 'routes', 'verlinde', 'weyl', 'all')

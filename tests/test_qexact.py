@@ -11,7 +11,6 @@ from qkostka.qexact import (
     QSeriesTruncated,
     bounded_partition_series,
     exponent_numerator,
-    finite_pochhammer,
     gaussian_binomial,
     partition_series,
     shifted_sum,
@@ -60,14 +59,6 @@ def test_shift_and_inverse():
     assert lau.min_exponent() == -1
 
 
-def test_integer_coefficients():
-    p = QPolynomial.from_integer_terms({0: 1, 2: 5})
-    assert p.integer_coefficients(4) == [1, 0, 5, 0, 0]
-    quarter = QPolynomial.q_power(Fraction(1, 4))
-    with pytest.raises(ValueError):
-        quarter.integer_coefficients(2)
-
-
 def test_json_round_trip():
     p = QPolynomial.q_power(Fraction(5, 4)) + QPolynomial.q_power(2, 3)
     obj = p.to_json_dict()
@@ -83,15 +74,6 @@ def test_str_rendering():
     assert str(QPolynomial.q_power(1, -1)) == "-q"
     assert str(QPolynomial.q_power(3, 2)) == "2*q^3"
     assert str(QPolynomial.q_power(Fraction(5, 4))) == "q^(5/4)"
-
-
-def test_finite_pochhammer():
-    assert finite_pochhammer(0) == QPolynomial.one()
-    assert finite_pochhammer(-3) == QPolynomial.one()
-    assert finite_pochhammer(1) == QPolynomial.one() - QPolynomial.q_power(1)
-    assert finite_pochhammer(2) == QPolynomial.from_integer_terms(
-        {0: 1, 1: -1, 2: -1, 3: 1}
-    )
 
 
 def test_gaussian_binomial_values():

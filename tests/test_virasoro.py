@@ -17,7 +17,6 @@ from qkostka.virasoro import (
     quadratic_form_matrix,
     rocha_caridi,
     series_mismatches,
-    stabilization_order,
 )
 
 
@@ -120,11 +119,6 @@ def test_branching_limit_matches_rocha():
 def test_branching_parity_zero():
     bs = branching_via_kostka_limit(1, 0, 1, 0, 5)
     assert all(c == 0 for c in window(bs))
-
-
-def test_stabilization_order():
-    assert stabilization_order(3, 2, 0) == 3 + 2 * 1
-    assert stabilization_order(5, 0, 1) == 5
 
 
 def test_quadratic_and_linear_data():
