@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal
 
 from .charge import kostka_sl2_oracle
 from .compositions import (
@@ -23,7 +23,7 @@ from .compositions import (
     top_degree_h,
     weighted_size,
 )
-from .qexact import QPolynomial, shifted_sum, vector_gaussian_binomial
+from .qexact import QPolynomial, gaussian_product_sum
 
 Route = Literal["fermionic", "charge"]
 
@@ -81,23 +81,25 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     # sums of suffix sums give A(m - 2s) and As in O(k) per vector.
     m_suffix = list(accumulate(reversed(comp.parts)))[::-1]
 
-    def terms() -> Iterator[tuple[int, int, QPolynomial]]:
+    def terms() -> Iterator[tuple[int, list[tuple[int, int]]]]:
         for s in _occupation_vectors((size - l) // 2, k):
             s_suffix = list(accumulate(reversed(s)))[::-1]
-            tops = []
+            pairs = []
             a_n = a_s = exponent = 0
             for a in range(k):
                 a_n += m_suffix[a] - 2 * s_suffix[a]
                 t = a_n + s[a] - v[a]
                 if t < s[a]:
                     break
-                tops.append(t)
+                # [t choose 0] = [t choose t] = 1: nothing to multiply
+                if 0 < s[a] < t:
+                    pairs.append((t, s[a]))
                 a_s += s_suffix[a]
                 exponent += s[a] * (a_s + v[a])
             else:
-                yield 1, exponent, vector_gaussian_binomial(tops, s)
+                yield exponent, pairs
 
-    return shifted_sum(terms())
+    return gaussian_product_sum(terms())
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,16 @@ term products, not 10**9 digits. Gaussian binomials run their product
 formula on one packed integer too: times 1 - q**a is a shift and a
 subtraction, and the exact division by 1 - q**i multiplies by
 (1 + q**i)(1 + q**(2i))(1 + q**(4i))... and masks off the tail.
+
+Sums of products of Gaussian binomials, the shape of the fermionic formula,
+never leave the packed form: `gaussian_product_sum` evaluates the whole sum
+at q = 2**bits in one big integer and reads its coefficients off once. Every
+term is a polynomial with nonnegative coefficients, so no coefficient of the
+sum, nor of any partial product, exceeds the sum's value at q = 1, and
+digits that hold that value never carry. The width comes from the terms
+themselves, as the sum over terms of the product of the ordinary binomials
+C(t, n). It is not taken from the fusion multiplicity the sum should equal:
+that would assume the identity the routes exist to check.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 EXPONENT_DENOMINATOR = 4
 
@@ -321,6 +331,31 @@ _ONE = QPolynomial.one()
 _ZERO = QPolynomial.zero()
 
 
+def _packed_gaussian(m: int, n: int, bits: int) -> int:
+    """[m choose n]_q at q = 2**bits, for 0 < n < m and C(m, n) < 2**bits.
+
+    Runs the product formula prod_{i=1..n} (1 - q^(d+i)) / (1 - q^i),
+    d = m - n, on one packed integer g = sum_k c_k 2**(bits*k). After step
+    i, g packs [d+i choose i], whose coefficients are positive and at most
+    C(m, n), so they fit their digits. It takes n steps, so callers pass the
+    smaller of n and m - n.
+    """
+    d = m - n
+    g = 1
+    for i in range(1, n + 1):
+        g -= g << (bits * (d + i))
+        # Divide by 1 - x, x = q^i, as a product (1 + x)(1 + x^2)(1 + x^4)...
+        # = (1 - q^span) / (1 - x), doubling span until it exceeds the
+        # quotient r's degree i*d. Then g = r - r q^span, the two parts do
+        # not overlap, and the mask keeps r.
+        span = i
+        while span <= i * d:
+            g += g << (bits * span)
+            span *= 2
+        g &= (1 << (bits * span)) - 1
+    return g
+
+
 _gaussian_cache: dict[tuple[int, int], QPolynomial] = {}
 
 
@@ -339,25 +374,9 @@ def gaussian_binomial(m: int, n: int) -> QPolynomial:
     hit = _gaussian_cache.get(key)
     if hit is not None:
         return hit
-    # Product formula prod_{i=1..n} (1 - q^(d+i)) / (1 - q^i), d = m - n, on
-    # one packed integer g = sum_k c_k 2**(bits*k). After step i, g packs
-    # [d+i choose i], whose coefficients are positive and at most C(m, n).
-    d = m - n
     width = _digit_bytes(math.comb(m, n).bit_length())
-    bits = 8 * width
-    g = 1
-    for i in range(1, n + 1):
-        g -= g << (bits * (d + i))
-        # Divide by 1 - x, x = q^i, as a product (1 + x)(1 + x^2)(1 + x^4)...
-        # = (1 - q^span) / (1 - x), doubling span until it exceeds the
-        # quotient r's degree i*d. Then g = r - r q^span, the two parts do
-        # not overlap, and the mask keeps r.
-        span = i
-        while span <= i * d:
-            g += g << (bits * span)
-            span *= 2
-        g &= (1 << (bits * span)) - 1
-    count = n * d + 1
+    g = _packed_gaussian(m, n, 8 * width)
+    count = n * (m - n) + 1
     exponents = range(0, EXPONENT_DENOMINATOR * count, EXPONENT_DENOMINATOR)
     value = _wrap(dict(zip(exponents, _digits(g, width, count))))
     _gaussian_cache[key] = value
@@ -377,6 +396,43 @@ def vector_gaussian_binomial(a: Sequence[int], b: Sequence[int]) -> QPolynomial:
             return _ZERO
         # else the factor is [m choose 0] = [m choose m] = 1: nothing to multiply
     return out
+
+
+def gaussian_product_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPolynomial:
+    """Sum of q**e * prod [t choose n]_q over (e, ((t, n), ...)) terms.
+
+    Every factor needs 0 < n < t and every exponent e >= 0. The whole sum
+    runs at q = 2**bits on one big integer and is unpacked once; see the
+    module docstring for why its digits cannot carry. Each distinct factor
+    is built once per call, at that call's width, and nothing is cached
+    beyond the call.
+    """
+    terms = list(terms)
+    bound = 0
+    for _, pairs in terms:
+        value = 1
+        for t, n in pairs:
+            if not 0 < n < t:
+                raise ValueError(f"factor [{t} choose {n}] is not a proper Gaussian binomial")
+            value *= math.comb(t, n)
+        bound += value
+    if not bound:
+        return _ZERO
+    width = _digit_bytes(bound.bit_length())
+    bits = 8 * width
+    factors: dict[tuple[int, int], int] = {}
+    total = 0
+    for exponent, pairs in terms:
+        product = 1
+        for t, n in pairs:
+            key = (t, min(n, t - n))
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = _packed_gaussian(t, key[1], bits)
+            product *= factor
+        total += product << (bits * exponent)
+    digits = _digits(total, width, -(-total.bit_length() // bits))
+    return _wrap({EXPONENT_DENOMINATOR * k: c for k, c in enumerate(digits) if c})
 
 
 class QSeriesTruncated:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .compositions import CompositionLike, as_composition, weighted_size
+from .compositions import CompositionLike, as_composition
 from .kostka import restricted_fermionic
 
 # vector of multiplicities indexed by weight 0..k

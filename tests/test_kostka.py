@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import qkostka
+from qkostka import qexact
 from qkostka.charge import kostka_sl2_oracle
 from qkostka.compositions import (
     Composition,
@@ -25,6 +27,7 @@ from qkostka.kostka import (
 )
 from qkostka.qexact import QPolynomial, vector_gaussian_binomial
 from qkostka.verify import admissible_compositions
+from qkostka.verlinde import structure_constants
 
 
 def poly(terms):
@@ -231,3 +234,23 @@ def test_restricted_fermionic_matches_reference():
                 assert restricted_fermionic(l, m, k) == want, (l, m, k)
                 nonzero += not want.is_zero()
     assert nonzero > 500
+
+
+def test_restricted_fermionic_beyond_native_integers():
+    # q = 1 values of 100 and 68 bits: the packed sum needs digits wider
+    # than 8 bytes
+    for l, m, k in ((0, (200,), 2), (0, (100,), 3)):
+        got = restricted_fermionic(l, m, k)
+        assert got.evaluate_at_one() > 2**64
+        assert got == _reference_restricted_fermionic(l, m, k), (l, m, k)
+    # the reference is too slow here: hold the q = 1 values to the fusion rule
+    m, k = (260,), 2
+    values = [restricted_fermionic(l, m, k).evaluate_at_one() for l in range(k + 1)]
+    assert values == list(structure_constants(m, k))
+    assert values[0] > 2**128
+
+
+def test_restricted_fermionic_leaves_the_gaussian_cache_empty():
+    qkostka.clear_caches()
+    assert not restricted_fermionic(0, (12, 2), 3).is_zero()
+    assert qexact._gaussian_cache == {}

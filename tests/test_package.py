@@ -59,6 +59,31 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_no_unused_imports_in_the_library():
+    # stands in for a linter: a top-level import that nothing reads is dead.
+    # A string naming an identifier counts as a read, which covers quoted
+    # annotations and the re-exports `__init__` lists in `__all__`.
+    src = Path(qkostka.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 # Modules a `kostka --route fermionic` process has no use for. Loading any of
 # them at start-up puts their import time back into every short CLI call.
 NOT_AT_START_UP = (

@@ -12,6 +12,7 @@ from qkostka.qexact import (
     bounded_partition_series,
     exponent_numerator,
     gaussian_binomial,
+    gaussian_product_sum,
     partition_series,
     shifted_sum,
     vector_gaussian_binomial,
@@ -331,3 +332,58 @@ def test_shifted_sum_matches_the_accumulation_loop():
             items.append((-sign, exponent, poly))
         assert shifted_sum(iter(items))._terms == reference_shifted_sum(items)._terms
     assert shifted_sum([]).is_zero()
+
+
+def reference_gaussian_product_sum(terms) -> QPolynomial:
+    items = []
+    for exponent, pairs in terms:
+        product = QPolynomial.one()
+        for t, n in pairs:
+            product = reference_mul(product, reference_gaussian_binomial(t, n))
+        items.append((1, exponent, product))
+    return reference_shifted_sum(items)
+
+
+def _random_product_terms(rng: random.Random) -> list:
+    terms = []
+    top, factors = rng.choice(((8, 2), (16, 3), (20, 6)))
+    for _ in range(rng.randint(0, 8)):
+        pairs = []
+        for _ in range(rng.randint(0, factors)):
+            t = rng.randint(2, top)
+            n = rng.randint(1, t - 1)
+            pairs.append((t, n))
+            if rng.random() < 0.3:
+                # the same factor again, as itself or as its mirror
+                pairs.append(rng.choice(((t, n), (t, t - n))))
+        terms.append((rng.choice((0, rng.randint(0, 40))), tuple(pairs)))
+    return terms
+
+
+def test_gaussian_product_sum_matches_the_reference_loops():
+    cases = [
+        [],
+        [(0, ())],
+        [(7, ())],
+        [(0, ((9, 4),))],
+        [(5, ((9, 4), (9, 5), (9, 4))), (0, ((9, 5),)), (5, ((9, 4), (9, 4), (9, 5)))],
+        # q = 1 values above 2**64: digits wider than any native integer
+        [(0, ((68, 34),))],
+        [(3, ((40, 20), (36, 18))), (0, ((36, 18), (40, 20))), (3, ((40, 20),))],
+        [(0, ((30, 15), (30, 15), (30, 15))), (2, ((30, 14), (30, 16)))],
+    ]
+    rng = random.Random(6006)
+    cases += [_random_product_terms(rng) for _ in range(200)]
+    wide = 0
+    for terms in cases:
+        got = gaussian_product_sum(iter(terms))
+        want = reference_gaussian_product_sum(terms)
+        assert got._terms == want._terms, terms
+        wide += got.evaluate_at_one() >= 2**64
+    assert wide >= 10
+
+
+def test_gaussian_product_sum_rejects_improper_factors():
+    for t, n in ((5, 0), (5, 5), (5, 6), (5, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            gaussian_product_sum([(0, ((7, 3), (t, n)))])
