@@ -42,13 +42,24 @@ def cache_key(version: str, kind: str, params: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+PAYLOAD_KEYS = frozenset({"kind", "params", "columns", "rows"})
+
+
 def load(cache_dir: Path, key: str) -> dict | None:
+    """The table payload stored under `key`, or None on a miss.
+
+    A file that cannot be read, is not JSON, or holds anything but a dict
+    with the payload keys counts as a miss, so the table is recomputed.
+    """
     path = cache_dir / f"{key}.json"
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, ValueError):
         return None
+    if isinstance(payload, dict) and PAYLOAD_KEYS <= payload.keys():
+        return payload
+    return None
 
 
 def store(cache_dir: Path, key: str, payload: dict) -> Path:

@@ -77,6 +77,9 @@ def cmd_kostka(args) -> int:
     if args.level is not None:
         k, l = args.level, args.weight
         if args.reversed:
+            if args.route != "fermionic":
+                print("error: --reversed takes only the fermionic route", file=sys.stderr)
+                return 2
             poly = kostka.reversed_restricted(l, m, k)
             route = "reversed"
         elif args.route == "fermionic":

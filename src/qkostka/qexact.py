@@ -7,21 +7,11 @@ offsets with other denominators (conformal weights) are kept separately on
 truncated series, never folded into the grid. Coefficients are Python ints
 throughout, so nothing is floated and nothing overflows.
 
-Storage is a dict from numerator to nonzero coefficient. Multiplication
-packs both operands into single big integers (Kronecker substitution), lets
-CPython multiply those once, and reads the product's coefficients back off
-the bytes. Exponents are taken on the operands' common stride, so integer-
-and quarter-grid inputs pack densely; each coefficient is one byte-aligned
-digit, biased by half the digit base so signed values pack as nonnegative
-digits. The digit is wide enough for any product coefficient: one is a sum
-of at most min(|a|, |b|) term products, so its magnitude is at most
-min(|a|, |b|) * max|a_i| * max|b_j|, and the width adds two bits to that
-bound, so the biased digits never carry into each other. Operands whose
-dense span exceeds their number of term products keep the term-by-term
-convolution instead, so a sparse factor such as 1 + q**(10**9) costs its
-term products, not 10**9 digits. Gaussian binomials run their product
-formula on one packed integer too: times 1 - q**a is a shift and a
-subtraction, and the exact division by 1 - q**i multiplies by
+Storage is a dict from numerator to nonzero coefficient, and a product is
+the term-by-term convolution of two such dicts. Gaussian binomials run their
+product formula on one packed integer, a big integer whose base-2**bits
+digits are the coefficients: times 1 - q**a is a shift and a subtraction,
+and the exact division by 1 - q**i multiplies by
 (1 + q**i)(1 + q**(2i))(1 + q**(4i))... and masks off the tail.
 
 Sums of products of Gaussian binomials, the shape of the fermionic formula,
@@ -163,22 +153,7 @@ class QPolynomial:
             return _wrap({num: coeff * other for num, coeff in self._terms.items()})
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        if len(self._terms) > len(other._terms):
-            long, short = self._terms, other._terms
-        else:
-            long, short = other._terms, self._terms
-        if len(short) <= 1:
-            if not short:
-                return QPolynomial.zero()
-            ((shift, factor),) = short.items()
-            return _wrap({num + shift: coeff * factor for num, coeff in long.items()})
-        low_l, low_s = min(long), min(short)
-        stride = math.gcd(*(num - low_l for num in long), *(num - low_s for num in short))
-        len_l = (max(long) - low_l) // stride + 1
-        len_s = (max(short) - low_s) // stride + 1
-        if len_l + len_s - 1 > len(long) * len(short):
-            return _wrap(_convolution(long, short))
-        return _wrap(_kronecker_product(long, low_l, len_l, short, low_s, len_s, stride))
+        return _wrap(_convolution(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -243,11 +218,11 @@ def _wrap(data: dict[int, int]) -> QPolynomial:
     return out
 
 
-def _convolution(long: dict[int, int], short: dict[int, int]) -> dict[int, int]:
-    """Term-by-term product, for operands too sparse to pack."""
+def _convolution(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Term-by-term product of two term dicts, with no zero coefficient kept."""
     data: dict[int, int] = {}
-    for num2, c2 in short.items():
-        for num1, c1 in long.items():
+    for num2, c2 in b.items():
+        for num1, c1 in a.items():
             key = num1 + num2
             new = data.get(key, 0) + c1 * c2
             if new:
@@ -277,38 +252,6 @@ def _digits(value: int, width: int, count: int) -> list[int]:
     if width in _NATIVE_DIGITS:
         return memoryview(raw).cast(_NATIVE_DIGITS[width]).tolist()
     return [int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width)]
-
-
-def _kronecker_product(
-    a: dict[int, int], low_a: int, len_a: int,
-    b: dict[int, int], low_b: int, len_b: int,
-    stride: int,
-) -> dict[int, int]:
-    """Product of two multi-term operands by one big-integer multiply.
-
-    Every numerator of `a` is low_a + stride * i with 0 <= i < len_a, and
-    likewise for `b`. Coefficient i becomes digit i of a base-2**(8 * width)
-    integer; see the module docstring for why the width is safe.
-    """
-    order = sys.byteorder
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    width = _digit_bytes(bound.bit_length() + 2)
-    bias = 1 << (8 * width - 1)
-    bias_digit = bias.to_bytes(width, order)
-
-    def pack(terms: dict[int, int], low: int, length: int) -> int:
-        digits = [bias_digit] * length
-        for num, coeff in terms.items():
-            digits[(num - low) // stride] = (coeff + bias).to_bytes(width, order)
-        return int.from_bytes(b"".join(digits), order) - int.from_bytes(
-            bias_digit * length, order
-        )
-
-    span = len_a + len_b - 1
-    product = pack(a, low_a, len_a) * pack(b, low_b, len_b)
-    digits = _digits(product + int.from_bytes(bias_digit * span, order), width, span)
-    low = low_a + low_b
-    return {low + k * stride: d - bias for k, d in enumerate(digits) if d != bias}
 
 
 def shifted_sum(items: Iterable[tuple[int, ExponentLike, QPolynomial]]) -> QPolynomial:
@@ -374,12 +317,7 @@ def gaussian_binomial(m: int, n: int) -> QPolynomial:
     hit = _gaussian_cache.get(key)
     if hit is not None:
         return hit
-    width = _digit_bytes(math.comb(m, n).bit_length())
-    g = _packed_gaussian(m, n, 8 * width)
-    count = n * (m - n) + 1
-    exponents = range(0, EXPONENT_DENOMINATOR * count, EXPONENT_DENOMINATOR)
-    value = _wrap(dict(zip(exponents, _digits(g, width, count))))
-    _gaussian_cache[key] = value
+    value = _gaussian_cache[key] = gaussian_product_sum([(0, ((m, n),))])
     return value
 
 
@@ -439,7 +377,7 @@ class QSeriesTruncated:
     """Truncated q-series: q**offset * (c_0 + c_1 q + ... + c_order q**order).
 
     The offset is an exact rational and may fall off the quarter grid; the
-    tail always steps by integer powers. Operations never claim coefficients
+    tail always steps by integer powers. Lookups never claim coefficients
     beyond the stated order.
     """
 
@@ -478,36 +416,6 @@ class QSeriesTruncated:
         if not isinstance(other, QSeriesTruncated):
             return NotImplemented
         return self.offset == other.offset and self.coeffs == other.coeffs
-
-    def __mul__(self, other: "QSeriesTruncated") -> "QSeriesTruncated":
-        if not isinstance(other, QSeriesTruncated):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, ci in enumerate(self.coeffs[: order + 1]):
-            if ci == 0:
-                continue
-            for j in range(0, order + 1 - i):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return QSeriesTruncated(out, self.offset + other.offset)
-
-    def times_polynomial(self, p: QPolynomial) -> "QSeriesTruncated":
-        """Multiply by an exact integer-grid polynomial; order is preserved."""
-        if p.is_zero():
-            return QSeriesTruncated([0] * (self.order + 1), self.offset)
-        if not p.is_integer_grid():
-            raise ValueError("series multiplication needs an integer-grid polynomial")
-        low = p.min_exponent()
-        out = [0] * (self.order + 1)
-        for num, coeff in p.terms():
-            shift = num // EXPONENT_DENOMINATOR - int(low)
-            for n in range(0, self.order + 1 - shift):
-                c = self.coeffs[n]
-                if c:
-                    out[n + shift] += coeff * c
-        return QSeriesTruncated(out, self.offset + low)
 
     def __str__(self) -> str:
         return f"q^({self.offset}) * {list(self.coeffs)}"

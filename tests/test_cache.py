@@ -1,6 +1,8 @@
 import hashlib
 
-from qkostka import cache, cli
+import pytest
+
+from qkostka import __version__, cache, cli
 
 
 def test_cache_key_changes_with_the_results_schema(monkeypatch):
@@ -23,3 +25,19 @@ def test_golden_table_bytes(capsys):
         "the computed table changed: disk caches now hold stale results, so bump "
         "qkostka.cache.RESULTS_SCHEMA and then update GOLDEN_TABLE_SHA256"
     )
+
+
+@pytest.mark.parametrize("entry", ["{}", "[1]", '{"rows": []}'])
+def test_a_json_entry_that_is_no_table_is_a_miss(tmp_path, capsys, entry):
+    argv = ["table", "kostka", "--max-weight", "4", "--max-level", "2"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    key = cache.cache_key(__version__, "kostka", {"max_weight": 4, "max_level": 2})
+    (tmp_path / f"{key}.json").write_text(entry)
+    assert cache.load(tmp_path, key) is None
+    assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err == f"cache store {key}\n"
+    assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == cold

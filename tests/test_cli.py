@@ -94,6 +94,17 @@ def test_exit_code_2_on_bad_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("route", ["alternating", "charge", "bgg"])
+def test_reversed_refuses_other_routes(capsys, route):
+    code, out, err = run(
+        capsys, "kostka", "--m", "1^4", "--weight", "0", "--level", "2",
+        "--reversed", "--route", route,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --reversed takes only the fermionic route\n"
+
+
 def test_kostka_invalid_weight_for_level(capsys):
     code, _, err = run(
         capsys, "kostka", "--m", "1^4", "--weight", "3", "--level", "2"
@@ -258,8 +269,9 @@ def test_cache_load_tolerates_garbage(tmp_path):
     assert load(tmp_path, key) is None
     (tmp_path / f"{key}.json").write_text("{not json")
     assert load(tmp_path, key) is None
-    store(tmp_path, key, {"rows": []})
-    assert load(tmp_path, key) == {"rows": []}
+    payload = {"kind": "kostka", "params": {}, "columns": [], "rows": []}
+    store(tmp_path, key, payload)
+    assert load(tmp_path, key) == payload
 
 
 def test_cache_key_stability():

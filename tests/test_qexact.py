@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import qkostka
-from qkostka import qexact
 from qkostka.qexact import (
     QPolynomial,
     QSeriesTruncated,
@@ -144,24 +143,15 @@ def test_series_window_access():
     assert s.coefficient_at(Fraction(9, 2)) is None
 
 
-def test_series_products():
-    s = QSeriesTruncated((1, 2, 3), offset=Fraction(1, 2))
-    t = s * s
-    assert t.offset == 1
-    assert [t.coefficient(n) for n in range(t.order + 1)] == [1, 4, 10]
-    shifted = s.times_polynomial(QPolynomial.q_power(1))
-    assert shifted.offset == Fraction(3, 2)
-    assert shifted.coefficient(0) == 1
-
-
-# -- oracle tests for the packed kernel ------------------------------------
+# -- oracle tests for the arithmetic kernel --------------------------------
 #
 # The three references below are the dict-convolution multiply, the Pascal
-# recursion for Gaussian binomials and the `+`/`.shifted` accumulation loop
-# that the packed multiply, the product formula and `shifted_sum` replaced,
-# kept verbatim. Every route multiplies and sums through this kernel, so a
-# kernel bug could make all routes agree on a wrong answer; these tests hold
-# the kernel to code that shares none of its packing.
+# recursion for Gaussian binomials and the `+`/`.shifted` accumulation loop,
+# kept verbatim. The library's multiply is that same convolution, so its
+# oracle guards any later rewrite of it; the packed Gaussian binomials,
+# `gaussian_product_sum` and `shifted_sum` share none of the references'
+# code. Every route multiplies and sums through this kernel, so a kernel bug
+# could make all routes agree on a wrong answer.
 
 
 def reference_mul(self, other):
@@ -242,14 +232,7 @@ def _cancelling_pair(rng: random.Random, stride: int) -> tuple[QPolynomial, QPol
     return geometric, QPolynomial({0: 1, d: -1})
 
 
-def test_packed_multiply_matches_the_dict_convolution(monkeypatch):
-    calls = {"_convolution": 0, "_kronecker_product": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(qexact, name)):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(qexact, name, counted)
+def test_multiply_matches_the_reference_convolution():
     rng = random.Random(20091)
     for trial in range(2400):
         stride = rng.choice((1, 2, 3, 4, 8))
@@ -262,13 +245,9 @@ def test_packed_multiply_matches_the_dict_convolution(monkeypatch):
         assert got._terms == want._terms, (trial, a, b)
         assert 0 not in got._terms.values()
         assert (b * a)._terms == want._terms
-    # sparse operands took the convolution branch and dense ones the packed
-    # product (each pair is multiplied both ways round)
-    assert calls["_convolution"] > 800
-    assert calls["_kronecker_product"] > 1200
 
 
-def test_packed_multiply_edge_cases(monkeypatch):
+def test_multiply_edge_cases():
     q = QPolynomial.q_power
     one, zero = QPolynomial.one(), QPolynomial.zero()
     p = q(Fraction(-5, 4), -3) + q(Fraction(3, 4), 2**130)
@@ -277,16 +256,10 @@ def test_packed_multiply_edge_cases(monkeypatch):
     assert (p * q(2, -1))._terms == reference_mul(p, q(2, -1))._terms
     assert ((one + q(1)) * (one - q(1))) == one - q(2)
     sparse = one + q(10**9)
-    # packed on the common stride: two digits each
     assert sparse * sparse == one + q(10**9, 2) + q(2 * 10**9)
-
-    def refuse(*args):
-        raise AssertionError("a sparse operand reached the packed product")
-
-    # packing 1 + q^(10^9) on stride 1/4 would take 4 * 10**9 digits
-    monkeypatch.setattr(qexact, "_kronecker_product", refuse)
     dense = one + q(1) + q(2)
     assert (sparse * dense)._terms == reference_mul(sparse, dense)._terms
+    assert (dense * sparse)._terms == reference_mul(sparse, dense)._terms
 
 
 def test_gaussian_binomial_matches_the_pascal_recursion():
