@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .compositions import Composition
 from .kostka import restricted_fermionic
-from .qexact import QPolynomial, gaussian_binomial, shifted_sum
+from .qexact import QPolynomial, signed_binomial_sum
 from .reports import AuditRecord
 
 
@@ -50,11 +50,11 @@ def abf_polynomial(lab: AbfLabel) -> QPolynomial:
     for n in range(-span, span + 1):
         e1 = r * period * n * n + (period * b - r * a) * n
         x1 = (N - b + a) // 2 - period * n
-        items.append((1, e1, gaussian_binomial(N, x1)))
+        items.append((1, e1, N, x1))
         e2 = r * period * n * n + (period * b + r * a) * n + b * a
         x2 = (N - b - a) // 2 - period * n
-        items.append((-1, e2, gaussian_binomial(N, x2)))
-    return shifted_sum(items)
+        items.append((-1, e2, N, x2))
+    return signed_binomial_sum(items)
 
 
 def inversion_check(lab: AbfLabel) -> AuditRecord:
@@ -67,10 +67,10 @@ def inversion_check(lab: AbfLabel) -> AuditRecord:
     items = []
     for n in range(-span, span + 1):
         x1 = (N - b + a) // 2 - period * n
-        items.append((1, period * n * n - n * a, gaussian_binomial(N, x1)))
+        items.append((1, period * n * n - n * a, N, x1))
         x2 = (N - b - a) // 2 - period * n
-        items.append((-1, period * n * n + n * a, gaussian_binomial(N, x2)))
-    rhs = shifted_sum(items)
+        items.append((-1, period * n * n + n * a, N, x2))
+    rhs = signed_binomial_sum(items)
     return AuditRecord(
         params={"r": r, "b": b, "a": a, "N": N},
         route_a="reversed-finitization",
@@ -99,26 +99,20 @@ def grouped_identity_check(k: int, j: int, l: int, N: int) -> AuditRecord:
     if not 0 <= l <= k:
         raise ValueError("weight must satisfy 0 <= l <= k")
     lhs = restricted_fermionic(l, _hook_composition(N, j), k)
-    rhs = QPolynomial.zero()
     period = k + 2
     span = (N + j + 3) // (2 * period) + 2
-
-    def block(top: int, num: int) -> QPolynomial:
-        if num % 2:
-            return QPolynomial.zero()
-        return gaussian_binomial(top, num // 2)
-
+    blocks = []
     for p in range(-span, span + 1):
-        inner = QPolynomial.zero()
+        e = period * p * p + (l + 1) * p
+        c = N + j - l - 2 * period * p
         for s in range(j + 1):
-            inner = inner + block(N + 1, N + j + 1 - l - 2 * s - 2 * period * p)
-            inner = inner - block(N + 1, N + j - 1 - l - 2 * s - 2 * period * p)
+            blocks += [(1, e, N + 1, c + 1 - 2 * s), (-1, e, N + 1, c - 1 - 2 * s)]
         for s in range(j):
-            inner = inner - block(N, N + j - 1 - l - 2 * s - 2 * period * p)
-            inner = inner + block(N, N + j - 3 - l - 2 * s - 2 * period * p)
-        if inner.is_zero():
-            continue
-        rhs = rhs + inner.shifted(period * p * p + (l + 1) * p)
+            blocks += [(-1, e, N, c - 1 - 2 * s), (1, e, N, c - 3 - 2 * s)]
+    # a block [top choose num / 2] with an odd num is zero
+    rhs = signed_binomial_sum(
+        (sign, e, top, num // 2) for sign, e, top, num in blocks if num % 2 == 0
+    )
     return AuditRecord(
         params={"k": k, "j": j, "l": l, "N": N},
         route_a="restricted-fermionic",

@@ -48,8 +48,9 @@ PAYLOAD_KEYS = frozenset({"kind", "params", "columns", "rows"})
 def load(cache_dir: Path, key: str) -> dict | None:
     """The table payload stored under `key`, or None on a miss.
 
-    A file that cannot be read, is not JSON, or holds anything but a dict
-    with the payload keys counts as a miss, so the table is recomputed.
+    A file that cannot be read, is not JSON, or is not shaped like what
+    `store` writes (a string kind, dict params, a list of string columns, a
+    list of rows keyed by columns) is a miss, so the table is recomputed.
     """
     path = cache_dir / f"{key}.json"
     try:
@@ -57,7 +58,15 @@ def load(cache_dir: Path, key: str) -> dict | None:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    if isinstance(payload, dict) and PAYLOAD_KEYS <= payload.keys():
+    if not (isinstance(payload, dict) and PAYLOAD_KEYS <= payload.keys()):
+        return None
+    columns, rows = payload["columns"], payload["rows"]
+    if not (isinstance(payload["kind"], str) and isinstance(payload["params"], dict)):
+        return None
+    if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+        return None
+    names = set(columns)
+    if isinstance(rows, list) and all(isinstance(r, dict) and r.keys() <= names for r in rows):
         return payload
     return None
 

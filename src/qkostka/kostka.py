@@ -23,7 +23,7 @@ from .compositions import (
     top_degree_h,
     weighted_size,
 )
-from .qexact import QPolynomial, gaussian_product_sum
+from .qexact import QPolynomial, gaussian_product_sum, signed_binomial_sum
 
 Route = Literal["fermionic", "charge"]
 
@@ -81,7 +81,7 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     # sums of suffix sums give A(m - 2s) and As in O(k) per vector.
     m_suffix = list(accumulate(reversed(comp.parts)))[::-1]
 
-    def terms() -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    def terms() -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
         for s in _occupation_vectors((size - l) // 2, k):
             s_suffix = list(accumulate(reversed(s)))[::-1]
             pairs = []
@@ -97,7 +97,7 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
                 a_s += s_suffix[a]
                 exponent += s[a] * (a_s + v[a])
             else:
-                yield exponent, pairs
+                yield 1, exponent, pairs
 
     return gaussian_product_sum(terms())
 
@@ -230,14 +230,10 @@ def fusion_char_hook(N: int, j: int, l: int) -> QPolynomial:
         raise ValueError("hook parameters must be nonnegative")
     if (N + j + 1 - l) % 2:
         return QPolynomial.zero()
-    from .qexact import gaussian_binomial
-
-    out = QPolynomial.zero()
-    for s in range(j + 1):
-        out = out + gaussian_binomial(N + 1, (N + j + 1 - l - 2 * s) // 2)
-    for s in range(j):
-        out = out - gaussian_binomial(N, (N + j - 1 - l - 2 * s) // 2)
-    return out
+    return signed_binomial_sum(
+        [(1, 0, N + 1, (N + j + 1 - l - 2 * s) // 2) for s in range(j + 1)]
+        + [(-1, 0, N, (N + j - 1 - l - 2 * s) // 2) for s in range(j)]
+    )
 
 
 def reversed_char_1N(n: int, i: int, s: int) -> QPolynomial:
@@ -246,6 +242,4 @@ def reversed_char_1N(n: int, i: int, s: int) -> QPolynomial:
         raise ValueError("i selects a parity and must be 0 or 1")
     if s < 0:
         raise ValueError("s must be nonnegative")
-    from .qexact import gaussian_binomial
-
-    return gaussian_binomial(2 * n + i, n - s).shifted(s * (s + i))
+    return signed_binomial_sum([(1, s * (s + i), 2 * n + i, n - s)])

@@ -8,21 +8,22 @@ truncated series, never folded into the grid. Coefficients are Python ints
 throughout, so nothing is floated and nothing overflows.
 
 Storage is a dict from numerator to nonzero coefficient, and a product is
-the term-by-term convolution of two such dicts. Gaussian binomials run their
-product formula on one packed integer, a big integer whose base-2**bits
-digits are the coefficients: times 1 - q**a is a shift and a subtraction,
-and the exact division by 1 - q**i multiplies by
-(1 + q**i)(1 + q**(2i))(1 + q**(4i))... and masks off the tail.
+the term-by-term convolution of two such dicts. Gaussian binomials walk a
+row of the q-Pascal triangle on one packed integer, a big integer whose
+base-2**bits digits are the coefficients: times 1 - q**a is a shift and a
+subtraction, and the exact division by 1 - q**x multiplies by
+(1 + q**x)(1 + q**(2x))(1 + q**(4x))... and masks off the tail.
 
-Sums of products of Gaussian binomials, the shape of the fermionic formula,
-never leave the packed form: `gaussian_product_sum` evaluates the whole sum
-at q = 2**bits in one big integer and reads its coefficients off once. Every
-term is a polynomial with nonnegative coefficients, so no coefficient of the
-sum, nor of any partial product, exceeds the sum's value at q = 1, and
-digits that hold that value never carry. The width comes from the terms
-themselves, as the sum over terms of the product of the ordinary binomials
-C(t, n). It is not taken from the fusion multiplicity the sum should equal:
-that would assume the identity the routes exist to check.
+Signed sums of q-shifted products of Gaussian binomials, the shape of the
+fermionic formula and of the theta sums, never leave the packed form:
+`gaussian_product_sum` evaluates each sign's terms at q = 2**bits in one big
+integer, reads both off once and subtracts them digit by digit. Every term
+has nonnegative coefficients, so no coefficient of a sign's partial sum, nor
+of any partial product, exceeds that partial sum's value at q = 1, which is
+at most the total of all terms' values at q = 1: digits that hold the total
+never carry. The width comes from the terms, as the sum over terms of the
+product of the ordinary binomials C(t, n), not from the fusion multiplicity
+the sum should equal: that would assume the identity the routes check.
 """
 
 from __future__ import annotations
@@ -254,49 +255,8 @@ def _digits(value: int, width: int, count: int) -> list[int]:
     return [int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width)]
 
 
-def shifted_sum(items: Iterable[tuple[int, ExponentLike, QPolynomial]]) -> QPolynomial:
-    """Sum of sign * q**exponent * poly over (sign, exponent, poly) items.
-
-    Accumulates into one dict, where adding `poly.shifted(exponent)` term by
-    term would copy the running sum once per item.
-    """
-    data: dict[int, int] = {}
-    get = data.get
-    for sign, exponent, poly in items:
-        delta = exponent_numerator(exponent)
-        for num, coeff in poly._terms.items():
-            key = num + delta
-            data[key] = get(key, 0) + sign * coeff
-    return _wrap({num: coeff for num, coeff in data.items() if coeff})
-
-
 _ONE = QPolynomial.one()
 _ZERO = QPolynomial.zero()
-
-
-def _packed_gaussian(m: int, n: int, bits: int) -> int:
-    """[m choose n]_q at q = 2**bits, for 0 < n < m and C(m, n) < 2**bits.
-
-    Runs the product formula prod_{i=1..n} (1 - q^(d+i)) / (1 - q^i),
-    d = m - n, on one packed integer g = sum_k c_k 2**(bits*k). After step
-    i, g packs [d+i choose i], whose coefficients are positive and at most
-    C(m, n), so they fit their digits. It takes n steps, so callers pass the
-    smaller of n and m - n.
-    """
-    d = m - n
-    g = 1
-    for i in range(1, n + 1):
-        g -= g << (bits * (d + i))
-        # Divide by 1 - x, x = q^i, as a product (1 + x)(1 + x^2)(1 + x^4)...
-        # = (1 - q^span) / (1 - x), doubling span until it exceeds the
-        # quotient r's degree i*d. Then g = r - r q^span, the two parts do
-        # not overlap, and the mask keeps r.
-        span = i
-        while span <= i * d:
-            g += g << (bits * span)
-            span *= 2
-        g &= (1 << (bits * span)) - 1
-    return g
 
 
 _gaussian_cache: dict[tuple[int, int], QPolynomial] = {}
@@ -313,12 +273,10 @@ def gaussian_binomial(m: int, n: int) -> QPolynomial:
     n = min(n, m - n)
     if n == 0:
         return _ONE
-    key = (m, n)
-    hit = _gaussian_cache.get(key)
-    if hit is not None:
-        return hit
-    value = _gaussian_cache[key] = gaussian_product_sum([(0, ((m, n),))])
-    return value
+    hit = _gaussian_cache.get((m, n))
+    if hit is None:
+        hit = _gaussian_cache[m, n] = gaussian_product_sum([(1, 0, ((m, n),))])
+    return hit
 
 
 def vector_gaussian_binomial(a: Sequence[int], b: Sequence[int]) -> QPolynomial:
@@ -336,41 +294,85 @@ def vector_gaussian_binomial(a: Sequence[int], b: Sequence[int]) -> QPolynomial:
     return out
 
 
-def gaussian_product_sum(terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> QPolynomial:
-    """Sum of q**e * prod [t choose n]_q over (e, ((t, n), ...)) terms.
+def signed_binomial_sum(items: Iterable[tuple[int, int, int, int]]) -> QPolynomial:
+    """Sum of sign * q**e * [t choose n]_q over (sign, e, t, n) items.
 
-    Every factor needs 0 < n < t and every exponent e >= 0. The whole sum
-    runs at q = 2**bits on one big integer and is unpacked once; see the
-    module docstring for why its digits cannot carry. Each distinct factor
-    is built once per call, at that call's width, and nothing is cached
-    beyond the call.
+    Keeps `gaussian_binomial`'s convention: an item with n outside 0..t is
+    zero and drops out, and [t choose 0] = [t choose t] = 1.
+    """
+    return gaussian_product_sum(
+        (sign, e, ((t, n),) if 0 < n < t else ()) for sign, e, t, n in items if 0 <= n <= t
+    )
+
+
+def _gaussian_rows(rows: dict[int, set[int]], bits: int) -> dict[tuple[int, int], int]:
+    """[t choose n]_q at q = 2**bits for each n in rows[t], 0 < n <= t / 2.
+
+    Walks each row t once, up to its largest n, by [t, x] = [t, x - 1]
+    (1 - q^(t-x+1)) / (1 - q^x). Every [t, x] walked has positive
+    coefficients at most C(t, n) for that largest n, so fits when it does.
+    """
+    out = {}
+    for t, ns in rows.items():
+        g = 1
+        for x in range(1, max(ns) + 1):
+            g -= g << (bits * (t - x + 1))
+            # Divide by 1 - y, y = q^x, as a product (1 + y)(1 + y^2)(1 + y^4)...
+            # = (1 - q^span) / (1 - y), doubling span until it exceeds the
+            # quotient r's degree x(t - x). Then g = r - r q^span, the two
+            # parts do not overlap, and the mask keeps r.
+            span = x
+            while span <= x * (t - x):
+                g += g << (bits * span)
+                span *= 2
+            g &= (1 << (bits * span)) - 1
+            if x in ns:
+                out[t, x] = g
+    return out
+
+
+def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int]]]]) -> QPolynomial:
+    """Sum of sign * q**e * prod [t choose n]_q over (sign, e, ((t, n), ...)) terms.
+
+    Signs are 1 or -1, exponents any integers (shifted by the least), and
+    every factor needs 0 < n < t; see the module docstring for the packing.
+    Each row of factors is walked once per call, at that call's width, and
+    nothing is cached beyond the call.
     """
     terms = list(terms)
+    if not terms:
+        return _ZERO
     bound = 0
-    for _, pairs in terms:
+    low = terms[0][1]
+    rows: dict[int, set[int]] = {}
+    for sign, exponent, pairs in terms:
+        if sign not in (1, -1):
+            raise ValueError(f"sign {sign} is neither 1 nor -1")
+        low = min(low, exponent)
         value = 1
         for t, n in pairs:
             if not 0 < n < t:
                 raise ValueError(f"factor [{t} choose {n}] is not a proper Gaussian binomial")
             value *= math.comb(t, n)
+            rows.setdefault(t, set()).add(min(n, t - n))
         bound += value
-    if not bound:
-        return _ZERO
     width = _digit_bytes(bound.bit_length())
     bits = 8 * width
-    factors: dict[tuple[int, int], int] = {}
-    total = 0
-    for exponent, pairs in terms:
+    factors = _gaussian_rows(rows, bits)
+    positive = negative = 0
+    for sign, exponent, pairs in terms:
         product = 1
         for t, n in pairs:
-            key = (t, min(n, t - n))
-            factor = factors.get(key)
-            if factor is None:
-                factor = factors[key] = _packed_gaussian(t, key[1], bits)
-            product *= factor
-        total += product << (bits * exponent)
-    digits = _digits(total, width, -(-total.bit_length() // bits))
-    return _wrap({EXPONENT_DENOMINATOR * k: c for k, c in enumerate(digits) if c})
+            product *= factors[t, min(n, t - n)]
+        if sign > 0:
+            positive += product << (bits * (exponent - low))
+        else:
+            negative += product << (bits * (exponent - low))
+    count = -(-max(positive.bit_length(), negative.bit_length()) // bits)
+    digits = _digits(positive, width, count)
+    if negative:
+        digits = [p - n for p, n in zip(digits, _digits(negative, width, count))]
+    return _wrap({EXPONENT_DENOMINATOR * (k + low): c for k, c in enumerate(digits) if c})
 
 
 class QSeriesTruncated:

@@ -1,5 +1,8 @@
 import pytest
+from test_qexact import reference_gaussian_binomial, reference_shifted_sum
 
+import qkostka
+from qkostka import qexact
 from qkostka.abf import (
     AbfLabel,
     abf_polynomial,
@@ -7,6 +10,7 @@ from qkostka.abf import (
     grouped_identity_check,
     inversion_check,
 )
+from qkostka.kostka import fusion_char_hook
 from qkostka.qexact import QPolynomial
 from qkostka.reports import AuditRecord
 
@@ -37,6 +41,55 @@ def test_abf_polynomial_positive():
                 for N in range((b - a) % 2, 9, 2):
                     poly = abf_polynomial(AbfLabel(r, b, a, N))
                     assert all(c > 0 for _, c in poly.terms()), (r, b, a, N)
+
+
+def reference_abf_polynomial(lab: AbfLabel) -> QPolynomial:
+    # the theta sum term by term: one Pascal-built Gaussian binomial per
+    # term, shifted and added or subtracted in turn
+    r, b, a, N = lab.r, lab.b, lab.a, lab.N
+    period = r + 1
+    span = (N + abs(b) + abs(a)) // (2 * period) + 2
+    items = []
+    for n in range(-span, span + 1):
+        e1 = r * period * n * n + (period * b - r * a) * n
+        x1 = (N - b + a) // 2 - period * n
+        items.append((1, e1, reference_gaussian_binomial(N, x1)))
+        e2 = r * period * n * n + (period * b + r * a) * n + b * a
+        x2 = (N - b - a) // 2 - period * n
+        items.append((-1, e2, reference_gaussian_binomial(N, x2)))
+    return reference_shifted_sum(items)
+
+
+def test_abf_polynomial_matches_the_term_by_term_sum():
+    # the verify grid, walls and out-of-range labels included
+    labels = [
+        AbfLabel(r, b, a, N)
+        for r in range(2, 5)
+        for b in range(-4, 5)
+        for a in range(1, 5)
+        for N in range(11)
+        if (N - (b - a)) % 2 == 0
+    ]
+    # and the benchmark's sizes
+    for i in range(12):
+        r = 2 + i % 3
+        N = 30 + (40 * i) // 11
+        labels += [AbfLabel(r, b, a, N + (N - b + a) % 2) for b in range(1, r) for a in (1, r)]
+    negative = 0
+    for lab in labels:
+        got = abf_polynomial(lab)
+        assert got._terms == reference_abf_polynomial(lab)._terms, lab
+        negative += any(c < 0 for c in got._terms.values())
+    assert negative > 0
+
+
+def test_theta_sums_leave_the_gaussian_cache_empty():
+    qkostka.clear_caches()
+    assert not abf_polynomial(AbfLabel(3, 1, 2, 9)).is_zero()
+    assert not inversion_check(AbfLabel(3, 1, 2, 9)).failed
+    assert not grouped_identity_check(2, 1, 0, 6).failed
+    assert not fusion_char_hook(6, 1, 0).is_zero()
+    assert qexact._gaussian_cache == {}
 
 
 def test_inversion_check():

@@ -27,7 +27,20 @@ def test_golden_table_bytes(capsys):
     )
 
 
-@pytest.mark.parametrize("entry", ["{}", "[1]", '{"rows": []}'])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "{}",
+        "[1]",
+        '{"rows": []}',
+        '{"kind": "kostka", "params": {}, "columns": 5, "rows": []}',
+        '{"kind": "kostka", "params": {}, "columns": ["a"], "rows": [1]}',
+        '{"kind": "kostka", "params": {}, "columns": ["a"], "rows": [{"b": 1}]}',
+        '{"kind": 7, "params": {}, "columns": [], "rows": []}',
+        '{"kind": "kostka", "params": [], "columns": [], "rows": []}',
+        '{"kind": "kostka", "params": {}, "columns": [1], "rows": []}',
+    ],
+)
 def test_a_json_entry_that_is_no_table_is_a_miss(tmp_path, capsys, entry):
     argv = ["table", "kostka", "--max-weight", "4", "--max-level", "2"]
     assert cli.main(argv) == 0

@@ -84,6 +84,44 @@ def test_no_unused_imports_in_the_library():
     assert found == []
 
 
+# Module-level functions that stay although nothing in the library names
+# them and no export lists them. Each needs its reason here.
+UNNAMED_FUNCTIONS_KEPT: dict[str, str] = {
+    # PEP 562 hooks: Python itself calls them on the package
+    "__init__.py:__getattr__": "lazy export lookup",
+    "__init__.py:__dir__": "lists the lazy exports",
+}
+
+
+def test_every_library_function_is_exported_or_used():
+    # a module-level function that no export lists and no library code names
+    # is dead. A read of the name, an attribute of that name, or a string
+    # holding it counts as a use; the definition itself does not.
+    src = Path(qkostka.__file__).resolve().parent
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(src.glob("*.py"))
+    }
+    named = set(qkostka.__all__) | set(qkostka._LAZY_EXPORTS)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in named
+        and f"{name}:{node.name}" not in UNNAMED_FUNCTIONS_KEPT
+    ]
+    assert found == []
+
+
 # Modules a `kostka --route fermionic` process has no use for. Loading any of
 # them at start-up puts their import time back into every short CLI call.
 NOT_AT_START_UP = (

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import qkostka
+from qkostka import qexact
 from qkostka.qexact import (
     QPolynomial,
     QSeriesTruncated,
@@ -13,7 +14,7 @@ from qkostka.qexact import (
     gaussian_binomial,
     gaussian_product_sum,
     partition_series,
-    shifted_sum,
+    signed_binomial_sum,
     vector_gaussian_binomial,
 )
 
@@ -148,10 +149,10 @@ def test_series_window_access():
 # The three references below are the dict-convolution multiply, the Pascal
 # recursion for Gaussian binomials and the `+`/`.shifted` accumulation loop,
 # kept verbatim. The library's multiply is that same convolution, so its
-# oracle guards any later rewrite of it; the packed Gaussian binomials,
-# `gaussian_product_sum` and `shifted_sum` share none of the references'
-# code. Every route multiplies and sums through this kernel, so a kernel bug
-# could make all routes agree on a wrong answer.
+# oracle guards any later rewrite of it; the packed row walk and
+# `gaussian_product_sum` share none of the references' code. Every route
+# multiplies and sums through this kernel, so a kernel bug could make all
+# routes agree on a wrong answer.
 
 
 def reference_mul(self, other):
@@ -293,27 +294,13 @@ def test_vector_gaussian_binomial_skips_unit_factors():
             assert vector_gaussian_binomial((m1, m2), (n1, n2)) == want
 
 
-def test_shifted_sum_matches_the_accumulation_loop():
-    rng = random.Random(7)
-    for _ in range(300):
-        items = []
-        for _ in range(rng.randint(0, 12)):
-            exponent = rng.choice((rng.randint(-30, 30), Fraction(rng.randint(-120, 120), 4)))
-            items.append((rng.choice((1, -1)), exponent, _random_operand(rng, rng.choice((1, 4)))))
-        if items and rng.random() < 0.2:
-            sign, exponent, poly = items[0]
-            items.append((-sign, exponent, poly))
-        assert shifted_sum(iter(items))._terms == reference_shifted_sum(items)._terms
-    assert shifted_sum([]).is_zero()
-
-
 def reference_gaussian_product_sum(terms) -> QPolynomial:
     items = []
-    for exponent, pairs in terms:
+    for sign, exponent, pairs in terms:
         product = QPolynomial.one()
         for t, n in pairs:
             product = reference_mul(product, reference_gaussian_binomial(t, n))
-        items.append((1, exponent, product))
+        items.append((sign, exponent, product))
     return reference_shifted_sum(items)
 
 
@@ -329,21 +316,21 @@ def _random_product_terms(rng: random.Random) -> list:
             if rng.random() < 0.3:
                 # the same factor again, as itself or as its mirror
                 pairs.append(rng.choice(((t, n), (t, t - n))))
-        terms.append((rng.choice((0, rng.randint(0, 40))), tuple(pairs)))
+        terms.append((1, rng.choice((0, rng.randint(0, 40))), tuple(pairs)))
     return terms
 
 
 def test_gaussian_product_sum_matches_the_reference_loops():
     cases = [
         [],
-        [(0, ())],
-        [(7, ())],
-        [(0, ((9, 4),))],
-        [(5, ((9, 4), (9, 5), (9, 4))), (0, ((9, 5),)), (5, ((9, 4), (9, 4), (9, 5)))],
+        [(1, 0, ())],
+        [(1, 7, ())],
+        [(1, 0, ((9, 4),))],
+        [(1, 5, ((9, 4), (9, 5), (9, 4))), (1, 0, ((9, 5),)), (1, 5, ((9, 4), (9, 4), (9, 5)))],
         # q = 1 values above 2**64: digits wider than any native integer
-        [(0, ((68, 34),))],
-        [(3, ((40, 20), (36, 18))), (0, ((36, 18), (40, 20))), (3, ((40, 20),))],
-        [(0, ((30, 15), (30, 15), (30, 15))), (2, ((30, 14), (30, 16)))],
+        [(1, 0, ((68, 34),))],
+        [(1, 3, ((40, 20), (36, 18))), (1, 0, ((36, 18), (40, 20))), (1, 3, ((40, 20),))],
+        [(1, 0, ((30, 15), (30, 15), (30, 15))), (1, 2, ((30, 14), (30, 16)))],
     ]
     rng = random.Random(6006)
     cases += [_random_product_terms(rng) for _ in range(200)]
@@ -356,7 +343,85 @@ def test_gaussian_product_sum_matches_the_reference_loops():
     assert wide >= 10
 
 
+def _random_signed_terms(rng: random.Random) -> list:
+    """Terms of both signs, exponents from -40 to 40; some cancel exactly."""
+    terms = [
+        (rng.choice((1, -1)), rng.randint(-40, 40), pairs)
+        for _, _, pairs in _random_product_terms(rng)
+    ]
+    if terms and rng.random() < 0.3:
+        # every term again with the other sign, its factors reordered or
+        # mirrored: the sum is exactly zero
+        terms += [
+            (-sign, e, tuple(rng.choice(((t, n), (t, t - n))) for t, n in reversed(pairs)))
+            for sign, e, pairs in terms
+        ]
+        rng.shuffle(terms)
+    return terms
+
+
+def test_signed_gaussian_product_sum_matches_the_reference_loops():
+    cases = [
+        [(-1, 0, ())],
+        [(1, -3, ()), (-1, -3, ())],
+        [(1, 0, ((6, 3),)), (-1, 0, ((6, 3),))],
+        [(1, 2, ((6, 3),)), (-1, 0, ((6, 3),))],
+        [(-1, -5, ((9, 4),)), (1, 5, ((9, 4),))],
+        # theta-sum shape: one row, many bottoms, exponents far apart
+        [(1 - 2 * (x % 2), (x - 10) ** 2 - 40, ((40, x),)) for x in range(1, 40)],
+        # q = 1 values above 2**64 on both sides
+        [(1, -7, ((68, 34),)), (-1, 0, ((68, 33),)), (-1, 3, ((40, 20), (36, 18)))],
+    ]
+    rng = random.Random(8008)
+    cases += [_random_signed_terms(rng) for _ in range(300)]
+    zero = negative = 0
+    for terms in cases:
+        got = gaussian_product_sum(iter(terms))
+        want = reference_gaussian_product_sum(terms)
+        assert got._terms == want._terms, terms
+        assert 0 not in got._terms.values()
+        zero += bool(terms) and got.is_zero()
+        negative += any(c < 0 for c in got._terms.values())
+    assert zero >= 50
+    assert negative >= 100
+
+
+def test_the_row_walk_matches_the_pascal_recursion():
+    for m in range(2, 41):
+        for n in range(1, m):
+            got = gaussian_product_sum([(1, 0, ((m, n),))])
+            assert got._terms == reference_gaussian_binomial(m, n)._terms, (m, n)
+        # the whole row in one walk, at its own width and at a wider,
+        # non-native one
+        wanted = set(range(1, m // 2 + 1))
+        for width in (qexact._digit_bytes(math.comb(m, m // 2).bit_length()), 9):
+            rows = qexact._gaussian_rows({m: wanted}, 8 * width)
+            assert rows.keys() == {(m, n) for n in wanted}
+            for (t, n), packed in rows.items():
+                size = n * (t - n) + 1
+                assert packed >> (8 * width * size) == 0, (t, n)
+                digits = qexact._digits(packed, width, size)
+                want = reference_gaussian_binomial(t, n)._terms
+                assert {4 * k: c for k, c in enumerate(digits) if c} == want, (t, n)
+
+
+def test_signed_binomial_sum_keeps_the_gaussian_binomial_convention():
+    rng = random.Random(404)
+    for _ in range(200):
+        items = [
+            (rng.choice((1, -1)), rng.randint(-20, 20), t, rng.randint(-2, t + 2))
+            for t in (rng.randint(0, 12) for _ in range(rng.randint(0, 10)))
+        ]
+        want = reference_shifted_sum(
+            [(sign, e, reference_gaussian_binomial(t, n)) for sign, e, t, n in items]
+        )
+        assert signed_binomial_sum(iter(items))._terms == want._terms, items
+
+
 def test_gaussian_product_sum_rejects_improper_factors():
     for t, n in ((5, 0), (5, 5), (5, 6), (5, -1), (0, 0)):
         with pytest.raises(ValueError):
-            gaussian_product_sum([(0, ((7, 3), (t, n)))])
+            gaussian_product_sum([(1, 0, ((7, 3), (t, n)))])
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError):
+            gaussian_product_sum([(sign, 0, ((7, 3),))])
