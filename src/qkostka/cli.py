@@ -322,6 +322,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "kostka" and args.weight < 0:
         parser.error("--weight must be nonnegative")
+    if args.command in ("verify", "table"):
+        if args.max_weight < 0:
+            parser.error("--max-weight must be nonnegative")
+        if args.max_level < 1:
+            parser.error("--max-level must be positive")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -6,13 +6,20 @@ through unrestricted polynomials (this module, with the unrestricted input
 taken either from level stabilization or from the tableau oracle), and the
 graded Euler characteristic over shifted Weyl orbits (module weyl). Route
 agreement across all of them is the central correctness argument.
+
+The fermionic sum walks the occupation vectors s (sum a*s_a = N) top-down,
+one recursion level per level a from min(k, N) to 1. Its state at level a
+(what remains of N, sum_(b>a) s_b and sum_(b>a) (b-a) s_b) fixes
+(A(m-2s))_a, so a vanishing binomial prunes the whole subtree below it.
+Levels above N are never visited: there s_a = 0, and the vanishing margin
+is concave in a and nonnegative at both ends.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, Literal
+from typing import Callable, Literal
 
 from .charge import kostka_sl2_oracle
 from .compositions import (
@@ -37,33 +44,20 @@ def restriction_vector(l: int, k: int) -> tuple[int, ...]:
     return tuple(max(0, a - k + l) for a in range(1, k + 1))
 
 
-def _occupation_vectors(total: int, width: int) -> Iterator[tuple[int, ...]]:
-    """All s in Z_{>=0}^width with sum a*s_a equal to total."""
-
-    def rec(a: int, left: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if a > width:
-            if left == 0:
-                yield tuple(prefix)
-            return
-        if a == width:
-            if left % a == 0:
-                yield tuple(prefix + [left // a])
-            return
-        for s in range(left // a + 1):
-            yield from rec(a + 1, left - a * s, prefix + [s])
-
-    if total < 0:
-        return iter(())
-    return rec(1, total, [])
-
-
 def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     """Level-k restricted Kostka polynomial by the fermionic sum.
 
-    Sum over occupation vectors s with 2|s| = |m| - l of
+    Sum over occupation vectors s with sum a*s_a = N = (|m| - l)/2 of
     q**(sAs + v.s) * prod binom(A(m-2s) - v + s, s). Wrong parity gives the
     zero polynomial; a factor spin above the level makes the product vanish
     identically, so zero is returned for those without evaluating anything.
+
+    The vectors are walked top-down, choosing s_a at level a from level
+    min(k, N) to level 1, so the recursion is min(k, N) deep. The state at
+    level a is what remains of N, S_(a+1) = sum_(b>a) s_b and
+    R_a = sum_(b>a) (b-a) s_b. Then (As)_a = N - R_a, and the vanishing test
+    (A(m-2s))_a < v_a does not read s_a: it cuts off a whole subtree before
+    any lower level is chosen.
     """
     if k < 1:
         raise ValueError("level must be positive")
@@ -72,34 +66,47 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     comp = as_composition(m).trimmed()
     if comp.width > k:
         return QPolynomial.zero()
-    comp = comp.padded(k)
-    size = weighted_size(comp)
+    # With A_ab = min(a, b), (Ax)_a = sum_{c <= a} sum_{b >= c} x_b: running
+    # sums of the suffix sums M_c of m give (Am)_a, which stays at |m| from
+    # the width of m on.
+    a_m = list(accumulate(list(accumulate(reversed(comp.parts)))[::-1]))
+    size = a_m[-1]
     if (size - l) % 2 or size < l:
         return QPolynomial.zero()
+    a_m += [size] * (k - comp.width)
+    n = (size - l) // 2
     v = restriction_vector(l, k)
-    # With A_ab = min(a, b), (Ax)_a = sum_{c <= a} sum_{b >= c} x_b: running
-    # sums of suffix sums give A(m - 2s) and As in O(k) per vector.
-    m_suffix = list(accumulate(reversed(comp.parts)))[::-1]
+    terms: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
 
-    def terms() -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-        for s in _occupation_vectors((size - l) // 2, k):
-            s_suffix = list(accumulate(reversed(s)))[::-1]
-            pairs = []
-            a_n = a_s = exponent = 0
-            for a in range(k):
-                a_n += m_suffix[a] - 2 * s_suffix[a]
-                t = a_n + s[a] - v[a]
-                if t < s[a]:
-                    break
-                # [t choose 0] = [t choose t] = 1: nothing to multiply
-                if 0 < s[a] < t:
-                    pairs.append((t, s[a]))
-                a_s += s_suffix[a]
-                exponent += s[a] * (a_s + v[a])
-            else:
-                yield 1, exponent, pairs
+    def walk(a: int, rem: int, above: int, r: int, exponent: int, pairs: tuple) -> None:
+        # above = S_(a+1) and r = R_a; (A(m-2s))_a - v_a is fixed by them
+        free = a_m[a - 1] - 2 * (n - r) - v[a - 1]
+        if free < 0:
+            return
+        weight = n - r + v[a - 1]
+        # [t choose 0] = [t choose t] = 1 for t = free + s: nothing to multiply
+        if a == 1:
+            if rem and free:
+                pairs += ((free + rem, rem),)
+            terms.append((1, exponent + rem * weight, pairs))
+            return
+        for s in range(rem // a + 1):
+            below = above + s
+            walk(
+                a - 1, rem - a * s, below, r + below, exponent + s * weight,
+                pairs + ((free + s, s),) if s and free else pairs,
+            )
 
-    return gaussian_product_sum(terms())
+    # Levels above N hold s_a = 0 and need no visit: for a >= N, R_a = 0 and
+    # (A(m-2s))_a - v_a = (Am)_a - 2N - v_a is concave in a, since (Am)_a has
+    # nonincreasing steps M_a and v_a is convex. It is checked at a = N
+    # below, and at a = k it is |m| - 2N - l = 0, so it is nonnegative in
+    # between. With N = 0 the one vector s = 0 passes every level the same way.
+    if n:
+        walk(min(k, n), n, 0, 0, 0, ())
+    else:
+        terms.append((1, 0, ()))
+    return gaussian_product_sum(terms)
 
 
 @lru_cache(maxsize=None)

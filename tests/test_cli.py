@@ -93,6 +93,17 @@ def test_exit_code_2_on_bad_input(capsys):
     code, _, _ = run(capsys, "verify", "nonsense")
     assert code == 2
 
+    for argv in (
+        ("verify", "routes", "--max-level", "0"),
+        ("verify", "routes", "--max-weight", "-1"),
+        ("table", "kostka", "--max-level", "0"),
+        ("table", "kostka", "--max-weight", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert argv[2] in err
+
 
 @pytest.mark.parametrize("route", ["alternating", "charge", "bgg"])
 def test_reversed_refuses_other_routes(capsys, route):

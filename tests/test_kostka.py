@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -14,7 +16,6 @@ from qkostka.compositions import (
     weighted_size,
 )
 from qkostka.kostka import (
-    _occupation_vectors,
     alternating_sum_raw,
     fusion_char_hook,
     fusion_weight_char,
@@ -32,6 +33,26 @@ from qkostka.verlinde import structure_constants
 
 def poly(terms):
     return QPolynomial.from_integer_terms(terms)
+
+
+def _occupation_vectors(total: int, width: int) -> Iterator[tuple[int, ...]]:
+    """All s in Z_{>=0}^width with sum a*s_a equal to total."""
+
+    def rec(a: int, left: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
+        if a > width:
+            if left == 0:
+                yield tuple(prefix)
+            return
+        if a == width:
+            if left % a == 0:
+                yield tuple(prefix + [left // a])
+            return
+        for s in range(left // a + 1):
+            yield from rec(a + 1, left - a * s, prefix + [s])
+
+    if total < 0:
+        return iter(())
+    return rec(1, total, [])
 
 
 def _reference_restricted_fermionic(l, m, k):
@@ -97,11 +118,10 @@ def test_restricted_fermionic_degenerate():
 
 
 def test_unrestricted_matches_oracle():
-    for parts in [(), (2,), (4,), (2, 1), (1, 1), (0, 2), (6,), (2, 2), (1, 0, 1)]:
-        m = Composition(parts)
+    for m in admissible_compositions(10, 10):
         size = weighted_size(m)
         for l in range(size % 2, size + 1, 2):
-            assert unrestricted(l, m) == kostka_sl2_oracle(l, m), (l, parts)
+            assert unrestricted(l, m) == kostka_sl2_oracle(l, m), (l, m)
     assert unrestricted(-2, (4,)).is_zero()
 
 
@@ -234,6 +254,44 @@ def test_restricted_fermionic_matches_reference():
                 assert restricted_fermionic(l, m, k) == want, (l, m, k)
                 nonzero += not want.is_zero()
     assert nonzero > 500
+
+
+def test_restricted_fermionic_walk_matches_reference():
+    # The top-down walk starts at level min(k, N) with N = (|m| - l)/2 and
+    # prunes on (A(m-2s))_a < v_a; hold it to the bottom-up enumeration.
+    cases = [
+        (l, m, k)
+        for k in range(1, 8)
+        for m in admissible_compositions(10, k)
+        for l in range(k + 1)
+    ]
+    # the unrestricted levels k = |m| and |m| + 1
+    for m in admissible_compositions(10, 10):
+        size = weighted_size(m)
+        for k in (max(size, 1), size + 1):
+            cases += [(l, m, k) for l in range(min(k, size) + 1)]
+    target = len(cases) + 300
+    rng = random.Random(9)
+    for _ in range(150):
+        # one large spin: levels above N are left out of the walk
+        k = rng.randint(4, 12)
+        spin = rng.randint(1, k)
+        m = (0,) * (spin - 1) + (rng.randint(1, 2),)
+        cases.append((rng.randint(0, k), m, k))
+    while len(cases) < target:
+        k = rng.randint(1, 10)
+        m = tuple(rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(1, k)))
+        if weighted_size(m) <= 16:
+            cases.append((rng.randint(0, k), m, k))
+    nonzero = above_n = 0
+    for l, m, k in cases:
+        want = _reference_restricted_fermionic(l, m, k)
+        assert restricted_fermionic(l, m, k) == want, (l, m, k)
+        if not want.is_zero():
+            nonzero += 1
+            above_n += 2 * k > weighted_size(m) - l
+    assert nonzero > 2500
+    assert above_n > 2000
 
 
 def test_restricted_fermionic_beyond_native_integers():
