@@ -69,7 +69,8 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     # With A_ab = min(a, b), (Ax)_a = sum_{c <= a} sum_{b >= c} x_b: running
     # sums of the suffix sums M_c of m give (Am)_a, which stays at |m| from
     # the width of m on.
-    a_m = list(accumulate(list(accumulate(reversed(comp.parts)))[::-1]))
+    m_suffix = list(accumulate(reversed(comp.parts)))[::-1]
+    a_m = list(accumulate(m_suffix))
     size = a_m[-1]
     if (size - l) % 2 or size < l:
         return QPolynomial.zero()
