@@ -1,17 +1,19 @@
-"""Brute-force tableau oracle for unrestricted Kostka polynomials.
+"""Tableau oracle for unrestricted Kostka polynomials.
 
-Semistandard tableaux on two-row shapes are enumerated directly and graded by
-the Lascoux-Schutzenberger charge statistic; the generating function is the
+Semistandard tableaux on two-row shapes are graded by the
+Lascoux-Schutzenberger charge statistic; the generating function is the
 Kostka-Foulkes polynomial, and a degree reversal bridges it to the
 weight-indexed polynomials the production routes compute.
 
-This is the independent check, not the fast path. Enumeration stays
-exhaustive: every tableau is built and graded, with no closed form for the
-count or the charge distribution. It goes letter by letter, placing all
-copies of a value at once, so the search never builds a row that breaks
-column strictness; charge finds each subword letter by bisection. The module
-shares no helper with the fermionic route in kostka.py, so that one bug
-cannot make both routes agree on a wrong answer.
+This is the independent check, not the fast path, and it has no closed form
+for the count or the charge distribution. Each tableau is one path through
+the placement DAG, which places all copies of a letter at once, so no row
+ever breaks column strictness; kostka_foulkes sums charge over the paths
+letter by letter instead of listing them, and tableaux that share a state
+share its work. enumerate_ssyt, reading_word and charge list and grade the
+paths one by one, as the brute-force cross-check. The module shares no
+helper with the fermionic route in kostka.py, so that one bug cannot make
+both routes agree on a wrong answer.
 """
 
 from __future__ import annotations
@@ -119,12 +121,70 @@ def charge(word: Sequence[int]) -> int:
 
 
 def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
-    """Sum of q**charge over all semistandard tableaux of the shape/content."""
-    tally: dict[int, int] = {}
-    for t in enumerate_ssyt(sc):
-        c = charge(reading_word(t))
-        tally[c] = tally.get(c, 0) + 1
-    return QPolynomial.from_integer_terms(tally)
+    """Sum of q**charge over all semistandard tableaux of the shape/content.
+
+    A forward pass over the letters of the placement DAG that
+    `enumerate_ssyt` walks. Placing the c copies of v, x of them in row 2,
+    fixes their reading-word positions: row 2 at [r2, r2 + x) and row 1 at
+    len2 + [r1, r1 + c - x). Charge is extracted letter by letter rather
+    than subword by subword: subwords 0, 1, ... in turn take the free copy
+    of v nearest left of their copy of v - 1, or else the rightmost one,
+    and subword s sees the same free copies either way, since only
+    subwords 0..s-1 took copies before it. A wrap at v raises the index of
+    every later letter of the subword, so it adds at once the number of
+    letters >= v the subword holds. The state after a letter is the length
+    of row 2 and the position each live subword last took; it maps to a
+    {charge: count} tally, and tableaux that reach the same state share
+    every later step.
+
+    Zero when the content cannot fill the shape; content that is not a
+    partition raises ValueError if the shape admits a tableau at all.
+    """
+    len1, len2 = sc.shape
+    counts = list(sc.content)
+    while counts and not counts[-1]:
+        counts.pop()
+    if sum(counts) != len1 + len2:
+        return QPolynomial.zero()
+    # wraps[v-1][s]: letters >= v held by subword s
+    wraps: list[list[int]] = []
+    later: list[int] = []
+    for c in reversed(counts):
+        later = [1 + (later[s] if s < len(later) else 0) for s in range(c)]
+        wraps.append(later)
+    wraps.reverse()
+    # the first letter's subwords start right of the word: no wrap
+    start = (len1 + len2,) * (counts[0] if counts else 0)
+    frontier: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {(0, start): {0: 1}}
+    placed = 0
+    for c, wrap in zip(counts, wraps):
+        nxt: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        for (r2, picks), tally in frontier.items():
+            r1 = placed - r2
+            # same bounds on x as enumerate_ssyt
+            for x in range(max(0, r1 + c - len1), min(c, r1 - r2, len2 - r2) + 1):
+                free = [*range(r2, r2 + x), *range(len2 + r1, len2 + r1 + c - x)]
+                taken = []
+                shift = 0
+                for s, pos in enumerate(picks[:c]):
+                    j = bisect_left(free, pos)
+                    if j:
+                        taken.append(free.pop(j - 1))
+                    else:
+                        taken.append(free.pop())
+                        shift += wrap[s]
+                into = nxt.setdefault((r2 + x, tuple(taken)), {})
+                for e, n in tally.items():
+                    into[e + shift] = into.get(e + shift, 0) + n
+        frontier = nxt
+        placed += c
+    if frontier and any(a < b for a, b in zip(counts, counts[1:])):
+        raise ValueError("charge needs partition content")
+    total: dict[int, int] = {}
+    for tally in frontier.values():
+        for e, n in tally.items():
+            total[e] = total.get(e, 0) + n
+    return QPolynomial.from_integer_terms(total)
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,13 @@ class Composition:
         return Composition(self.parts + (0,) * (width - len(self.parts)))
 
     def trimmed(self) -> "Composition":
-        """Drop trailing zero multiplicities (keeping width at least 1)."""
+        """Drop trailing zero multiplicities (keeping width at least 1).
+
+        Compositions are immutable, so one that is already trimmed comes back
+        as itself.
+        """
+        if len(self.parts) == 1 or self.parts[-1]:
+            return self
         parts = list(self.parts)
         while len(parts) > 1 and parts[-1] == 0:
             parts.pop()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -231,3 +232,77 @@ def test_charge_rejects_what_the_reference_rejects(word):
     with pytest.raises(ValueError) as new:
         charge(word)
     assert str(new.value) == str(ref.value)
+
+
+# kostka_foulkes sums charge over the placement DAG without listing
+# tableaux; hold it to the graded enumeration, both the library's own
+# (enumerate_ssyt and charge) and the kept reference pair above.
+
+
+def _graded_sum(sc, enumerate_, charge_):
+    tally = {}
+    for t in enumerate_(sc):
+        c = charge_(reading_word(t))
+        tally[c] = tally.get(c, 0) + 1
+    return QPolynomial.from_integer_terms(tally)
+
+
+def _assert_matches_graded_sums(sc):
+    got = kostka_foulkes(sc)
+    assert got == _graded_sum(sc, enumerate_ssyt, charge), sc
+    assert got == _graded_sum(sc, _reference_enumerate_ssyt, _reference_charge), sc
+
+
+def test_kostka_foulkes_matches_graded_tableaux_on_every_bridge():
+    shapes = 0
+    for m in admissible_compositions(12, 12):
+        size = weighted_size(m)
+        for l in range(size % 2, size + 1, 2):
+            _assert_matches_graded_sums(bridge_to_partition(m, l))
+            shapes += 1
+    assert shapes > 1500
+
+
+def test_kostka_foulkes_matches_graded_tableaux_on_random_contents():
+    rng = random.Random(20051018)
+    for _ in range(200):
+        n = rng.randint(1, 16)
+        counts = []
+        left = n
+        while left:
+            c = rng.randint(1, min(left, counts[-1] if counts else left))
+            counts.append(c)
+            left -= c
+        len2 = rng.randint(0, n // 2)
+        _assert_matches_graded_sums(ShapeContent((n - len2, len2), counts))
+
+
+def test_kostka_foulkes_off_partition_content_matches_graded_sum():
+    # the graded sum raises on the first tableau it grades, so an
+    # off-partition content raises exactly when the shape admits a tableau
+    for shape, content in [
+        ((0, 0), ()),
+        ((2, 2), (1, 3)),
+        ((3, 1), (0, 2, 2)),
+        ((3, 2), (1, 2, 2)),
+        ((2, 1), (3,)),
+        ((4, 0), (1, 1, 1, 1)),
+    ]:
+        sc = ShapeContent(shape, content)
+        try:
+            want = _graded_sum(sc, _reference_enumerate_ssyt, _reference_charge)
+        except ValueError as ref:
+            with pytest.raises(ValueError) as new:
+                kostka_foulkes(sc)
+            assert str(new.value) == str(ref), sc
+        else:
+            assert kostka_foulkes(sc) == want, sc
+
+
+def test_kostka_foulkes_long_single_row_needs_no_recursion():
+    # one tableau, whose reading word 1 2 ... n wraps at every letter
+    n = 3000
+    start = time.perf_counter()
+    got = kostka_foulkes(ShapeContent((n, 0), (1,) * n))
+    assert got == QPolynomial.q_power(n * (n - 1) // 2)
+    assert time.perf_counter() - start < 2.0

@@ -25,6 +25,24 @@ def test_composition_basics():
     assert Composition(()).trimmed().width == 1
 
 
+def test_trimmed_returns_self_when_already_trimmed():
+    def reference_trimmed(m):
+        parts = list(m.parts)
+        while len(parts) > 1 and parts[-1] == 0:
+            parts.pop()
+        return Composition(parts)
+
+    for parts in [(), (0,), (3,), (2, 0, 1), (0, 0, 2), (1, 1, 1)]:
+        m = Composition(parts)
+        assert m.trimmed() is m
+        assert m.trimmed() == reference_trimmed(m)
+    for parts in [(0, 0), (2, 0), (2, 0, 1, 0), (0, 1, 0, 0, 0), (0, 0, 0)]:
+        m = Composition(parts)
+        assert m.trimmed() == reference_trimmed(m)
+        assert m.trimmed().parts == reference_trimmed(m).parts
+        assert m.parts == parts
+
+
 def test_as_composition():
     assert as_composition((1, 2)) == Composition((1, 2))
     assert as_composition([3]) == Composition((3,))
