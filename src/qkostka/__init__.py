@@ -91,19 +91,19 @@ def __dir__() -> list[str]:
 def clear_caches() -> None:
     """Empty every in-memory result cache, so the next calls compute cold.
 
-    Covers the Gaussian-binomial table and the memoized charge oracle,
-    unrestricted polynomials and fusion weight characters. Results do not
-    change; only the time to the next answer does.
+    Covers the Gaussian-binomial table, the charge oracle's per-content
+    passes, the memoized unrestricted polynomials and the fusion slice
+    tables. Results do not change; only the time to the next answer does.
     """
     # imported here to keep private names out of the package namespace
-    from .charge import _oracle_cached
-    from .kostka import _fusion_weight_cached, _unrestricted_cached
+    from .charge import _oracle_tables
+    from .kostka import _fusion_tables, _unrestricted_cached
     from .qexact import _gaussian_cache
 
     _gaussian_cache.clear()
-    _oracle_cached.cache_clear()
+    _oracle_tables.clear()
     _unrestricted_cached.cache_clear()
-    _fusion_weight_cached.cache_clear()
+    _fusion_tables.clear()
 
 
 __all__ = [

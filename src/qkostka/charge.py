@@ -5,21 +5,18 @@ Lascoux-Schutzenberger charge statistic; the generating function is the
 Kostka-Foulkes polynomial, and a degree reversal bridges it to the
 weight-indexed polynomials the production routes compute.
 
-This is the independent check, not the fast path, and it has no closed form
-for the count or the charge distribution. Each tableau is one path through
-the placement DAG, which places all copies of a letter at once, so no row
-ever breaks column strictness; kostka_foulkes sums charge over the paths
-letter by letter instead of listing them, and tableaux that share a state
-share its work. enumerate_ssyt, reading_word and charge list and grade the
-paths one by one, as the brute-force cross-check. The module shares no
-helper with the fermionic route in kostka.py, so that one bug cannot make
-both routes agree on a wrong answer.
+This is the independent check, not the fast path. A pass over the placement
+DAG, which places all copies of a letter at once, sums charge letter by
+letter; the shape only prunes the DAG, so the oracle keeps one pass per
+content for all its weights. enumerate_ssyt, reading_word and charge grade
+tableaux one by one, as the brute-force cross-check. Nothing here is shared
+with the fermionic route in kostka.py, so one bug cannot make both routes
+agree on a wrong answer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from typing import Sequence
 
 from .compositions import (
@@ -120,50 +117,37 @@ def charge(word: Sequence[int]) -> int:
     return total
 
 
-def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
-    """Sum of q**charge over all semistandard tableaux of the shape/content.
+def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, dict[int, int]]:
+    """{row-2 length: {charge: count}} over the tableaux of the content
+    whose rows stay within the caps.
 
-    A forward pass over the letters of the placement DAG that
-    `enumerate_ssyt` walks. Placing the c copies of v, x of them in row 2,
-    fixes their reading-word positions: row 2 at [r2, r2 + x) and row 1 at
-    len2 + [r1, r1 + c - x). Charge is extracted letter by letter rather
-    than subword by subword: subwords 0, 1, ... in turn take the free copy
-    of v nearest left of their copy of v - 1, or else the rightmost one,
-    and subword s sees the same free copies either way, since only
-    subwords 0..s-1 took copies before it. A wrap at v raises the index of
-    every later letter of the subword, so it adds at once the number of
-    letters >= v the subword holds. The state after a letter is the length
-    of row 2 and the position each live subword last took; it maps to a
-    {charge: count} tally, and tableaux that reach the same state share
-    every later step.
-
-    Zero when the content cannot fill the shape; content that is not a
-    partition raises ValueError if the shape admits a tableau at all.
+    Placing the c copies of v, x in row 2, puts them at reading-word
+    positions [r2, r2 + x) and n + [r1, r1 + c - x), n = |content|: row 1
+    follows row 2 whatever the shape, so the caps only prune. Subwords
+    0, 1, ... in turn take the free copy of v nearest left of their copy of
+    v - 1, or else the rightmost; subword s sees the same free copies as in
+    subword-by-subword extraction, since only subwords 0..s-1 took any. A
+    wrap adds the number of letters >= v its subword holds. A state
+    (row-2 length, each live subword's last position) holds a
+    {charge: count} tally shared by every path through it.
     """
-    len1, len2 = sc.shape
-    counts = list(sc.content)
-    while counts and not counts[-1]:
-        counts.pop()
-    if sum(counts) != len1 + len2:
-        return QPolynomial.zero()
-    # wraps[v-1][s]: letters >= v held by subword s
-    wraps: list[list[int]] = []
-    later: list[int] = []
-    for c in reversed(counts):
-        later = [1 + (later[s] if s < len(later) else 0) for s in range(c)]
-        wraps.append(later)
-    wraps.reverse()
+    n = sum(counts)
+    top = counts[0] if counts else 0
+    # subword s holds letters 1..ends[s]: a wrap at counts[v] adds ends[s] - v
+    ends = [0] * top
+    for c in counts:
+        for s in range(min(c, top)):
+            ends[s] += 1
     # the first letter's subwords start right of the word: no wrap
-    start = (len1 + len2,) * (counts[0] if counts else 0)
-    frontier: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {(0, start): {0: 1}}
+    frontier: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {(0, (2 * n,) * top): {0: 1}}
     placed = 0
-    for c, wrap in zip(counts, wraps):
+    for v, (c, after) in enumerate(zip(counts, (*counts[1:], 0))):
         nxt: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
         for (r2, picks), tally in frontier.items():
             r1 = placed - r2
             # same bounds on x as enumerate_ssyt
-            for x in range(max(0, r1 + c - len1), min(c, r1 - r2, len2 - r2) + 1):
-                free = [*range(r2, r2 + x), *range(len2 + r1, len2 + r1 + c - x)]
+            for x in range(max(0, r1 + c - cap1), min(c, r1 - r2, cap2 - r2) + 1):
+                free = [*range(r2, r2 + x), *range(n + r1, n + r1 + c - x)]
                 taken = []
                 shift = 0
                 for s, pos in enumerate(picks[:c]):
@@ -172,33 +156,34 @@ def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
                         taken.append(free.pop(j - 1))
                     else:
                         taken.append(free.pop())
-                        shift += wrap[s]
-                into = nxt.setdefault((r2 + x, tuple(taken)), {})
-                for e, n in tally.items():
-                    into[e + shift] = into.get(e + shift, 0) + n
+                        shift += ends[s] - v
+                # subwords with no letter after this one drop out of the state
+                into = nxt.setdefault((r2 + x, tuple(taken[:after])), {})
+                for e, k in tally.items():
+                    into[e + shift] = into.get(e + shift, 0) + k
         frontier = nxt
         placed += c
     if frontier and any(a < b for a, b in zip(counts, counts[1:])):
         raise ValueError("charge needs partition content")
-    total: dict[int, int] = {}
-    for tally in frontier.values():
-        for e, n in tally.items():
-            total[e] = total.get(e, 0) + n
-    return QPolynomial.from_integer_terms(total)
-
-
-@lru_cache(maxsize=None)
-def _oracle_cached(l: int, parts: tuple[int, ...]) -> QPolynomial:
-    m = as_composition(parts)
-    size = weighted_size(m)
-    if l < 0 or l > size or (size - l) % 2:
-        return QPolynomial.zero()
-    sc = bridge_to_partition(m, l)
-    kf = kostka_foulkes(sc)
-    out = kf.substitute_inverse().shifted(norm_ss(m))
-    if not out.is_zero() and out.min_exponent() < 0:
-        raise InvariantError("reversal produced a negative exponent")
+    # after the last letter no subword is live: one state per row-2 length
+    out = {}
+    for (r2, _), tally in frontier.items():
+        out[r2] = tally
     return out
+
+
+def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
+    """Sum of q**charge over all semistandard tableaux of the shape/content.
+
+    Zero when the content cannot fill the shape; content that is not a
+    partition raises ValueError if the shape admits a tableau at all.
+    """
+    tallies = _charge_by_row2(sc.content, *sc.shape)
+    return QPolynomial.from_integer_terms(tallies.get(sc.shape[1], {}))
+
+
+# trimmed m (it fixes the content) -> (row-1 cap, row-2 cap, {row-2 length: K})
+_oracle_tables = {}
 
 
 def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
@@ -206,6 +191,24 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
 
     Zero when the weight is out of range or has the wrong parity; otherwise
     q**norm times the degree-reversed Kostka-Foulkes polynomial of the
-    bridged shape and content.
+    bridged shape and content. A content's first pass covers the requested
+    shape alone; a miss reruns it with row 1 free and row 2 capped at the
+    longest requested.
     """
-    return _oracle_cached(l, as_composition(m).trimmed().parts)
+    comp = as_composition(m).trimmed()
+    size = weighted_size(comp)
+    if l < 0 or l > size or (size - l) % 2:
+        return QPolynomial.zero()
+    len2 = (size - l) // 2
+    # a pass with caps (cap1, cap2) holds every row-2 length in [size - cap1, cap2]
+    cap1, cap2, polys = _oracle_tables.get(comp.parts, (0, -1, None))
+    if not size - cap1 <= len2 <= cap2:
+        cap1, cap2 = (size - len2, len2) if polys is None else (size, max(len2, cap2))
+        norm = norm_ss(comp)
+        polys = {}
+        for r2, tally in _charge_by_row2(bridge_to_partition(comp, l).content, cap1, cap2).items():
+            if max(tally) > norm:
+                raise InvariantError("reversal produced a negative exponent")
+            polys[r2] = QPolynomial.from_integer_terms({norm - e: k for e, k in tally.items()})
+        _oracle_tables[comp.parts] = (cap1, cap2, polys)
+    return polys.get(len2, QPolynomial.zero())

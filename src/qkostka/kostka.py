@@ -166,18 +166,13 @@ def alternating_sum_raw(
     out = QPolynomial.zero()
     i = 0
     while True:
-        w_plus = 2 * (k + 2) * i + l
-        w_minus = 2 * (k + 2) * i - l - 2
-        if i > 0 and w_plus > size and w_minus > size:
-            break
-        if w_plus <= size:
-            term = kostka(w_plus, comp)
-            out = out + term.shifted((k + 2) * i * i + (l + 1) * i)
-        if i > 0 and w_minus <= size:
-            term = kostka(w_minus, comp)
-            out = out - term.shifted((k + 2) * i * i - (l + 1) * i)
-        if i > 0 and w_minus > size:
-            break
+        w = 2 * (k + 2) * i
+        if w + l <= size:
+            out = out + kostka(w + l, comp).shifted((k + 2) * i * i + (l + 1) * i)
+        if i:
+            if w - l - 2 > size:
+                break
+            out = out - kostka(w - l - 2, comp).shifted((k + 2) * i * i - (l + 1) * i)
         i += 1
     return out
 
@@ -207,24 +202,27 @@ def reversed_restricted(l: int, m: CompositionLike, k: int) -> QPolynomial:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fusion_weight_cached(parts: tuple[int, ...], alpha: int) -> QPolynomial:
-    comp = Composition(parts)
-    size = weighted_size(comp)
-    out = QPolynomial.zero()
-    for l in range(abs(alpha), size + 1, 2):
-        out = out + unrestricted(l, comp)
-    return out
+# trimmed m -> [0, F(|m|), F(|m| - 2), ...], down to the lowest |alpha| asked
+_fusion_tables = {}
 
 
 def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
     """Graded dimension of the weight-alpha slice of the fusion product.
 
-    Telescopes the unrestricted polynomials: sum of K_{l,m} over l >= |alpha|
-    with l = alpha (mod 2). Symmetric in alpha and -alpha, and zero once
-    |alpha| exceeds |m|.
+    Sum of K_{l,m} over l >= |alpha| with l = alpha (mod 2), from suffix
+    sums F(l) = K_{l,m} + F(l + 2) kept per composition and filled from |m|
+    down to the lowest |alpha| asked. Symmetric in alpha and -alpha; zero
+    once |alpha| exceeds |m|.
     """
-    return _fusion_weight_cached(as_composition(m).trimmed().parts, abs(alpha))
+    comp = as_composition(m).trimmed()
+    size = weighted_size(comp)
+    alpha = abs(alpha)
+    if alpha > size or (size - alpha) % 2:
+        return QPolynomial.zero()
+    table = _fusion_tables.setdefault(comp.parts, [QPolynomial.zero()])
+    for l in range(size + 2 - 2 * len(table), alpha - 1, -2):
+        table.append(unrestricted(l, comp) + table[-1])
+    return table[(size + 2 - alpha) // 2]
 
 
 def fusion_char_hook(N: int, j: int, l: int) -> QPolynomial:

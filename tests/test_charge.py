@@ -3,8 +3,16 @@ import time
 
 import pytest
 
-from qkostka.compositions import Composition, ShapeContent, bridge_to_partition, weighted_size
+import qkostka
+from qkostka.compositions import (
+    Composition,
+    ShapeContent,
+    bridge_to_partition,
+    norm_ss,
+    weighted_size,
+)
 from qkostka.charge import (
+    _oracle_tables,
     charge,
     enumerate_ssyt,
     kostka_foulkes,
@@ -287,6 +295,7 @@ def test_kostka_foulkes_off_partition_content_matches_graded_sum():
         ((3, 2), (1, 2, 2)),
         ((2, 1), (3,)),
         ((4, 0), (1, 1, 1, 1)),
+        ((3, 2), (2, 2, 1, 0, 0)),
     ]:
         sc = ShapeContent(shape, content)
         try:
@@ -306,3 +315,46 @@ def test_kostka_foulkes_long_single_row_needs_no_recursion():
     got = kostka_foulkes(ShapeContent((n, 0), (1,) * n))
     assert got == QPolynomial.q_power(n * (n - 1) // 2)
     assert time.perf_counter() - start < 2.0
+
+
+# The oracle keeps one placement-DAG pass per content. Its answers must not
+# depend on the order the weights are asked in, and a single cold call must
+# walk only the requested shape.
+
+
+def test_oracle_answers_match_graded_tableaux_in_any_request_order():
+    rng = random.Random(20051018)
+    shapes = 0
+    for m in admissible_compositions(12, 12):
+        size = weighted_size(m)
+        want = {}
+        for l in range(size % 2, size + 1, 2):
+            sc = bridge_to_partition(m, l)
+            kf = kostka_foulkes(sc)
+            assert kf == _graded_sum(sc, enumerate_ssyt, charge), sc
+            want[l] = kf.substitute_inverse().shifted(norm_ss(m))
+        # weights out of range or of the wrong parity are zero, cache or not
+        shuffled = list(range(-1, size + 2))
+        rng.shuffle(shuffled)
+        ascending_row2 = sorted(want, reverse=True)
+        for order in (ascending_row2, ascending_row2[::-1], shuffled):
+            qkostka.clear_caches()
+            for l in order:
+                assert kostka_sl2_oracle(l, m) == want.get(l, QPolynomial.zero()), (m, l, order)
+        shapes += len(want)
+    assert shapes > 1500
+
+
+def test_oracle_first_pass_walks_only_the_requested_shape():
+    qkostka.clear_caches()
+    kostka_sl2_oracle(396, (400,))
+    assert _oracle_tables[(400,)][:2] == (398, 2)
+    # a weight the pass missed reruns it with row 1 free and row 2 capped at
+    # the longest requested; a weight inside the rerun reuses it
+    m = Composition((30,))
+    caps = []
+    for l in (20, 30, 24, 28, 16):
+        kf = kostka_foulkes(bridge_to_partition(m, l))
+        assert kostka_sl2_oracle(l, m) == kf.substitute_inverse().shifted(norm_ss(m))
+        caps.append(_oracle_tables[m.parts][:2])
+    assert caps == [(25, 5), (30, 5), (30, 5), (30, 5), (30, 7)]

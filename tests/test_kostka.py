@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from typing import Iterator
 
@@ -16,6 +17,8 @@ from qkostka.compositions import (
     weighted_size,
 )
 from qkostka.kostka import (
+    _fusion_tables,
+    _unrestricted_cached,
     alternating_sum_raw,
     fusion_char_hook,
     fusion_weight_char,
@@ -175,6 +178,35 @@ def test_fusion_weight_char():
     # weight symmetry
     for alpha in range(-4, 5):
         assert fusion_weight_char((2, 1), alpha) == fusion_weight_char((2, 1), -alpha)
+
+
+def test_fusion_weight_char_matches_direct_sums_in_any_order():
+    # the suffix-sum table must not depend on the order slices are asked in
+    rng = random.Random(20051018)
+    requests = []
+    want = {}
+    for m in admissible_compositions(10, 10):
+        size = weighted_size(m)
+        for alpha in range(-size - 3, size + 4):
+            requests.append((m, alpha))
+            want[m, alpha] = sum(
+                (unrestricted(l, m) for l in range(abs(alpha), size + 1, 2)), QPolynomial.zero()
+            )
+    rng.shuffle(requests)
+    qkostka.clear_caches()
+    for m, alpha in requests:
+        assert fusion_weight_char(m, alpha) == want[m, alpha], (m, alpha)
+
+
+def test_fusion_weight_char_fills_only_down_to_the_slice_asked():
+    # a full fill of 1^400 would need K_0, which takes far too long
+    qkostka.clear_caches()
+    start = time.perf_counter()
+    got = fusion_weight_char((400,), 398)
+    assert time.perf_counter() - start < 1.0
+    assert got == unrestricted(398, (400,)) + unrestricted(400, (400,))
+    assert _unrestricted_cached.cache_info().misses == 2
+    assert len(_fusion_tables[(400,)]) == 3
 
 
 def test_fusion_char_dimensions():

@@ -9,9 +9,9 @@ from types import ModuleType
 import pytest
 
 import qkostka
-from qkostka.charge import _oracle_cached, kostka_sl2_oracle
+from qkostka.charge import _oracle_tables, kostka_sl2_oracle
 from qkostka.kostka import (
-    _fusion_weight_cached,
+    _fusion_tables,
     _unrestricted_cached,
     fusion_weight_char,
     restricted_fermionic,
@@ -23,9 +23,9 @@ from qkostka.qexact import _gaussian_cache, gaussian_binomial
 def _cache_sizes():
     return (
         len(_gaussian_cache),
-        _oracle_cached.cache_info().currsize,
+        len(_oracle_tables),
         _unrestricted_cached.cache_info().currsize,
-        _fusion_weight_cached.cache_info().currsize,
+        len(_fusion_tables),
     )
 
 
@@ -47,6 +47,29 @@ def test_clear_caches_empties_every_cache_and_keeps_results():
     assert _cache_sizes() == (0, 0, 0, 0)
     assert _workload() == warm
     assert "clear_caches" in qkostka.__all__
+
+
+def test_every_module_level_cache_is_one_clear_caches_empties():
+    # a memoized function or a module-level dict that starts empty is a
+    # cache; each must be one of those _cache_sizes reads
+    src = Path(qkostka.__file__).resolve().parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    name = ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
+                    if name in ("lru_cache", "cache"):
+                        found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and ast.unparse(node.value) == "{}":
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                found.add(f"{path.stem}.{ast.unparse(target)}")
+    assert found == {
+        "qexact._gaussian_cache",
+        "charge._oracle_tables",
+        "kostka._unrestricted_cached",
+        "kostka._fusion_tables",
+    }
 
 
 def test_no_assert_statements_in_the_library():
