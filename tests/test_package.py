@@ -61,7 +61,9 @@ def test_every_module_level_cache_is_one_clear_caches_empties():
                     name = ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
                     if name in ("lru_cache", "cache"):
                         found.add(f"{path.stem}.{node.name}")
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and ast.unparse(node.value) == "{}":
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+                if node.value.keys:
+                    continue
                 target = node.targets[0] if isinstance(node, ast.Assign) else node.target
                 found.add(f"{path.stem}.{ast.unparse(target)}")
     assert found == {
