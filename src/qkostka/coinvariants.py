@@ -7,12 +7,20 @@ algebra: the conditions are linear in the coefficients on the monomial
 symmetric basis, they preserve total degree, and the graded nullity is the
 coefficient list we are after. This route shares no code with the fermionic
 sum or the charge statistic, which is the point.
+
+A row entry counts the exponent vectors of one monomial symmetric function
+that land on one monomial after a substitution. Those counts come from the
+distinct splits of the basis partition into a collided head and a free tail,
+as a product of two arrangement numbers, so no orbit of exponent vectors is
+ever listed. The rank is taken by sparse fraction-free elimination over
+deduplicated rows, shortest first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
+from math import factorial, gcd
 
 from .compositions import Composition, CompositionLike, as_composition, weighted_size
 from .qexact import QPolynomial
@@ -32,6 +40,8 @@ class FunctionalModelSpec:
     composition: Composition
 
     def __post_init__(self):
+        if self.level < 1:
+            raise ValueError("level must be positive")
         size = weighted_size(self.composition)
         if size < self.weight or (size - self.weight) % 2:
             raise ValueError("weight must not exceed |m| and must match its parity")
@@ -66,76 +76,75 @@ def _partitions_of(d: int, parts: int, max_part: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _orbit(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Distinct exponent vectors of the monomial symmetric polynomial m_lam."""
-    return sorted(set(permutations(lam)))
+def _arrangements(t: tuple[int, ...]) -> int:
+    """Distinct orderings of the multiset t: len(t)! / prod mult!."""
+    out = factorial(len(t))
+    for x in set(t):
+        out //= factorial(t.count(x))
+    return out
 
 
-def _diagonal_rows(
-    expansions: list[list[tuple[int, ...]]], a: int, keep
-) -> list[dict[int, int]]:
+def _split_rows(basis: list[tuple[int, ...]], a: int, keep) -> list[dict[int, int]]:
     """Rows forcing selected coefficients of f(z,..,z,z_{a+1},..,z_s) to zero.
 
     The first a variables are collided to a single z. Each surviving
     monomial is keyed by (z-degree, sorted tail exponents); `keep` selects
-    which z-degrees are constrained to vanish.
+    which z-degrees are constrained to vanish. The exponent vectors of m_lam
+    whose tail sorts to mu are the arrangements of lam - mu followed by those
+    of mu, so each split of lam (held ascending) into a head of size a and a
+    tail mu adds arr(lam - mu) * arr(mu) at key (|lam| - |mu|, mu), where arr
+    counts the distinct orderings of a multiset.
     """
     rows: dict[tuple, dict[int, int]] = {}
-    for col, orbit in enumerate(expansions):
-        for e in orbit:
-            zdeg = sum(e[:a])
+    for col, lam in enumerate(basis):
+        total = sum(lam)
+        for mu in set(combinations(lam, len(lam) - a)):
+            zdeg = total - sum(mu)
             if not keep(zdeg):
                 continue
-            key = (zdeg, tuple(sorted(e[a:])))
-            row = rows.setdefault(key, {})
-            row[col] = row.get(col, 0) + 1
-    return [rows[key] for key in sorted(rows)]
-
-
-def _zero_substitution_rows(
-    expansions: list[list[tuple[int, ...]]]
-) -> list[dict[int, int]]:
-    """Rows forcing f(0, z_2, .., z_s) to vanish identically."""
-    rows: dict[tuple, dict[int, int]] = {}
-    for col, orbit in enumerate(expansions):
-        for e in orbit:
-            if e[0] != 0:
-                continue
-            key = tuple(sorted(e[1:]))
-            row = rows.setdefault(key, {})
-            row[col] = row.get(col, 0) + 1
+            head = list(lam)
+            for x in mu:
+                head.remove(x)
+            entry = _arrangements(tuple(head)) * _arrangements(mu)
+            rows.setdefault((zdeg, mu), {})[col] = entry
     return [rows[key] for key in sorted(rows)]
 
 
 def _integer_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank over the rationals via fraction-free elimination on integer rows."""
-    from math import gcd
+    """Rank over the rationals by sparse fraction-free elimination.
 
-    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    Duplicate rows are dropped and the rest are taken shortest first, which
+    keeps the fill-in of the reduced rows small. Each kept row is a dict
+    whose pivot is its lowest column; a new row is reduced by the pivot row
+    of its lowest column until that column is free or the row is zero, and
+    divided by the gcd of its entries after each step.
+    """
+    unique = {tuple(sorted(row.items())): row for row in rows if row}
+    pivots: dict[int, dict[int, int]] = {}
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(dense)):
-            if dense[r][col]:
-                pivot = r
+    for row in sorted(unique.values(), key=len):
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                rank += 1
                 break
-        if pivot is None:
-            continue
-        dense[rank], dense[pivot] = dense[pivot], dense[rank]
-        pv = dense[rank][col]
-        for r in range(rank + 1, len(dense)):
-            f = dense[r][col]
-            if not f:
-                continue
-            new = [pv * x - f * y for x, y in zip(dense[r], dense[rank])]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-            if g > 1:
-                new = [x // g for x in new]
-            dense[r] = new
-        rank += 1
-        if rank == len(dense):
+            g = gcd(row[col], pivot[col])
+            a, b = row[col] // g, pivot[col] // g
+            new = {c: b * v for c, v in row.items()}
+            for c, v in pivot.items():
+                x = new.get(c, 0) - a * v
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            if new:
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
+            row = new
+        if rank == ncols:
             break
     return rank
 
@@ -163,17 +172,18 @@ def build_constraint_matrix(
     )
     if s == 0:
         return basis, []
-    expansions = [_orbit(lam) for lam in basis]
+    ascending = [lam[::-1] for lam in basis]
     rows: list[dict[int, int]] = []
     if s >= k + 1:
-        rows.extend(_diagonal_rows(expansions, k + 1, lambda zd: True))
+        rows.extend(_split_rows(ascending, k + 1, lambda zd: True))
     for a in range(2, s + 1):
         bound = sum(min(a, i) * mi for i, mi in enumerate(m.parts, start=1)) - a
-        rows.extend(_diagonal_rows(expansions, a, lambda zd, b=bound: zd > b))
-    rows.extend(_zero_substitution_rows(expansions))
+        rows.extend(_split_rows(ascending, a, lambda zd, b=bound: zd > b))
+    # f(0, z_2, .., z_s) = 0: the one-variable head of z-degree 0
+    rows.extend(_split_rows(ascending, 1, lambda zd: zd == 0))
     order = k - l + 2
     if s >= k - l + 1 and k - l + 1 >= 1:
-        rows.extend(_diagonal_rows(expansions, k - l + 1, lambda zd: zd < order))
+        rows.extend(_split_rows(ascending, k - l + 1, lambda zd: zd < order))
     return basis, rows
 
 

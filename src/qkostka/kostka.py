@@ -51,6 +51,18 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     q**(sAs + v.s) * prod binom(A(m-2s) - v + s, s). Wrong parity gives the
     zero polynomial; a factor spin above the level makes the product vanish
     identically, so zero is returned for those without evaluating anything.
+    """
+    return gaussian_product_sum(_fermionic_terms(l, m, k))
+
+
+def _fermionic_terms(
+    l: int, m: CompositionLike, k: int
+) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """The terms of restricted_fermionic as gaussian_product_sum reads them.
+
+    Each surviving occupation vector s gives (1, sAs + v.s, ((t, s_a), ...))
+    with the trivial binomials left out; the list is empty when the
+    polynomial is zero.
 
     The vectors are walked top-down, choosing s_a at level a from level
     min(k, N) to level 1, so the recursion is min(k, N) deep. The state at
@@ -65,7 +77,7 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
         raise ValueError("weight must satisfy 0 <= l <= k")
     comp = as_composition(m).trimmed()
     if comp.width > k:
-        return QPolynomial.zero()
+        return []
     # With A_ab = min(a, b), (Ax)_a = sum_{c <= a} sum_{b >= c} x_b: running
     # sums of the suffix sums M_c of m give (Am)_a, which stays at |m| from
     # the width of m on.
@@ -73,7 +85,7 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
     a_m = list(accumulate(m_suffix))
     size = a_m[-1]
     if (size - l) % 2 or size < l:
-        return QPolynomial.zero()
+        return []
     a_m += [size] * (k - comp.width)
     n = (size - l) // 2
     v = restriction_vector(l, k)
@@ -107,7 +119,7 @@ def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
         walk(min(k, n), n, 0, 0, 0, ())
     else:
         terms.append((1, 0, ()))
-    return gaussian_product_sum(terms)
+    return terms
 
 
 @lru_cache(maxsize=None)

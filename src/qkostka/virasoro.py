@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .compositions import Composition, InvariantError
-from .kostka import reversed_restricted
+from .compositions import Composition, InvariantError, top_degree_h
+from .kostka import StabilizationError, _fermionic_terms
 from .qexact import (
     QPolynomial,
     QSeriesTruncated,
     bounded_partition_series,
+    gaussian_product_sum,
     partition_series,
     vector_gaussian_binomial,
 )
@@ -163,14 +164,38 @@ def _limit_composition(n: int, i: int, j: int) -> Composition:
     return Composition(parts)
 
 
+def _reversed_window(l: int, m: Composition, k: int, order: int) -> list[int]:
+    """Coefficients of q^0..q^order in reversed_restricted(l, m, k).
+
+    Reversing the fermionic term q^e prod [t, s] gives q^(h - e - D) prod [t, s]
+    with D = sum s(t - s), and every coefficient is positive, so a term whose
+    lowest exponent h - e - D lies above `order` is never summed. The lowest
+    of those exponents over all terms is the reversed polynomial's lowest
+    exponent, which must not be negative.
+    """
+    h = top_degree_h(m)
+    terms = []
+    low = 0
+    for sign, e, pairs in _fermionic_terms(l, m, k):
+        shift = h - e - sum(s * (t - s) for t, s in pairs)
+        low = min(low, shift)
+        if shift <= order:
+            terms.append((sign, shift, pairs))
+    if low < 0:
+        raise StabilizationError("degree reversal produced a negative exponent")
+    poly = gaussian_product_sum(terms)
+    return [poly.coefficient(d) for d in range(order + 1)]
+
+
 def branching_via_kostka_limit(
     i: int, j: int, k: int, l: int, order: int, n_cap: int | None = None
 ) -> BranchingSeries:
     """Branching function as a stabilized limit of reversed restricted Kostka data.
 
     Computes the degree reversal of K^(k+1) on 2n+i-1 spin-1 factors plus one
-    spin-(j+1) factor for growing n until the coefficient window through
-    `order` agrees at two consecutive n, then attaches the coset grade
+    spin-(j+1) factor for growing n, summing only the fermionic terms that
+    reach degree `order`, until the coefficient window through `order`
+    agrees at two consecutive n, then attaches the coset grade
     offset. Odd i+j+l means the branching space is absent; the zero series
     is returned.
     """
@@ -190,8 +215,7 @@ def branching_via_kostka_limit(
     n = max(1 - i, (l - i - j + 3) // 2, 1)
     prev: list[int] | None = None
     while n <= n_cap:
-        poly = reversed_restricted(l, _limit_composition(n, i, j), k + 1)
-        window = [poly.coefficient(d) for d in range(order + 1)]
+        window = _reversed_window(l, _limit_composition(n, i, j), k + 1, order)
         if window == prev:
             series = QSeriesTruncated(window, offset)
             return BranchingSeries(series, route="kostka-limit", stabilized_at=n - 1)

@@ -1,18 +1,118 @@
+import random
+from itertools import permutations
+from math import gcd
+
 import pytest
 
 from qkostka.coinvariants import (
     FunctionalModelSpec,
     OracleScaleExceeded,
+    _integer_rank,
     build_constraint_matrix,
     restricted_kostka_oracle,
 )
 from qkostka.compositions import Composition, weighted_size
 from qkostka.kostka import restricted_fermionic
 from qkostka.qexact import QPolynomial
+from qkostka.verify import admissible_compositions
 
 
 def spec(l, parts, k):
     return FunctionalModelSpec.from_parameters(l, Composition(parts), k)
+
+
+# The orbit-listing row builders and the dense elimination that the
+# multiset-split rows and the sparse elimination replaced, kept verbatim as
+# references for them.
+
+
+def _orbit(lam):
+    return sorted(set(permutations(lam)))
+
+
+def _diagonal_rows(expansions, a, keep):
+    rows = {}
+    for col, orbit in enumerate(expansions):
+        for e in orbit:
+            zdeg = sum(e[:a])
+            if not keep(zdeg):
+                continue
+            key = (zdeg, tuple(sorted(e[a:])))
+            row = rows.setdefault(key, {})
+            row[col] = row.get(col, 0) + 1
+    return [rows[key] for key in sorted(rows)]
+
+
+def _zero_substitution_rows(expansions):
+    rows = {}
+    for col, orbit in enumerate(expansions):
+        for e in orbit:
+            if e[0] != 0:
+                continue
+            key = tuple(sorted(e[1:]))
+            row = rows.setdefault(key, {})
+            row[col] = row.get(col, 0) + 1
+    return [rows[key] for key in sorted(rows)]
+
+
+def _reference_rows(spec, basis):
+    s, k, l, m = spec.variable_count, spec.level, spec.weight, spec.composition
+    if s == 0:
+        return []
+    expansions = [_orbit(lam) for lam in basis]
+    rows = []
+    if s >= k + 1:
+        rows.extend(_diagonal_rows(expansions, k + 1, lambda zd: True))
+    for a in range(2, s + 1):
+        bound = sum(min(a, i) * mi for i, mi in enumerate(m.parts, start=1)) - a
+        rows.extend(_diagonal_rows(expansions, a, lambda zd, b=bound: zd > b))
+    rows.extend(_zero_substitution_rows(expansions))
+    order = k - l + 2
+    if s >= k - l + 1 and k - l + 1 >= 1:
+        rows.extend(_diagonal_rows(expansions, k - l + 1, lambda zd: zd < order))
+    return rows
+
+
+def _dense_integer_rank(rows, ncols):
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(dense)):
+            if dense[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        pv = dense[rank][col]
+        for r in range(rank + 1, len(dense)):
+            f = dense[r][col]
+            if not f:
+                continue
+            new = [pv * x - f * y for x, y in zip(dense[r], dense[rank])]
+            g = 0
+            for x in new:
+                g = gcd(g, x)
+            if g > 1:
+                new = [x // g for x in new]
+            dense[r] = new
+        rank += 1
+        if rank == len(dense):
+            break
+    return rank
+
+
+def _oracle_grid():
+    """Every spec with |m| <= 8, k <= 4 and at most 4 variables."""
+    out = []
+    for m in admissible_compositions(8, 8):
+        size = weighted_size(m)
+        for k in range(1, 5):
+            for l in range(size % 2, min(size, k) + 1, 2):
+                if (size - l) // 2 <= 4:
+                    out.append(FunctionalModelSpec.from_parameters(l, m, k))
+    return out
 
 
 def test_spec_validation():
@@ -22,6 +122,9 @@ def test_spec_validation():
         spec(1, (4,), 2)  # parity
     with pytest.raises(ValueError):
         spec(4, (2,), 2)  # l exceeds |m|
+    for l, parts, k in [(1, (1,), 0), (0, (4,), -1), (0, (), 0)]:
+        with pytest.raises(ValueError, match="level must be positive"):
+            spec(l, parts, k)
 
 
 def test_variable_cap():
@@ -71,3 +174,52 @@ def test_oracle_matches_fermionic_small():
                 got = restricted_kostka_oracle(spec(l, parts, k))
                 want = restricted_fermionic(l, parts, k)
                 assert got == want, (k, parts, l)
+
+
+def test_constraint_rows_and_ranks_match_the_orbit_references():
+    grid = _oracle_grid()
+    assert len(grid) == 476
+    ranked = 0
+    for sp in grid:
+        top = sp.variable_count * max(sum(sp.composition.parts) - 1, 0)
+        for d in range(top + 1):
+            basis, rows = build_constraint_matrix(sp, d)
+            want = _reference_rows(sp, basis)
+            assert rows == want, (sp, d)
+            # same entries in the same column order, not only equal dicts
+            assert [list(r.items()) for r in rows] == [list(r.items()) for r in want]
+            if basis:
+                assert _integer_rank(rows, len(basis)) == _dense_integer_rank(
+                    want, len(basis)
+                ), (sp, d)
+                ranked += 1
+    assert ranked > 3000
+
+
+def test_integer_rank_matches_dense_elimination_on_random_matrices():
+    rng = random.Random(12)
+    full = deficient = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(0, 10)):
+            roll = rng.random()
+            if rows and roll < 0.2:
+                rows.append(dict(rng.choice(rows)))  # duplicate
+            elif roll < 0.3:
+                rows.append({})  # zero row
+            elif len(rows) >= 2 and roll < 0.5:
+                # an integer combination of two earlier rows
+                x, y = rng.sample(rows, 2)
+                f, g = rng.randint(-3, 3), rng.randint(-3, 3)
+                combo = {c: f * x.get(c, 0) + g * y.get(c, 0) for c in set(x) | set(y)}
+                rows.append({c: v for c, v in combo.items() if v})
+            else:
+                cols = rng.sample(range(ncols), rng.randint(1, ncols))
+                rows.append({c: rng.choice([-6, -2, -1, 1, 2, 3, 4, 9]) for c in cols})
+        rng.shuffle(rows)
+        want = _dense_integer_rank(rows, ncols)
+        assert _integer_rank(rows, ncols) == want, (rows, ncols)
+        full += want == ncols
+        deficient += 0 < want < min(ncols, len(rows))
+    assert full > 20 and deficient > 20

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from qkostka.qexact import QPolynomial
+from qkostka import kostka, virasoro
+from qkostka.kostka import StabilizationError, reversed_restricted
+from qkostka.qexact import QPolynomial, QSeriesTruncated
 from qkostka.virasoro import (
     BranchingSeries,
     MinimalModel,
+    _limit_composition,
     branching_via_kostka_limit,
     conformal_weight,
     coset_central_charge,
@@ -114,6 +117,53 @@ def test_branching_limit_matches_rocha():
         bs = branching_via_kostka_limit(i, j, k, l, 8)
         mm = rocha_caridi(MinimalModel(k + 2, k + 3, j + 1, l + 1), 8)
         assert series_mismatches(bs.series, mm.series) == [], (i, j, l)
+
+
+def _full_reversal_limit(i, j, k, l, order, polys):
+    # the limit loop before it summed only the terms that reach the window:
+    # the whole reversed polynomial at every n, kept in `polys` across orders
+    n = max(1 - i, (l - i - j + 3) // 2, 1)
+    prev = None
+    while True:
+        if n not in polys:
+            polys[n] = reversed_restricted(l, _limit_composition(n, i, j), k + 1)
+        poly = polys[n]
+        window = [poly.coefficient(d) for d in range(order + 1)]
+        if window == prev:
+            return window, n - 1
+        prev = window
+        n += 1
+
+
+def test_branching_window_matches_the_full_reversal():
+    checked = 0
+    for k in (1, 2, 3):
+        for i in (0, 1):
+            for j in range(k + 1):
+                for l in range((i + j) % 2, k + 2, 2):
+                    polys = {}
+                    for order in (10, 20, 30):
+                        bs = branching_via_kostka_limit(i, j, k, l, order)
+                        window, n = _full_reversal_limit(i, j, k, l, order, polys)
+                        assert bs.coefficients() == window, (i, j, k, l, order)
+                        assert bs.stabilized_at == n, (i, j, k, l, order)
+                        checked += 1
+    assert checked == 114
+
+
+def test_negative_reversed_exponent_raises(monkeypatch):
+    # a term above the top degree h(m) would reverse to a negative exponent
+    def too_high(l, m, k):
+        return [(1, 10**6, ())]
+
+    monkeypatch.setattr(virasoro, "_fermionic_terms", too_high)
+    with pytest.raises(StabilizationError, match="negative exponent"):
+        branching_via_kostka_limit(0, 0, 1, 0, 6)
+    monkeypatch.setattr(
+        kostka, "restricted_fermionic", lambda l, m, k: QPolynomial.q_power(10**6)
+    )
+    with pytest.raises(StabilizationError, match="negative exponent"):
+        reversed_restricted(0, (2,), 1)
 
 
 def test_branching_parity_zero():
