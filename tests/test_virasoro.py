@@ -4,7 +4,7 @@ import pytest
 
 from qkostka import kostka, virasoro
 from qkostka.kostka import StabilizationError, reversed_restricted
-from qkostka.qexact import QPolynomial, QSeriesTruncated
+from qkostka.qexact import QPolynomial
 from qkostka.virasoro import (
     BranchingSeries,
     MinimalModel,
