@@ -6,7 +6,8 @@ Commands:
   table   write a CSV/JSON table over a parameter grid, with caching
 
 Exit codes: 0 success / all checks pass, 1 hard verification failure,
-2 usage error, 3 internal error: a program fault, reported as one JSON line
+2 usage error (a bad argument, or an --out or cache path that cannot be
+used), 3 internal error: a program fault, reported as one JSON line
 {"error": <exception type>, "message": <text>} on stderr. Audit-class
 residuals (published formulas known to disagree with their derivations) are
 reported as data and never affect exit codes.
@@ -329,7 +330,9 @@ def main(argv=None) -> int:
             parser.error("--max-level must be positive")
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
+        # the only files opened are the user's --out and cache paths, so an
+        # OSError is an unusable path, not a fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -25,9 +25,12 @@ class InvariantError(AssertionError):
 
 
 class Composition:
-    """Immutable vector of nonnegative multiplicities m_1..m_k."""
+    """Immutable vector of nonnegative multiplicities m_1..m_k.
 
-    __slots__ = ("parts",)
+    The weighted size |m| is computed once here; `weighted_size` reads it.
+    """
+
+    __slots__ = ("parts", "_weighted_size")
 
     def __init__(self, parts: Iterable[int]):
         parts = tuple(int(p) for p in parts)
@@ -36,6 +39,7 @@ class Composition:
         if any(p < 0 for p in parts):
             raise ValueError("multiplicities must be nonnegative")
         self.parts = parts
+        self._weighted_size = sum(a * p for a, p in enumerate(parts, start=1))
 
     @property
     def width(self) -> int:
@@ -130,8 +134,7 @@ def parse_factor_list(text: str) -> Composition:
 
 def weighted_size(m: CompositionLike) -> int:
     """|m| = sum_a a*m_a, the total number of boxes (spins counted with weight)."""
-    parts = as_composition(m).parts
-    return sum(a * p for a, p in enumerate(parts, start=1))
+    return as_composition(m)._weighted_size
 
 
 def min_form(m: CompositionLike, n: CompositionLike) -> int:

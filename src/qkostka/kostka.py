@@ -30,7 +30,7 @@ from .compositions import (
     top_degree_h,
     weighted_size,
 )
-from .qexact import QPolynomial, gaussian_product_sum, signed_binomial_sum
+from .qexact import QPolynomial, gaussian_product_sum, shifted_sum, signed_binomial_sum
 
 Route = Literal["fermionic", "charge"]
 
@@ -42,6 +42,14 @@ class StabilizationError(InvariantError):
 def restriction_vector(l: int, k: int) -> tuple[int, ...]:
     """v_a = max(0, a - k + l) for a = 1..k."""
     return tuple(max(0, a - k + l) for a in range(1, k + 1))
+
+
+def check_level_weight(l: int, k: int) -> None:
+    """Refuse a level below 1 or a weight outside 0..k, as every route does."""
+    if k < 1:
+        raise ValueError("level must be positive")
+    if not 0 <= l <= k:
+        raise ValueError("weight must satisfy 0 <= l <= k")
 
 
 def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
@@ -71,10 +79,7 @@ def _fermionic_terms(
     (A(m-2s))_a < v_a does not read s_a: it cuts off a whole subtree before
     any lower level is chosen.
     """
-    if k < 1:
-        raise ValueError("level must be positive")
-    if not 0 <= l <= k:
-        raise ValueError("weight must satisfy 0 <= l <= k")
+    check_level_weight(l, k)
     comp = as_composition(m).trimmed()
     if comp.width > k:
         return []
@@ -88,15 +93,16 @@ def _fermionic_terms(
         return []
     a_m += [size] * (k - comp.width)
     n = (size - l) // 2
-    v = restriction_vector(l, k)
+    shift = k - l  # v_a = max(0, a - shift), the restriction vector
     terms: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
 
     def walk(a: int, rem: int, above: int, r: int, exponent: int, pairs: tuple) -> None:
         # above = S_(a+1) and r = R_a; (A(m-2s))_a - v_a is fixed by them
-        free = a_m[a - 1] - 2 * (n - r) - v[a - 1]
+        v_a = a - shift if a > shift else 0
+        free = a_m[a - 1] - 2 * (n - r) - v_a
         if free < 0:
             return
-        weight = n - r + v[a - 1]
+        weight = n - r + v_a
         # [t choose 0] = [t choose t] = 1 for t = free + s: nothing to multiply
         if a == 1:
             if rem and free:
@@ -127,9 +133,12 @@ def _unrestricted_cached(l: int, parts: tuple[int, ...]) -> QPolynomial:
     comp = Composition(parts)
     size = weighted_size(comp)
     k = max(size, l, comp.width, 1)
-    value = restricted_fermionic(l, comp, k)
-    check = restricted_fermionic(l, comp, k + 1)
-    if value != check:
+    terms = _fermionic_terms(l, comp, k)
+    value = gaussian_product_sum(terms)
+    # equal term lists sum to equal polynomials: only lists that differ are
+    # both evaluated
+    check = _fermionic_terms(l, comp, k + 1)
+    if check != terms and gaussian_product_sum(check) != value:
         raise StabilizationError(
             f"no stabilization at levels {k}, {k + 1} for l={l}, m={parts}"
         )
@@ -139,9 +148,11 @@ def _unrestricted_cached(l: int, parts: tuple[int, ...]) -> QPolynomial:
 def unrestricted(l: int, m: CompositionLike) -> QPolynomial:
     """Unrestricted Kostka polynomial K_{l,m} via level stabilization.
 
-    Evaluates the restricted sum at two consecutive large levels and insists
-    on equality; that is cheaper to trust than an off-by-one-prone closed
-    bound for where the limit is reached.
+    Builds the fermionic terms at two consecutive large levels and insists
+    that they agree; that is cheaper to trust than an off-by-one-prone closed
+    bound for where the limit is reached. Equal term lists give equal sums,
+    so only the first is evaluated; lists that differ (in order or in
+    content) are both evaluated and the polynomials must be equal.
     """
     if l < 0:
         return QPolynomial.zero()
@@ -163,30 +174,28 @@ def alternating_sum_raw(
 
     Sum over i >= 0 of q**((k+2)i^2 + (l+1)i) K_{2(k+2)i + l, m} minus the sum
     over i >= 1 of q**((k+2)i^2 - (l+1)i) K_{2(k+2)i - l - 2, m}. Both sums
-    truncate themselves once the shifted weights pass |m|. This raw form
-    represents the graded homology Euler characteristic only for compositions
-    whose spins all fit below the level; restricted_alternating adds that
-    admissibility check.
+    truncate themselves once the shifted weights pass |m|. The terms are
+    collected in that order and summed by one `shifted_sum` pass. This raw
+    form represents the graded homology Euler characteristic only for
+    compositions whose spins all fit below the level; restricted_alternating
+    adds that admissibility check.
     """
-    if k < 1:
-        raise ValueError("level must be positive")
-    if not 0 <= l <= k:
-        raise ValueError("weight must satisfy 0 <= l <= k")
+    check_level_weight(l, k)
     comp = as_composition(m).trimmed()
     size = weighted_size(comp)
     kostka = _unrestricted_source(source)
-    out = QPolynomial.zero()
+    items = []
     i = 0
     while True:
         w = 2 * (k + 2) * i
         if w + l <= size:
-            out = out + kostka(w + l, comp).shifted((k + 2) * i * i + (l + 1) * i)
+            items.append((1, (k + 2) * i * i + (l + 1) * i, kostka(w + l, comp)))
         if i:
             if w - l - 2 > size:
                 break
-            out = out - kostka(w - l - 2, comp).shifted((k + 2) * i * i - (l + 1) * i)
+            items.append((-1, (k + 2) * i * i - (l + 1) * i, kostka(w - l - 2, comp)))
         i += 1
-    return out
+    return shifted_sum(items)
 
 
 def restricted_alternating(
@@ -196,8 +205,11 @@ def restricted_alternating(
 
     A spin above the level kills the restricted module outright, so those
     compositions return zero directly; the signed sum itself is only a valid
-    expression for the level-admissible ones.
+    expression for the level-admissible ones. A level below 1 or a weight
+    outside 0..k is refused before that shortcut, as the fermionic route
+    refuses it.
     """
+    check_level_weight(l, k)
     comp = as_composition(m).trimmed()
     if comp.width > k:
         return QPolynomial.zero()

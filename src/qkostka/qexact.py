@@ -24,6 +24,12 @@ at most the total of all terms' values at q = 1: digits that hold the total
 never carry. The width comes from the terms, as the sum over terms of the
 product of the ordinary binomials C(t, n), not from the fusion multiplicity
 the sum should equal: that would assume the identity the routes check.
+
+Signed sums of q-shifted polynomials already built, the shape of the
+alternating sum over unrestricted polynomials and of the Euler sum over a
+Weyl orbit, go through `shifted_sum`: one pass accumulating every item into
+a single dict, zeros dropped once at the end, instead of one dict copy per
+item.
 """
 
 from __future__ import annotations
@@ -231,6 +237,29 @@ def _convolution(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             else:
                 del data[key]
     return data
+
+
+def shifted_sum(items: Iterable[tuple[int, ExponentLike, QPolynomial]]) -> QPolynomial:
+    """Sum of sign * q**e * p over (sign, e, p) items, signs 1 or -1.
+
+    Every item is added into one dict, and zero coefficients are dropped once
+    at the end, so a sum that cancels exactly is the zero polynomial.
+    """
+    data: dict[int, int] = {}
+    get = data.get
+    for sign, exponent, poly in items:
+        delta = exponent_numerator(exponent)
+        if sign == 1:
+            for num, coeff in poly._terms.items():
+                num += delta
+                data[num] = get(num, 0) + coeff
+        elif sign == -1:
+            for num, coeff in poly._terms.items():
+                num += delta
+                data[num] = get(num, 0) - coeff
+        else:
+            raise ValueError(f"sign {sign} is neither 1 nor -1")
+    return _wrap({num: coeff for num, coeff in data.items() if coeff})
 
 
 # memoryview formats that read a whole buffer of 1-, 2-, 4- or 8-byte digits

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .compositions import CompositionLike, InvariantError, as_composition, weighted_size
-from .kostka import fusion_weight_char
-from .qexact import QPolynomial
+from .kostka import check_level_weight, fusion_weight_char
+from .qexact import QPolynomial, shifted_sum
 
 
 class AffineWeight(NamedTuple):
@@ -114,28 +114,32 @@ def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
     q^d * fusion_weight_char(m, -h0). Terms vanish once every |h0| at
     length p passes |m|, so the sum is finite; termination insists the
     |h0| floor grows monotonically for two consecutive lengths past the
-    cutoff before trusting that all later terms vanish too.
+    cutoff before trusting that all later terms vanish too. The terms are
+    collected in orbit order and summed by one `shifted_sum` pass. A level
+    below 1 or a weight outside 0..k is refused as the fermionic route
+    refuses it.
     """
+    check_level_weight(l, k)
     comp = as_composition(m).trimmed()
     size = weighted_size(comp)
-    out = QPolynomial.zero()
+    items = []
     prev_floor = -1
     clear_streak = 0
     p = 0
     while True:
         gens = bgg_generators(p, l, k)
         floor = min(abs(g.weight) for g in gens)
+        sign = -1 if p % 2 else 1
         for g in gens:
             if abs(g.weight) > size:
                 continue
-            term = fusion_weight_char(comp, -g.weight).shifted(g.grade)
-            out = out + term if p % 2 == 0 else out - term
+            items.append((sign, g.grade, fusion_weight_char(comp, -g.weight)))
         if floor > size + 2:
             if floor < prev_floor:
                 raise InvariantError("orbit weights stopped growing")
             clear_streak += 1
             if clear_streak >= 2:
-                return out
+                return shifted_sum(items)
         else:
             clear_streak = 0
         prev_floor = floor

@@ -116,6 +116,26 @@ def test_reversed_refuses_other_routes(capsys, route):
     assert err == "error: --reversed takes only the fermionic route\n"
 
 
+@pytest.mark.parametrize("route", ["fermionic", "alternating", "charge", "bgg"])
+@pytest.mark.parametrize(
+    "m, weight, level, message",
+    [
+        ("1^4", "0", "0", "level must be positive"),
+        ("1^4", "0", "-1", "level must be positive"),
+        ("1^4", "3", "2", "weight must satisfy 0 <= l <= k"),
+        # a spin above the level must not reach the zero shortcut first
+        ("3", "9", "2", "weight must satisfy 0 <= l <= k"),
+    ],
+)
+def test_every_route_refuses_the_same_bad_input(capsys, route, m, weight, level, message):
+    code, out, err = run(
+        capsys, "kostka", "--m", m, "--weight", weight, "--level", level, "--route", route,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_kostka_invalid_weight_for_level(capsys):
     code, _, err = run(
         capsys, "kostka", "--m", "1^4", "--weight", "3", "--level", "2"
@@ -242,6 +262,31 @@ def test_table_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("level,weight,m,")
+
+
+def test_table_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(
+        capsys, "table", "kostka", "--max-weight", "3", "--max-level", "2",
+        "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
+def test_table_cache_dir_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    code, out, err = run(
+        capsys, "table", "kostka", "--max-weight", "3", "--max-level", "2",
+        "--cache-dir", str(blocker),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_table_cache_round_trip(tmp_path, capsys):

@@ -6,6 +6,7 @@ from typing import Iterator
 import pytest
 
 import qkostka
+from qkostka import kostka as kostka_module
 from qkostka import qexact
 from qkostka.charge import kostka_sl2_oracle
 from qkostka.compositions import (
@@ -17,6 +18,7 @@ from qkostka.compositions import (
     weighted_size,
 )
 from qkostka.kostka import (
+    StabilizationError,
     _fusion_tables,
     _unrestricted_cached,
     alternating_sum_raw,
@@ -344,3 +346,95 @@ def test_restricted_fermionic_leaves_the_gaussian_cache_empty():
     qkostka.clear_caches()
     assert not restricted_fermionic(0, (12, 2), 3).is_zero()
     assert qexact._gaussian_cache == {}
+
+
+def _reference_alternating_sum_raw(l, m, k, source):
+    """The signed sum as one out = out +- p.shifted(e) chain, term by term."""
+    comp = as_composition(m).trimmed()
+    size = weighted_size(comp)
+    kostka = unrestricted if source == "fermionic" else kostka_sl2_oracle
+    out = QPolynomial.zero()
+    i = 0
+    while True:
+        w = 2 * (k + 2) * i
+        if w + l <= size:
+            out = out + kostka(w + l, comp).shifted((k + 2) * i * i + (l + 1) * i)
+        if i:
+            if w - l - 2 > size:
+                break
+            out = out - kostka(w - l - 2, comp).shifted((k + 2) * i * i - (l + 1) * i)
+        i += 1
+    return out
+
+
+def test_alternating_sum_matches_the_reference_chain():
+    # compositions up to two spins wider than the level: the raw sum is
+    # defined there too, and the restricted route must clamp them to zero
+    nonzero = 0
+    for k in range(1, 6):
+        for m in admissible_compositions(10, k + 2):
+            for l in range(k + 1):
+                for source in ("fermionic", "charge"):
+                    want = _reference_alternating_sum_raw(l, m, k, source)
+                    assert alternating_sum_raw(l, m, k, source) == want, (l, m, k, source)
+                    restricted = restricted_alternating(l, m, k, source)
+                    if m.width <= k:
+                        assert restricted == want, (l, m, k, source)
+                        nonzero += not want.is_zero()
+                    else:
+                        assert restricted.is_zero(), (l, m, k, source)
+    assert nonzero > 1000
+
+
+def _patch_terms(monkeypatch, change=lambda k, terms: terms):
+    """Route kostka._fermionic_terms through change(k, terms).
+
+    Returns the list of term lists kostka.gaussian_product_sum evaluates.
+    """
+    real = kostka_module._fermionic_terms
+    real_sum = kostka_module.gaussian_product_sum
+    evaluated = []
+
+    def counted_sum(terms):
+        evaluated.append(terms)
+        return real_sum(terms)
+
+    monkeypatch.setattr(kostka_module, "_fermionic_terms", lambda l, m, k: change(k, real(l, m, k)))
+    monkeypatch.setattr(kostka_module, "gaussian_product_sum", counted_sum)
+    return evaluated
+
+
+# K_{2,(6,)} is taken at level |m| = 6 and checked against level 7
+def test_stabilization_evaluates_equal_term_lists_once(monkeypatch):
+    qkostka.clear_caches()
+    evaluated = _patch_terms(monkeypatch)
+    assert unrestricted(2, (6,)) == kostka_sl2_oracle(2, (6,))
+    assert evaluated == [kostka_module._fermionic_terms(2, (6,), 6)]
+
+
+def test_stabilization_raises_when_the_next_level_sums_differently(monkeypatch):
+    qkostka.clear_caches()
+    _patch_terms(monkeypatch, lambda k, terms: terms + [(1, 9, ())] if k == 7 else terms)
+    with pytest.raises(StabilizationError):
+        unrestricted(2, (6,))
+    qkostka.clear_caches()
+
+
+def test_stabilization_accepts_reordered_or_mirrored_terms(monkeypatch):
+    want = kostka_sl2_oracle(2, (6,))
+    terms = kostka_module._fermionic_terms(2, (6,), 7)
+    assert len(terms) >= 2 and any(pairs for _, _, pairs in terms)
+
+    def mirrored(terms):
+        return [(sign, e, tuple((t, t - n) for t, n in pairs)) for sign, e, pairs in terms]
+
+    for change in (lambda terms: terms[::-1], mirrored):
+        qkostka.clear_caches()
+        evaluated = _patch_terms(
+            monkeypatch, lambda k, terms, change=change: change(terms) if k == 7 else terms
+        )
+        assert unrestricted(2, (6,)) == want
+        # the differing level-7 list was evaluated too, and summed the same
+        assert evaluated == [terms, change(terms)]
+        monkeypatch.undo()
+    qkostka.clear_caches()

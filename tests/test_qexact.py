@@ -14,6 +14,7 @@ from qkostka.qexact import (
     gaussian_binomial,
     gaussian_product_sum,
     partition_series,
+    shifted_sum,
     signed_binomial_sum,
     vector_gaussian_binomial,
 )
@@ -261,6 +262,57 @@ def test_multiply_edge_cases():
     dense = one + q(1) + q(2)
     assert (sparse * dense)._terms == reference_mul(sparse, dense)._terms
     assert (dense * sparse)._terms == reference_mul(sparse, dense)._terms
+
+
+def _random_shifted_items(rng: random.Random) -> list:
+    """(sign, e, p) items over a small pool of polynomials, so some repeat.
+
+    Exponents are negative or positive integers or quarter-grid fractions;
+    the operands themselves may sit on the quarter grid.
+    """
+    pool = [_random_operand(rng, rng.choice((1, 4))) for _ in range(rng.randint(1, 4))]
+    items = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.5:
+            exponent = rng.randint(-30, 30)
+        else:
+            exponent = Fraction(rng.randint(-120, 120), 4)
+        items.append((rng.choice((1, -1)), exponent, rng.choice(pool)))
+    return items
+
+
+def test_shifted_sum_matches_the_reference_loop():
+    q = QPolynomial.q_power
+    p = q(0, 3) + q(Fraction(-5, 4), -2**70)
+    cases = [
+        [],
+        [(1, 0, QPolynomial.zero())],
+        [(-1, Fraction(3, 4), p)],
+        [(1, -7, p), (1, -7, p), (-1, 2, p)],
+        # the same polynomial in, then out again one step apart: exactly zero
+        [(1, 0, p), (-1, 1, p.shifted(-1))],
+        [(1, Fraction(1, 4), p), (-1, Fraction(-3, 4), p.shifted(1)), (1, 0, p), (-1, 0, p)],
+    ]
+    rng = random.Random(13013)
+    for trial in range(1200):
+        items = _random_shifted_items(rng)
+        if trial % 4 == 0:
+            # every item again with the other sign, the shift moved between
+            # exponent and operand: the sum cancels to exactly zero
+            items += [(-sign, e - 1, poly.shifted(1)) for sign, e, poly in items]
+            rng.shuffle(items)
+        cases.append(items)
+    zeros = 0
+    for items in cases:
+        got = shifted_sum(iter(items))
+        want = reference_shifted_sum(items)
+        assert got._terms == want._terms, items
+        assert 0 not in got._terms.values()
+        zeros += got.is_zero()
+    assert shifted_sum([]) == QPolynomial.zero()
+    assert zeros >= 300
+    with pytest.raises(ValueError):
+        shifted_sum([(2, 0, p)])
 
 
 def test_gaussian_binomial_matches_the_pascal_recursion():

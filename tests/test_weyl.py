@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from qkostka.kostka import restricted_fermionic
+from qkostka.compositions import InvariantError, as_composition, weighted_size
+from qkostka.kostka import fusion_weight_char, restricted_fermionic
+from qkostka.qexact import QPolynomial
+from qkostka.verify import admissible_compositions
 from qkostka.weyl import (
     AffineWeight,
     BranchError,
@@ -117,3 +120,44 @@ def test_euler_characteristic_matches_fermionic():
             m,
             k,
         )
+
+
+def _reference_euler_characteristic(m, l, k):
+    """The orbit sum as one out = out +- p.shifted(e) chain, term by term."""
+    comp = as_composition(m).trimmed()
+    size = weighted_size(comp)
+    out = QPolynomial.zero()
+    prev_floor = -1
+    clear_streak = 0
+    p = 0
+    while True:
+        gens = bgg_generators(p, l, k)
+        floor = min(abs(g.weight) for g in gens)
+        for g in gens:
+            if abs(g.weight) > size:
+                continue
+            term = fusion_weight_char(comp, -g.weight).shifted(g.grade)
+            out = out + term if p % 2 == 0 else out - term
+        if floor > size + 2:
+            if floor < prev_floor:
+                raise InvariantError("orbit weights stopped growing")
+            clear_streak += 1
+            if clear_streak >= 2:
+                return out
+        else:
+            clear_streak = 0
+        prev_floor = floor
+        p += 1
+
+
+def test_euler_characteristic_matches_the_reference_chain():
+    # compositions up to two spins wider than the level, where the orbit
+    # sum itself cancels to the zero restricted polynomial
+    nonzero = 0
+    for k in range(1, 6):
+        for m in admissible_compositions(10, k + 2):
+            for l in range(k + 1):
+                want = _reference_euler_characteristic(m, l, k)
+                assert euler_characteristic_bgg(m, l, k) == want, (l, m, k)
+                nonzero += not want.is_zero()
+    assert nonzero > 750
