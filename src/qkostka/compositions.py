@@ -25,10 +25,7 @@ class InvariantError(AssertionError):
 
 
 class Composition:
-    """Immutable vector of nonnegative multiplicities m_1..m_k.
-
-    The weighted size |m| is computed once here; `weighted_size` reads it.
-    """
+    """Immutable vector of nonnegative multiplicities m_1..m_k, with its |m|."""
 
     __slots__ = ("parts", "_weighted_size")
 

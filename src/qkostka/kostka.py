@@ -135,8 +135,6 @@ def _unrestricted_cached(l: int, parts: tuple[int, ...]) -> QPolynomial:
     k = max(size, l, comp.width, 1)
     terms = _fermionic_terms(l, comp, k)
     value = gaussian_product_sum(terms)
-    # equal term lists sum to equal polynomials: only lists that differ are
-    # both evaluated
     check = _fermionic_terms(l, comp, k + 1)
     if check != terms and gaussian_product_sum(check) != value:
         raise StabilizationError(
@@ -149,10 +147,9 @@ def unrestricted(l: int, m: CompositionLike) -> QPolynomial:
     """Unrestricted Kostka polynomial K_{l,m} via level stabilization.
 
     Builds the fermionic terms at two consecutive large levels and insists
-    that they agree; that is cheaper to trust than an off-by-one-prone closed
-    bound for where the limit is reached. Equal term lists give equal sums,
-    so only the first is evaluated; lists that differ (in order or in
-    content) are both evaluated and the polynomials must be equal.
+    that they sum to the same polynomial; that is cheaper to trust than an
+    off-by-one-prone closed bound for where the limit is reached. Equal term
+    lists need no second evaluation.
     """
     if l < 0:
         return QPolynomial.zero()
@@ -174,11 +171,10 @@ def alternating_sum_raw(
 
     Sum over i >= 0 of q**((k+2)i^2 + (l+1)i) K_{2(k+2)i + l, m} minus the sum
     over i >= 1 of q**((k+2)i^2 - (l+1)i) K_{2(k+2)i - l - 2, m}. Both sums
-    truncate themselves once the shifted weights pass |m|. The terms are
-    collected in that order and summed by one `shifted_sum` pass. This raw
-    form represents the graded homology Euler characteristic only for
-    compositions whose spins all fit below the level; restricted_alternating
-    adds that admissibility check.
+    truncate themselves once the shifted weights pass |m|, and are summed in
+    one `shifted_sum` pass. This raw form represents the graded homology
+    Euler characteristic only for compositions whose spins all fit below the
+    level; restricted_alternating adds that admissibility check.
     """
     check_level_weight(l, k)
     comp = as_composition(m).trimmed()
@@ -205,9 +201,8 @@ def restricted_alternating(
 
     A spin above the level kills the restricted module outright, so those
     compositions return zero directly; the signed sum itself is only a valid
-    expression for the level-admissible ones. A level below 1 or a weight
-    outside 0..k is refused before that shortcut, as the fermionic route
-    refuses it.
+    expression for the level-admissible ones. A bad level or weight is
+    refused first, as in the fermionic route.
     """
     check_level_weight(l, k)
     comp = as_composition(m).trimmed()

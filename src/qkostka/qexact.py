@@ -25,11 +25,8 @@ never carry. The width comes from the terms, as the sum over terms of the
 product of the ordinary binomials C(t, n), not from the fusion multiplicity
 the sum should equal: that would assume the identity the routes check.
 
-Signed sums of q-shifted polynomials already built, the shape of the
-alternating sum over unrestricted polynomials and of the Euler sum over a
-Weyl orbit, go through `shifted_sum`: one pass accumulating every item into
-a single dict, zeros dropped once at the end, instead of one dict copy per
-item.
+Signed sums of q-shifted polynomials already built (the alternating and
+Euler routes) go through `shifted_sum`, one pass into a single dict.
 """
 
 from __future__ import annotations
@@ -242,8 +239,7 @@ def _convolution(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 def shifted_sum(items: Iterable[tuple[int, ExponentLike, QPolynomial]]) -> QPolynomial:
     """Sum of sign * q**e * p over (sign, e, p) items, signs 1 or -1.
 
-    Every item is added into one dict, and zero coefficients are dropped once
-    at the end, so a sum that cancels exactly is the zero polynomial.
+    Zero coefficients are dropped once, at the end.
     """
     data: dict[int, int] = {}
     get = data.get

@@ -115,9 +115,8 @@ def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
     length p passes |m|, so the sum is finite; termination insists the
     |h0| floor grows monotonically for two consecutive lengths past the
     cutoff before trusting that all later terms vanish too. The terms are
-    collected in orbit order and summed by one `shifted_sum` pass. A level
-    below 1 or a weight outside 0..k is refused as the fermionic route
-    refuses it.
+    summed in one `shifted_sum` pass. A bad level or weight is refused as in
+    the fermionic route.
     """
     check_level_weight(l, k)
     comp = as_composition(m).trimmed()
