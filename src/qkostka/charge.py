@@ -8,10 +8,11 @@ weight-indexed polynomials the production routes compute.
 This is the independent check, not the fast path. A pass over the placement
 DAG, which places all copies of a letter at once, sums charge letter by
 letter; the shape only prunes the DAG, so the oracle keeps one pass per
-content for all its weights. enumerate_ssyt, reading_word and charge grade
-tableaux one by one, as the brute-force cross-check. Nothing here is shared
-with the fermionic route in kostka.py, so one bug cannot make both routes
-agree on a wrong answer.
+content, with row 1 free and row 2 capped at the longest requested, for all
+its weights. enumerate_ssyt, reading_word and charge grade tableaux one by
+one, as the brute-force cross-check. Nothing here is shared with the
+fermionic route in kostka.py, so one bug cannot make both routes agree on a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
     return QPolynomial.from_integer_terms(tallies.get(sc.shape[1], {}))
 
 
-# trimmed m (it fixes the content) -> (row-1 cap, row-2 cap, {row-2 length: K})
+# trimmed m (it fixes the content) -> (row-2 cap, {row-2 length: K})
 _oracle_tables = {}
 
 
@@ -191,24 +192,23 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
 
     Zero when the weight is out of range or has the wrong parity; otherwise
     q**norm times the degree-reversed Kostka-Foulkes polynomial of the
-    bridged shape and content. A content's first pass covers the requested
-    shape alone; a miss reruns it with row 1 free and row 2 capped at the
-    longest requested.
+    bridged shape and content. One pass per content runs with row 1 free and
+    row 2 capped at the longest requested, so it answers every weight down
+    to the requested one; a request below that reruns it with the new cap.
     """
     comp = as_composition(m).trimmed()
     size = weighted_size(comp)
     if l < 0 or l > size or (size - l) % 2:
         return QPolynomial.zero()
     len2 = (size - l) // 2
-    # a pass with caps (cap1, cap2) holds every row-2 length in [size - cap1, cap2]
-    cap1, cap2, polys = _oracle_tables.get(comp.parts, (0, -1, None))
-    if not size - cap1 <= len2 <= cap2:
-        cap1, cap2 = (size - len2, len2) if polys is None else (size, max(len2, cap2))
+    cap2, polys = _oracle_tables.get(comp.parts, (-1, {}))
+    if len2 > cap2:
+        cap2 = len2
         norm = norm_ss(comp)
         polys = {}
-        for r2, tally in _charge_by_row2(bridge_to_partition(comp, l).content, cap1, cap2).items():
+        for r2, tally in _charge_by_row2(bridge_to_partition(comp, l).content, size, cap2).items():
             if max(tally) > norm:
                 raise InvariantError("reversal produced a negative exponent")
             polys[r2] = QPolynomial.from_integer_terms({norm - e: k for e, k in tally.items()})
-        _oracle_tables[comp.parts] = (cap1, cap2, polys)
+        _oracle_tables[comp.parts] = (cap2, polys)
     return polys.get(len2, QPolynomial.zero())

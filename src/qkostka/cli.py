@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
+import stat
 import sys
 
 from . import __version__, kostka
@@ -63,6 +66,22 @@ def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
+
+
+def _check_out(out: str | None) -> None:
+    """Raise, before any computing, the OSError that _emit would raise for
+    an --out path that is a directory or whose directory is missing or is
+    not a directory."""
+    if not out or out == "-":
+        return
+    try:
+        mode = os.stat(os.path.dirname(out) or ".").st_mode
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    if not stat.S_ISDIR(mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+    if os.path.isdir(out):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,6 +155,7 @@ def cmd_kostka(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import VerifyConfig, run_suites
 
+    _check_out(args.out)
     cfg = VerifyConfig(
         max_weight=args.max_weight,
         max_level=args.max_level,
@@ -245,7 +265,11 @@ def cmd_table(args) -> int:
     from .cache import cache_key, load, resolve_cache_dir, store
 
     kind = args.kind
+    _check_out(args.out)
     cache_dir = resolve_cache_dir(args.cache_dir)
+    if cache_dir is not None:
+        # a path that is not a directory fails here, as store would fail
+        cache_dir.mkdir(parents=True, exist_ok=True)
     payload = None
     key = None
     if kind in ("kostka", "verlinde"):

@@ -10,6 +10,7 @@ to the restricted Kostka polynomial; that collapse is checked in tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .compositions import CompositionLike, InvariantError, as_composition, weighted_size
@@ -107,20 +108,15 @@ def bgg_generators(p: int, l: int, k: int) -> list[AffineWeight]:
     return [closed_form_action("c", n, start), closed_form_action("a", n, start)]
 
 
-def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
-    """Alternating sum over the shifted orbit of graded weight-slice characters.
+@lru_cache(maxsize=None)
+def _orbit_items(l: int, k: int, size: int) -> tuple[tuple[int, int, int], ...]:
+    """(sign, grade, slice weight -h0) for every orbit image (h0, k, grade)
+    of length p with |h0| <= size, sign (-1)^p, in walk order.
 
-    Sum over p of (-1)^p sum over length-p images (h0, k, d) of
-    q^d * fusion_weight_char(m, -h0). Terms vanish once every |h0| at
-    length p passes |m|, so the sum is finite; termination insists the
-    |h0| floor grows monotonically for two consecutive lengths past the
-    cutoff before trusting that all later terms vanish too. The terms are
-    summed in one `shifted_sum` pass. A bad level or weight is refused as in
-    the fermionic route.
+    The walk stops once the |h0| floor has passed size + 2 at two
+    consecutive lengths; a floor that shrinks past the cutoff raises
+    InvariantError, which is not memoized.
     """
-    check_level_weight(l, k)
-    comp = as_composition(m).trimmed()
-    size = weighted_size(comp)
     items = []
     prev_floor = -1
     clear_streak = 0
@@ -130,19 +126,40 @@ def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
         floor = min(abs(g.weight) for g in gens)
         sign = -1 if p % 2 else 1
         for g in gens:
-            if abs(g.weight) > size:
-                continue
-            items.append((sign, g.grade, fusion_weight_char(comp, -g.weight)))
+            if abs(g.weight) <= size:
+                items.append((sign, g.grade, -g.weight))
         if floor > size + 2:
             if floor < prev_floor:
                 raise InvariantError("orbit weights stopped growing")
             clear_streak += 1
             if clear_streak >= 2:
-                return shifted_sum(items)
+                return tuple(items)
         else:
             clear_streak = 0
         prev_floor = floor
         p += 1
+
+
+def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
+    """Alternating sum over the shifted orbit of graded weight-slice characters.
+
+    Sum over p of (-1)^p sum over length-p images (h0, k, d) of
+    q^d * fusion_weight_char(m, -h0). Terms vanish once every |h0| at
+    length p passes |m|, so the sum is finite; termination insists the
+    |h0| floor grows monotonically for two consecutive lengths past the
+    cutoff before trusting that all later terms vanish too. The orbit walk
+    depends only on (l, k, |m|) and is memoized per key; the terms are
+    summed in one `shifted_sum` pass. A bad level or weight is refused as
+    in the fermionic route.
+    """
+    check_level_weight(l, k)
+    comp = as_composition(m).trimmed()
+    return shifted_sum(
+        [
+            (sign, grade, fusion_weight_char(comp, weight))
+            for sign, grade, weight in _orbit_items(l, k, weighted_size(comp))
+        ]
+    )
 
 
 def homology_dim_predicate(p: int, n: int, l: int, k: int) -> int:

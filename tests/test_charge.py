@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -20,7 +21,7 @@ from qkostka.charge import (
     reading_word,
 )
 from qkostka.qexact import QPolynomial, gaussian_binomial
-from qkostka.verify import admissible_compositions
+from qkostka.verify import VerifyConfig, admissible_compositions, run_suites
 
 
 # Reference oracles: the cell-by-cell enumerator and the cyclic-scan charge
@@ -318,8 +319,8 @@ def test_kostka_foulkes_long_single_row_needs_no_recursion():
 
 
 # The oracle keeps one placement-DAG pass per content. Its answers must not
-# depend on the order the weights are asked in, and a single cold call must
-# walk only the requested shape.
+# depend on the order the weights are asked in, and a content must get a
+# second pass only when a request needs a longer row 2.
 
 
 def test_oracle_answers_match_graded_tableaux_in_any_request_order():
@@ -345,16 +346,46 @@ def test_oracle_answers_match_graded_tableaux_in_any_request_order():
     assert shapes > 1500
 
 
-def test_oracle_first_pass_walks_only_the_requested_shape():
+def _record_passes(monkeypatch):
+    # qkostka.charge is the function, so reach the module through sys.modules
+    module = sys.modules["qkostka.charge"]
+    passes = []
+    walk = module._charge_by_row2
+
+    def recorded(counts, cap1, cap2):
+        passes.append((tuple(counts), cap1, cap2))
+        return walk(counts, cap1, cap2)
+
+    monkeypatch.setattr(module, "_charge_by_row2", recorded)
+    return passes
+
+
+def test_oracle_pass_frees_row_1_and_caps_row_2_at_the_longest_request(monkeypatch):
+    passes = _record_passes(monkeypatch)
     qkostka.clear_caches()
     kostka_sl2_oracle(396, (400,))
-    assert _oracle_tables[(400,)][:2] == (398, 2)
-    # a weight the pass missed reruns it with row 1 free and row 2 capped at
-    # the longest requested; a weight inside the rerun reuses it
+    assert [caps for _, *caps in passes] == [[400, 2]]
+    # the first pass answers every weight down to the requested one; a
+    # longer row 2 reruns it capped there
     m = Composition((30,))
+    order = (20, 30, 24, 28, 16)
+    want = [
+        kostka_foulkes(bridge_to_partition(m, l)).substitute_inverse().shifted(norm_ss(m))
+        for l in order
+    ]
+    qkostka.clear_caches()
+    del passes[:]
     caps = []
-    for l in (20, 30, 24, 28, 16):
-        kf = kostka_foulkes(bridge_to_partition(m, l))
-        assert kostka_sl2_oracle(l, m) == kf.substitute_inverse().shifted(norm_ss(m))
-        caps.append(_oracle_tables[m.parts][:2])
-    assert caps == [(25, 5), (30, 5), (30, 5), (30, 5), (30, 7)]
+    for l, poly in zip(order, want):
+        assert kostka_sl2_oracle(l, m) == poly
+        caps.append(_oracle_tables[m.parts][0])
+    assert caps == [5, 5, 5, 5, 7]
+    assert [caps for _, *caps in passes] == [[30, 5], [30, 7]]
+
+
+def test_routes_grid_runs_one_oracle_pass_per_content(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    qkostka.clear_caches()
+    (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
+    assert result.passed
+    assert len(passes) == len({counts for counts, _, _ in passes}) == 194

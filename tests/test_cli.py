@@ -289,6 +289,48 @@ def test_table_cache_dir_naming_a_file_is_a_usage_error(tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
+def _refuse_to_compute(monkeypatch):
+    import qkostka.verify
+
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before the path was checked")
+
+    monkeypatch.setattr(cli, "_table_rows", fail)
+    monkeypatch.setattr(qkostka.verify, "run_suites", fail)
+
+
+@pytest.mark.parametrize("command", [["table", "kostka"], ["verify", "routes"]])
+def test_unusable_out_is_refused_before_computing(command, tmp_path, capsys, monkeypatch):
+    _refuse_to_compute(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cases = [
+        (tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"),
+        (tmp_path / "missing" / "deeper" / "x.csv", "[Errno 2] No such file or directory"),
+        (blocker / "x.csv", "[Errno 20] Not a directory"),
+        (tmp_path, "[Errno 21] Is a directory"),
+    ]
+    for target, reason in cases:
+        code, out, err = run(
+            capsys, *command, "--max-weight", "16", "--max-level", "4", "--out", str(target)
+        )
+        assert (code, out, err) == (2, "", f"error: {reason}: '{target}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_cache_dir_naming_a_file_is_refused_before_computing(tmp_path, capsys, monkeypatch):
+    _refuse_to_compute(monkeypatch)
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    for argv in (["--cache-dir", str(blocker)], []):
+        monkeypatch.setenv("KOSTKA_CACHE_DIR", str(blocker))
+        code, out, err = run(
+            capsys, "table", "kostka", "--max-weight", "16", "--max-level", "4", *argv
+        )
+        assert (code, out, err) == (2, "", f"error: [Errno 17] File exists: '{blocker}'\n")
+    assert blocker.read_text() == "not a directory"
+
+
 def test_table_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ["table", "kostka", "--max-weight", "3", "--max-level", "1",

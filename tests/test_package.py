@@ -18,6 +18,7 @@ from qkostka.kostka import (
     unrestricted,
 )
 from qkostka.qexact import _gaussian_cache, gaussian_binomial
+from qkostka.weyl import _orbit_items, euler_characteristic_bgg
 
 
 def _cache_sizes():
@@ -26,6 +27,7 @@ def _cache_sizes():
         len(_oracle_tables),
         _unrestricted_cached.cache_info().currsize,
         len(_fusion_tables),
+        _orbit_items.cache_info().currsize,
     )
 
 
@@ -37,6 +39,7 @@ def _workload():
         [kostka_sl2_oracle(l, m) for l in range(6)],
         [fusion_weight_char(m, alpha) for alpha in range(-5, 6)],
         gaussian_binomial(12, 5),
+        [euler_characteristic_bgg(m, l, 2) for l in range(3)],
     )
 
 
@@ -44,7 +47,7 @@ def test_clear_caches_empties_every_cache_and_keeps_results():
     warm = _workload()
     assert all(size > 0 for size in _cache_sizes())
     qkostka.clear_caches()
-    assert _cache_sizes() == (0, 0, 0, 0)
+    assert _cache_sizes() == (0, 0, 0, 0, 0)
     assert _workload() == warm
     assert "clear_caches" in qkostka.__all__
 
@@ -71,6 +74,7 @@ def test_every_module_level_cache_is_one_clear_caches_empties():
         "charge._oracle_tables",
         "kostka._unrestricted_cached",
         "kostka._fusion_tables",
+        "weyl._orbit_items",
     }
 
 

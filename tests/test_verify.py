@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import qkostka
 from qkostka import cli
 from qkostka.compositions import Composition
 from qkostka.verify import (
@@ -92,3 +93,19 @@ def test_golden_verify_report(capsys):
         f"the verify report changed; suites whose records changed: {changed or 'none'} "
         "(none means only the report's layout changed)"
     )
+
+
+# sha256 of `qkostka verify routes --max-weight 13 --max-level 4 --format json`
+# stdout (1658 checks): the routes-sweep benchmark grid, run cold
+GOLDEN_ROUTES_GRID_SHA256 = "bb25bc49148a86e9415a4981168479f4e396c44972bacaab40bdd9950e05ca03"
+
+
+def test_golden_routes_grid_report(capsys):
+    qkostka.clear_caches()
+    code = cli.main(
+        ["verify", "routes", "--max-weight", "13", "--max-level", "4", "--format", "json"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["suites"][0]["checked"] == 1658
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROUTES_GRID_SHA256

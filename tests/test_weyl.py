@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+import qkostka
+from qkostka import weyl
 from qkostka.compositions import InvariantError, as_composition, weighted_size
 from qkostka.kostka import fusion_weight_char, restricted_fermionic
 from qkostka.qexact import QPolynomial
 from qkostka.verify import admissible_compositions
 from qkostka.weyl import (
     AffineWeight,
+    _orbit_items,
     BranchError,
     apply_word,
     bgg_generators,
@@ -161,3 +164,27 @@ def test_euler_characteristic_matches_the_reference_chain():
                 assert euler_characteristic_bgg(m, l, k) == want, (l, m, k)
                 nonzero += not want.is_zero()
     assert nonzero > 750
+
+
+def test_orbit_walk_that_stops_growing_raises_on_every_call(monkeypatch):
+    # floors 100 then 50, both past the cutoff: the walk must refuse, and
+    # the refusal must not be memoized as an answer
+    floors = {0: 100, 1: 50}
+    monkeypatch.setattr(
+        weyl, "bgg_generators", lambda p, l, k: [AffineWeight(floors.get(p, 200), k, p)]
+    )
+    qkostka.clear_caches()
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="orbit weights stopped growing"):
+            euler_characteristic_bgg((4,), 0, 2)
+    assert _orbit_items.cache_info().currsize == 0
+
+
+def test_compositions_of_equal_size_share_one_orbit_walk():
+    qkostka.clear_caches()
+    for m in ((4,), (2, 1), (0, 2)):
+        assert weighted_size(as_composition(m)) == 4
+        for l in range(3):
+            assert euler_characteristic_bgg(m, l, 2) == restricted_fermionic(l, m, 2), (m, l)
+    info = _orbit_items.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
