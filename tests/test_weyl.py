@@ -10,8 +10,8 @@ from qkostka.qexact import QPolynomial
 from qkostka.verify import admissible_compositions
 from qkostka.weyl import (
     AffineWeight,
-    _orbit_items,
     BranchError,
+    _orbit_items,
     apply_word,
     bgg_generators,
     closed_form_action,
