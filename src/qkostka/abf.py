@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .compositions import Composition
 from .kostka import restricted_fermionic
-from .qexact import QPolynomial, signed_binomial_sum
+from .qexact import QPolynomial, shifted_sum, signed_binomial_sum
 from .reports import AuditRecord
 
 
@@ -138,22 +138,16 @@ def finitization_audit(k: int, j: int, l: int, N: int) -> list[AuditRecord]:
     kostka = restricted_fermionic(l, _hook_composition(N, j), k)
     r = k + 1
 
-    printed = QPolynomial.zero()
-    repaired = QPolynomial.zero()
-    for s in range(j + 1):
-        b = j + 1 - 2 * s
-        lab = AbfLabel(r, b, l + 1, N + 1)
-        rev = abf_polynomial(lab).substitute_inverse()
-        printed = printed + rev.shifted(Fraction((N + 1) ** 2, 4))
-        repaired = repaired + rev.shifted(
-            Fraction((N + 1) ** 2 - (l + 1 - b) ** 2, 4)
-        )
-    for s in range(j):
-        b = j - 2 * s
-        lab = AbfLabel(r, b, l + 1, N)
-        rev = abf_polynomial(lab).substitute_inverse()
-        printed = printed - rev.shifted(Fraction(N * N, 4))
-        repaired = repaired - rev.shifted(Fraction(N * N - (l + 1 - b) ** 2, 4))
+    printed_items = []
+    repaired_items = []
+    labels = [(1, j + 1 - 2 * s, N + 1) for s in range(j + 1)]
+    labels += [(-1, j - 2 * s, N) for s in range(j)]
+    for sign, b, width in labels:
+        rev = abf_polynomial(AbfLabel(r, b, l + 1, width)).substitute_inverse()
+        printed_items.append((sign, Fraction(width * width, 4), rev))
+        repaired_items.append((sign, Fraction(width * width - (l + 1 - b) ** 2, 4), rev))
+    printed = shifted_sum(printed_items)
+    repaired = shifted_sum(repaired_items)
 
     printed_lhs = kostka.shifted(Fraction((l - j) ** 2, 4))
     records = [

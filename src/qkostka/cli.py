@@ -265,6 +265,11 @@ def cmd_table(args) -> int:
     from .cache import cache_key, load, resolve_cache_dir, store
 
     kind = args.kind
+    if kind == "characters":
+        from .virasoro import MinimalModel
+
+        # (1, 1) is a field of every valid model, so only P and P' can fail
+        MinimalModel(*args.model, 1, 1)
     _check_out(args.out)
     cache_dir = resolve_cache_dir(args.cache_dir)
     if cache_dir is not None:

@@ -25,11 +25,11 @@ from math import factorial, gcd
 from .compositions import Composition, CompositionLike, as_composition, weighted_size
 from .qexact import QPolynomial
 
-DEFAULT_VARIABLE_CAP = 4
+VARIABLE_CAP = 4
 
 
 class OracleScaleExceeded(RuntimeError):
-    """The instance needs more variables than the configured cap allows."""
+    """The instance needs more variables than `VARIABLE_CAP` allows."""
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,7 @@ def build_constraint_matrix(
     return basis, rows
 
 
-def restricted_kostka_oracle(
-    spec: FunctionalModelSpec, variable_cap: int = DEFAULT_VARIABLE_CAP
-) -> QPolynomial:
+def restricted_kostka_oracle(spec: FunctionalModelSpec) -> QPolynomial:
     """Hilbert series of the constrained space, as a polynomial in q.
 
     The orientation (this series versus its degree reversal) was calibrated
@@ -198,9 +196,9 @@ def restricted_kostka_oracle(
     restricted_fermionic directly, with no reversal.
     """
     s = spec.variable_count
-    if s > variable_cap:
+    if s > VARIABLE_CAP:
         raise OracleScaleExceeded(
-            f"instance needs {s} variables, cap is {variable_cap}"
+            f"instance needs {s} variables, cap is {VARIABLE_CAP}"
         )
     factor_count = sum(spec.composition.parts)
     top = s * max(factor_count - 1, 0)

@@ -280,50 +280,41 @@ def _digits(value: int, width: int, count: int) -> list[int]:
     return [int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width)]
 
 
-_ONE = QPolynomial.one()
 _ZERO = QPolynomial.zero()
 
 
-_gaussian_cache: dict[tuple[int, int], QPolynomial] = {}
-
-
 def gaussian_binomial(m: int, n: int) -> QPolynomial:
-    """The Gaussian binomial [m choose n]_q, exactly.
+    """The Gaussian binomial [m choose n]_q, exactly; one `signed_binomial_sum` item.
 
     Out-of-range arguments (n < 0, n > m, m < 0) give the zero polynomial;
     the theta-style sums rely on that convention to truncate themselves.
     """
-    if n < 0 or m < 0 or n > m:
-        return _ZERO
-    n = min(n, m - n)
-    if n == 0:
-        return _ONE
-    hit = _gaussian_cache.get((m, n))
-    if hit is None:
-        hit = _gaussian_cache[m, n] = gaussian_product_sum([(1, 0, ((m, n),))])
-    return hit
+    return signed_binomial_sum([(1, 0, m, n)])
 
 
 def vector_gaussian_binomial(a: Sequence[int], b: Sequence[int]) -> QPolynomial:
-    """Componentwise product of Gaussian binomials; zero if any factor is."""
+    """Componentwise product of Gaussian binomials; zero if any factor is.
+
+    The factors other than 1 make one `gaussian_product_sum` term, so the
+    product is taken on the packed integer and nothing is cached.
+    """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
-    out = _ONE
+    pairs = []
     for m, n in zip(a, b):
         if 0 < n < m:
-            factor = gaussian_binomial(m, n)
-            out = factor if out is _ONE else out * factor
+            pairs.append((m, n))
         elif m < 0 or n not in (0, m):
             return _ZERO
-        # else the factor is [m choose 0] = [m choose m] = 1: nothing to multiply
-    return out
+        # else the factor is [m choose 0] = [m choose m] = 1
+    return gaussian_product_sum([(1, 0, pairs)])
 
 
 def signed_binomial_sum(items: Iterable[tuple[int, int, int, int]]) -> QPolynomial:
     """Sum of sign * q**e * [t choose n]_q over (sign, e, t, n) items.
 
-    Keeps `gaussian_binomial`'s convention: an item with n outside 0..t is
-    zero and drops out, and [t choose 0] = [t choose t] = 1.
+    An item with n outside 0..t is zero and drops out, and
+    [t choose 0] = [t choose t] = 1; `gaussian_binomial` is the one-item sum.
     """
     return gaussian_product_sum(
         (sign, e, ((t, n),) if 0 < n < t else ()) for sign, e, t, n in items if 0 <= n <= t

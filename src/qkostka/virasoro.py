@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from operator import mul
+from typing import Iterator
 
 from .compositions import Composition, InvariantError, top_degree_h
 from .kostka import StabilizationError, _fermionic_terms
@@ -187,17 +190,15 @@ def _reversed_window(l: int, m: Composition, k: int, order: int) -> list[int]:
     return [poly.coefficient(d) for d in range(order + 1)]
 
 
-def branching_via_kostka_limit(
-    i: int, j: int, k: int, l: int, order: int, n_cap: int | None = None
-) -> BranchingSeries:
+def branching_via_kostka_limit(i: int, j: int, k: int, l: int, order: int) -> BranchingSeries:
     """Branching function as a stabilized limit of reversed restricted Kostka data.
 
     Computes the degree reversal of K^(k+1) on 2n+i-1 spin-1 factors plus one
     spin-(j+1) factor for growing n, summing only the fermionic terms that
     reach degree `order`, until the coefficient window through `order`
-    agrees at two consecutive n, then attaches the coset grade
-    offset. Odd i+j+l means the branching space is absent; the zero series
-    is returned.
+    agrees at two consecutive n (n runs at most to order + j + 4), then
+    attaches the coset grade offset. Odd i+j+l means the branching space is
+    absent; the zero series is returned.
     """
     if i not in (0, 1):
         raise ValueError("i selects a parity and must be 0 or 1")
@@ -210,8 +211,7 @@ def branching_via_kostka_limit(
         return BranchingSeries(
             QSeriesTruncated([0] * (order + 1), offset), route="kostka-limit"
         )
-    if n_cap is None:
-        n_cap = order + j + 4
+    n_cap = order + j + 4
     n = max(1 - i, (l - i - j + 3) // 2, 1)
     prev: list[int] | None = None
     while n <= n_cap:
@@ -361,32 +361,41 @@ def _coordinate_ranges(B: list[list[int]], u: list[int], order: int) -> list[int
     return caps
 
 
-def _enumerate_exponents(
-    j: int, l: int, k: int, order: int, u: list[int]
-) -> list[tuple[tuple[int, ...], int, LimitTermData]]:
-    """All t with quadratic+linear exponent <= order, with their term data."""
+def _enumerate_terms(
+    j: int, l: int, k: int, order: int
+) -> Iterator[tuple[int, int, LimitTermData]]:
+    """(derived n, printed n, term data) for each t with either exponent <= order.
+
+    The t range over caps that cover both linear terms, and each t's term
+    data is computed once for both conventions.
+    """
     B = quadratic_form_matrix(k)
-    caps = _coordinate_ranges(B, u, order)
+    u_derived = derived_linear_term(j, l, k)
+    u_printed = printed_linear_term(j, l, k)
+    caps = map(
+        max, _coordinate_ranges(B, u_derived, order), _coordinate_ranges(B, u_printed, order)
+    )
+    for t in product(*(range(cap + 1) for cap in caps)):
+        quad = sum(B[a][b] * t[a] * t[b] for a in range(k) for b in range(k))
+        n_derived = quad + sum(map(mul, u_derived, t))
+        n_printed = quad + sum(map(mul, u_printed, t))
+        if min(n_derived, n_printed) <= order:
+            yield n_derived, n_printed, fermionic_term_limit(t, j, l, k)
 
-    def expo(t: tuple[int, ...]) -> int:
-        quad = sum(
-            B[a][b] * t[a] * t[b] for a in range(k) for b in range(k)
-        )
-        return quad + sum(ua * ta for ua, ta in zip(u, t))
 
-    out = []
-    def rec(prefix: list[int], a: int) -> None:
-        if a == k:
-            t = tuple(prefix)
-            n = expo(t)
-            if n <= order:
-                out.append((t, n, fermionic_term_limit(t, j, l, k)))
-            return
-        for x in range(caps[a] + 1):
-            rec(prefix + [x], a + 1)
+def _add_term(
+    acc: dict[int, int], n: int, binprod: QPolynomial, d: int, order: int
+) -> None:
+    """Add q**n * binprod / (q)_d through q**order into acc, {exponent: coefficient}.
 
-    rec([], 0)
-    return out
+    The 1/(q)_d tail is cut at q**(order - max(n, 0)), so a term with n < 0
+    stops there rather than at q**order.
+    """
+    tail = bounded_partition_series(d, order - max(n, 0))
+    for e, c in binprod.terms():
+        base = n + e // 4
+        for dd in range(min(tail.order, order - base) + 1):
+            acc[base + dd] = acc.get(base + dd, 0) + c * tail.coefficient(dd)
 
 
 @dataclass(frozen=True)
@@ -404,7 +413,9 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
     linear term). The printed-constant route swaps in the published linear
     term; its deviation from the derived route is returned as a polynomial
     in relative exponents, possibly with negative powers, and is never an
-    error.
+    error. One enumeration of t serves both: each t's limit term and
+    binomial product are computed once, and both sides add through the same
+    truncated-series helper.
     """
     if not (0 <= j <= k and 0 <= l <= k + 1):
         raise ValueError("labels out of range")
@@ -412,49 +423,34 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
         raise ValueError("order must be nonnegative")
     delta = conformal_weight(MinimalModel(k + 2, k + 3, j + 1, l + 1))
     c0 = Fraction((l - j) ** 2 + j, 4)
-    u_derived = derived_linear_term(j, l, k)
-    u_printed = printed_linear_term(j, l, k)
 
-    derived_acc = [0] * (order + 1)
-    for t, n, data in _enumerate_exponents(j, l, k, order, u_derived):
-        shift = data.exponent - c0
-        if shift != n:
+    derived_acc: dict[int, int] = {}
+    printed_acc: dict[int, int] = {}
+    for n_derived, n_printed, data in _enumerate_terms(j, l, k, order):
+        on_derived = n_derived <= order
+        if on_derived and data.exponent - c0 != n_derived:
             raise InvariantError("limit exponent disagrees with its closed form")
         if data.pochhammer_index < 0:
             continue
         binprod = data.binomial_product()
         if binprod.is_zero():
             continue
-        if n < 0:
-            raise InvariantError("contributing term with negative relative exponent")
-        tail = bounded_partition_series(data.pochhammer_index, order - n)
-        for e, c in binprod.terms():
-            base = n + e // 4
-            for dd in range(order - base + 1):
-                derived_acc[base + dd] += c * tail.coefficient(dd)
+        if on_derived:
+            if n_derived < 0:
+                raise InvariantError("contributing term with negative relative exponent")
+            _add_term(derived_acc, n_derived, binprod, data.pochhammer_index, order)
+        if n_printed <= order:
+            _add_term(printed_acc, n_printed, binprod, data.pochhammer_index, order)
 
-    printed_acc: dict[int, int] = {}
-    for t, n, data in _enumerate_exponents(j, l, k, order, u_printed):
-        if data.pochhammer_index < 0:
-            continue
-        binprod = data.binomial_product()
-        if binprod.is_zero():
-            continue
-        tail = bounded_partition_series(data.pochhammer_index, order - max(n, 0))
-        for e, c in binprod.terms():
-            base = n + e // 4
-            for dd in range(tail.order + 1):
-                if base + dd <= order:
-                    printed_acc[base + dd] = printed_acc.get(base + dd, 0) + c * tail.coefficient(dd)
-
-    if any(c < 0 for c in derived_acc):
+    derived_coeffs = [derived_acc.get(e, 0) for e in range(order + 1)]
+    if any(c < 0 for c in derived_coeffs):
         raise InvariantError("character coefficients must be nonnegative")
     derived = BranchingSeries(
-        QSeriesTruncated(derived_acc, offset=delta), route="fermionic-derived"
+        QSeriesTruncated(derived_coeffs, offset=delta), route="fermionic-derived"
     )
     diff_terms: dict[int, int] = {}
     for e in range(min([0] + list(printed_acc)), order + 1):
-        d = printed_acc.get(e, 0) - (derived_acc[e] if 0 <= e <= order else 0)
+        d = printed_acc.get(e, 0) - (derived_coeffs[e] if 0 <= e <= order else 0)
         if d:
             diff_terms[4 * e] = d
     residual = QPolynomial(diff_terms)

@@ -1,8 +1,6 @@
 import pytest
 from test_qexact import reference_gaussian_binomial, reference_shifted_sum
 
-import qkostka
-from qkostka import qexact
 from qkostka.abf import (
     AbfLabel,
     abf_polynomial,
@@ -10,7 +8,6 @@ from qkostka.abf import (
     grouped_identity_check,
     inversion_check,
 )
-from qkostka.kostka import fusion_char_hook
 from qkostka.qexact import QPolynomial
 from qkostka.reports import AuditRecord
 
@@ -81,15 +78,6 @@ def test_abf_polynomial_matches_the_term_by_term_sum():
         assert got._terms == reference_abf_polynomial(lab)._terms, lab
         negative += any(c < 0 for c in got._terms.values())
     assert negative > 0
-
-
-def test_theta_sums_leave_the_gaussian_cache_empty():
-    qkostka.clear_caches()
-    assert not abf_polynomial(AbfLabel(3, 1, 2, 9)).is_zero()
-    assert not inversion_check(AbfLabel(3, 1, 2, 9)).failed
-    assert not grouped_identity_check(2, 1, 0, 6).failed
-    assert not fusion_char_hook(6, 1, 0).is_zero()
-    assert qexact._gaussian_cache == {}
 
 
 def test_inversion_check():

@@ -253,6 +253,15 @@ def test_table_characters(capsys):
     ]
 
 
+@pytest.mark.parametrize("model", [("1", "4"), ("3", "1"), ("0", "-3"), ("4", "6")])
+def test_table_characters_refuses_a_bad_model_before_the_cache(model, tmp_path, capsys):
+    code, out, err = run(
+        capsys, "table", "characters", "--model", *model, "--cache-dir", str(tmp_path)
+    )
+    assert (code, out, err) == (2, "", "error: model labels must be coprime and at least 2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_out_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run(

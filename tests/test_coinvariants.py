@@ -129,7 +129,7 @@ def test_spec_validation():
 
 def test_variable_cap():
     with pytest.raises(OracleScaleExceeded):
-        restricted_kostka_oracle(spec(0, (12,), 3), variable_cap=4)
+        restricted_kostka_oracle(spec(0, (12,), 3))
 
 
 def test_empty_system_is_constants():

@@ -7,7 +7,6 @@ import pytest
 
 import qkostka
 from qkostka import kostka as kostka_module
-from qkostka import qexact
 from qkostka.charge import kostka_sl2_oracle
 from qkostka.compositions import (
     Composition,
@@ -340,12 +339,6 @@ def test_restricted_fermionic_beyond_native_integers():
     values = [restricted_fermionic(l, m, k).evaluate_at_one() for l in range(k + 1)]
     assert values == list(structure_constants(m, k))
     assert values[0] > 2**128
-
-
-def test_restricted_fermionic_leaves_the_gaussian_cache_empty():
-    qkostka.clear_caches()
-    assert not restricted_fermionic(0, (12, 2), 3).is_zero()
-    assert qexact._gaussian_cache == {}
 
 
 def _reference_alternating_sum_raw(l, m, k, source):

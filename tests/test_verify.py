@@ -109,3 +109,19 @@ def test_golden_routes_grid_report(capsys):
     assert code == 0
     assert json.loads(out)["suites"][0]["checked"] == 1658
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROUTES_GRID_SHA256
+
+
+# sha256 of the stdout of the two suites that one quasi-particle enumeration
+# and the shifted_sum audit feed, at a deeper order than the `verify all` golden
+GOLDEN_SUITE_REPORT_SHA256 = {
+    ("fermionic-virasoro", "40"): "b63f2173616fac181751ab206f2d5b2a999dfd1a99a45b53e99318ba62fcd53e",
+    ("abf", "15"): "5ab7d451b646e5a1eef224a21c4ffe1cb3cea0b6c2465d7a558fa95cd99f8581",
+}
+
+
+@pytest.mark.parametrize("suite, order", sorted(GOLDEN_SUITE_REPORT_SHA256))
+def test_golden_character_suite_report(suite, order, capsys):
+    code = cli.main(["verify", suite, "--order", order, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SUITE_REPORT_SHA256[suite, order]

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 
 from qkostka import kostka, virasoro
+from qkostka.compositions import InvariantError
 from qkostka.kostka import StabilizationError, reversed_restricted
 from qkostka.qexact import QPolynomial
 from qkostka.virasoro import (
@@ -206,3 +209,76 @@ def test_fermionic_character_matches_rocha():
         fc = fermionic_character_sum(j, l, k, 8)
         mm = rocha_caridi(MinimalModel(k + 2, k + 3, j + 1, l + 1), 8)
         assert series_mismatches(fc.derived.series, mm.series) == [], (j, l)
+
+
+def _requested_terms(monkeypatch, j, l, k, order):
+    """The t whose limit term one fermionic_character_sum call requests, in order."""
+    requested = []
+    real = virasoro.fermionic_term_limit
+
+    def spy(t, *args):
+        requested.append(tuple(t))
+        return real(t, *args)
+
+    monkeypatch.setattr(virasoro, "fermionic_term_limit", spy)
+    fermionic_character_sum(j, l, k, order)
+    monkeypatch.undo()
+    return requested
+
+
+def test_fermionic_character_sum_requests_each_term_once(monkeypatch):
+    # one enumeration serves both exponent conventions, so no t is asked twice
+    order = 15
+    for k in range(3):
+        for j in range(k + 1):
+            for l in range(k + 2):
+                requested = _requested_terms(monkeypatch, j, l, k, order)
+                assert requested and len(set(requested)) == len(requested), (j, l, k)
+
+
+def test_fermionic_character_sum_requests_every_term_either_convention_needs(monkeypatch):
+    # a box scan well past the caps finds exactly the t with either exponent <= order
+    order = 12
+    for k in (1, 2):
+        B = quadratic_form_matrix(k)
+        for j in range(k + 1):
+            for l in range(k + 2):
+                linear = (derived_linear_term(j, l, k), printed_linear_term(j, l, k))
+                want = set()
+                for t in product(range(3 * order), repeat=k):
+                    quad = sum(B[a][b] * t[a] * t[b] for a in range(k) for b in range(k))
+                    if min(quad + sum(map(mul, u, t)) for u in linear) <= order:
+                        want.add(t)
+                assert set(_requested_terms(monkeypatch, j, l, k, order)) == want, (j, l, k)
+
+
+def test_fermionic_character_sum_derived_checks_raise(monkeypatch):
+    real = virasoro.fermionic_term_limit
+
+    def shifted_exponent(t, j, l, k):
+        data = real(t, j, l, k)
+        return virasoro.LimitTermData(data.t, data.exponent + 1, data.tops, data.pochhammer_index)
+
+    monkeypatch.setattr(virasoro, "fermionic_term_limit", shifted_exponent)
+    with pytest.raises(InvariantError, match="disagrees with its closed form"):
+        fermionic_character_sum(0, 0, 1, 6)
+    monkeypatch.undo()
+
+    # a linear term that drives n below 0, with limit exponents that agree with it
+    monkeypatch.setattr(virasoro, "derived_linear_term", lambda j, l, k: [-50] * k)
+
+    def agreeing_exponent(t, j, l, k):
+        data = real(t, j, l, k)
+        B = quadratic_form_matrix(k)
+        n = sum(B[a][b] * t[a] * t[b] for a in range(k) for b in range(k)) - 50 * sum(t)
+        exponent = Fraction((l - j) ** 2 + j, 4) + n
+        return virasoro.LimitTermData(data.t, exponent, data.tops, data.pochhammer_index)
+
+    monkeypatch.setattr(virasoro, "fermionic_term_limit", agreeing_exponent)
+    with pytest.raises(InvariantError, match="negative relative exponent"):
+        fermionic_character_sum(0, 0, 1, 6)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(virasoro.LimitTermData, "binomial_product", lambda self: -QPolynomial.one())
+    with pytest.raises(InvariantError, match="must be nonnegative"):
+        fermionic_character_sum(0, 0, 1, 6)
