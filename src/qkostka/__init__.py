@@ -91,18 +91,16 @@ def __dir__() -> list[str]:
 def clear_caches() -> None:
     """Empty every in-memory result cache, so the next calls compute cold.
 
-    Covers the charge oracle's per-content passes, the memoized
-    unrestricted polynomials, the fusion slice tables and the Weyl orbit
-    walks per (l, k, |m|). Results do not change; only the time to the next
-    answer does.
+    Covers the charge oracle's per-content passes, the fusion slice tables
+    and the Weyl orbit walks per (l, k, |m|). Results do not change; only
+    the time to the next answer does.
     """
     # imported here to keep private names out of the package namespace
     from .charge import _oracle_tables
-    from .kostka import _fusion_tables, _unrestricted_cached
+    from .kostka import _fusion_tables
     from .weyl import _orbit_items
 
     _oracle_tables.clear()
-    _unrestricted_cached.cache_clear()
     _fusion_tables.clear()
     _orbit_items.cache_clear()
 

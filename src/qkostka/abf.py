@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compositions import Composition
+from .compositions import hook_composition
 from .kostka import restricted_fermionic
 from .qexact import QPolynomial, shifted_sum, signed_binomial_sum
 from .reports import AuditRecord
@@ -80,13 +80,6 @@ def inversion_check(lab: AbfLabel) -> AuditRecord:
     )
 
 
-def _hook_composition(N: int, j: int) -> Composition:
-    parts = [0] * (j + 1)
-    parts[0] = N
-    parts[j] += 1
-    return Composition(parts)
-
-
 def grouped_identity_check(k: int, j: int, l: int, N: int) -> AuditRecord:
     """Restricted Kostka of N spin-1 factors plus one spin-(j+1) factor,
     rebuilt from the signed level sum of closed-form hook characters.
@@ -98,7 +91,7 @@ def grouped_identity_check(k: int, j: int, l: int, N: int) -> AuditRecord:
         raise ValueError("hook spin must stay strictly below the level")
     if not 0 <= l <= k:
         raise ValueError("weight must satisfy 0 <= l <= k")
-    lhs = restricted_fermionic(l, _hook_composition(N, j), k)
+    lhs = restricted_fermionic(l, hook_composition(N, j), k)
     period = k + 2
     span = (N + j + 3) // (2 * period) + 2
     blocks = []
@@ -135,7 +128,7 @@ def finitization_audit(k: int, j: int, l: int, N: int) -> list[AuditRecord]:
         raise ValueError("hook spin must stay strictly below the level")
     if not 0 <= l <= k:
         raise ValueError("weight must satisfy 0 <= l <= k")
-    kostka = restricted_fermionic(l, _hook_composition(N, j), k)
+    kostka = restricted_fermionic(l, hook_composition(N, j), k)
     r = k + 1
 
     printed_items = []

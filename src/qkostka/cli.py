@@ -357,6 +357,8 @@ def main(argv=None) -> int:
             parser.error("--max-weight must be nonnegative")
         if args.max_level < 1:
             parser.error("--max-level must be positive")
+        if args.order < 0:
+            parser.error("--order must be nonnegative")
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

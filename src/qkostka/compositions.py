@@ -106,6 +106,19 @@ def composition_from_factors(factors: Iterable[int]) -> Composition:
     return Composition(parts)
 
 
+def hook_composition(N: int, j: int) -> Composition:
+    """Multiplicity vector of N spin-1 factors and one spin-(j+1) factor.
+
+    hook_composition(2, 0) is (3,); hook_composition(2, 2) is (2, 0, 1).
+    """
+    if N < 0 or j < 0:
+        raise ValueError("hook parameters must be nonnegative")
+    parts = [0] * (j + 1)
+    parts[0] = N
+    parts[j] += 1
+    return Composition(parts)
+
+
 def parse_factor_list(text: str) -> Composition:
     """Parse a comma-separated factor list such as "2,1" or "1^4,2".
 

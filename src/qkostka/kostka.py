@@ -3,7 +3,8 @@
 Three independent computations live here or nearby: the fermionic sum over
 quasi-particle occupation vectors (this module), the signed theta-like sum
 through unrestricted polynomials (this module, with the unrestricted input
-taken either from level stabilization or from the tableau oracle), and the
+taken either from the fermionic sum at a level past |m|, where it has
+stabilized, or from the tableau oracle), and the
 graded Euler characteristic over shifted Weyl orbits (module weyl). Route
 agreement across all of them is the central correctness argument.
 
@@ -17,7 +18,6 @@ is concave in a and nonnegative at both ends.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Literal
 
@@ -36,7 +36,7 @@ Route = Literal["fermionic", "charge"]
 
 
 class StabilizationError(InvariantError):
-    """Internal error: level stabilization failed, the formula has a bug."""
+    """Internal error: a degree reversal gave a negative exponent, the formula has a bug."""
 
 
 def restriction_vector(l: int, k: int) -> tuple[int, ...]:
@@ -128,32 +128,18 @@ def _fermionic_terms(
     return terms
 
 
-@lru_cache(maxsize=None)
-def _unrestricted_cached(l: int, parts: tuple[int, ...]) -> QPolynomial:
-    comp = Composition(parts)
-    size = weighted_size(comp)
-    k = max(size, l, comp.width, 1)
-    terms = _fermionic_terms(l, comp, k)
-    value = gaussian_product_sum(terms)
-    check = _fermionic_terms(l, comp, k + 1)
-    if check != terms and gaussian_product_sum(check) != value:
-        raise StabilizationError(
-            f"no stabilization at levels {k}, {k + 1} for l={l}, m={parts}"
-        )
-    return value
-
-
 def unrestricted(l: int, m: CompositionLike) -> QPolynomial:
-    """Unrestricted Kostka polynomial K_{l,m} via level stabilization.
+    """Unrestricted Kostka polynomial K_{l,m}: the fermionic sum at level max(|m|, l, 1).
 
-    Builds the fermionic terms at two consecutive large levels and insists
-    that they sum to the same polynomial; that is cheaper to trust than an
-    off-by-one-prone closed bound for where the limit is reached. Equal term
-    lists need no second evaluation.
+    At a level k >= |m| the walk visits only levels a <= N = (|m| - l)/2,
+    where v_a = 0 and (Am)_a does not depend on k: every higher level gives
+    the same term list, so the polynomial has stabilized. A trimmed m has
+    width at most max(|m|, 1), so no factor spin exceeds the level.
     """
     if l < 0:
         return QPolynomial.zero()
-    return _unrestricted_cached(l, as_composition(m).trimmed().parts)
+    comp = as_composition(m).trimmed()
+    return restricted_fermionic(l, comp, max(weighted_size(comp), l, 1))
 
 
 def _unrestricted_source(route: Route) -> Callable[[int, Composition], QPolynomial]:
@@ -211,14 +197,29 @@ def restricted_alternating(
     return alternating_sum_raw(l, comp, k, source)
 
 
+def _reversed_terms(
+    l: int, m: CompositionLike, k: int
+) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """The fermionic terms of q**h(m) * K(1/q), as gaussian_product_sum reads them.
+
+    Gaussian binomials are palindromic, [t, s](1/q) = q**(-s(t - s)) [t, s],
+    so the term q**e prod [t, s] reverses to q**(h - e - sum s(t - s)) prod [t, s].
+    Every term is positive, so the lowest of those exponents is the lowest
+    exponent of the reversed polynomial, and it must not be negative.
+    """
+    h = top_degree_h(m)
+    terms = [
+        (sign, h - e - sum(s * (t - s) for t, s in pairs), pairs)
+        for sign, e, pairs in _fermionic_terms(l, m, k)
+    ]
+    if any(shift < 0 for _, shift, _ in terms):
+        raise StabilizationError("degree reversal produced a negative exponent")
+    return terms
+
+
 def reversed_restricted(l: int, m: CompositionLike, k: int) -> QPolynomial:
     """Degree reversal q**h(m) * K(1/q); exponents stay nonnegative."""
-    comp = as_composition(m)
-    poly = restricted_fermionic(l, comp, k)
-    out = poly.substitute_inverse().shifted(top_degree_h(comp))
-    if not out.is_zero() and out.min_exponent() < 0:
-        raise StabilizationError("degree reversal produced a negative exponent")
-    return out
+    return gaussian_product_sum(_reversed_terms(l, m, k))
 
 
 # trimmed m -> [0, F(|m|), F(|m| - 2), ...], down to the lowest |alpha| asked

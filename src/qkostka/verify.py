@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import abf as abf_mod
 from . import kostka, verlinde, virasoro, weyl
-from .compositions import Composition, InvariantError, weighted_size
+from .compositions import Composition, weighted_size
 from .qexact import QPolynomial
 from .reports import AuditRecord
 
@@ -268,13 +268,8 @@ def suite_coset(cfg: VerifyConfig) -> SuiteResult:
                         continue
                     result.checked += 1
                     mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
-                    delta = virasoro.conformal_weight(mm)
-                    gap = delta - virasoro.coset_prefactor_exponent(i, j, k, l)
-                    if gap.denominator != 1 or gap < 0:
-                        raise InvariantError(
-                            f"coset exponent gap {gap} is not a nonnegative integer"
-                        )
-                    bs = virasoro.branching_via_kostka_limit(i, j, k, l, order + int(gap))
+                    gap = virasoro.coset_gap(i, j, k, l)
+                    bs = virasoro.branching_via_kostka_limit(i, j, k, l, order + gap)
                     rc = virasoro.rocha_caridi(mm, order)
                     mismatches = virasoro.series_mismatches(bs.series, rc.series)
                     if mismatches:

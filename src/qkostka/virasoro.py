@@ -19,8 +19,8 @@ from math import gcd
 from operator import mul
 from typing import Iterator
 
-from .compositions import Composition, InvariantError, top_degree_h
-from .kostka import StabilizationError, _fermionic_terms
+from .compositions import Composition, InvariantError, hook_composition
+from .kostka import _reversed_terms
 from .qexact import (
     QPolynomial,
     QSeriesTruncated,
@@ -156,37 +156,22 @@ def coset_prefactor_exponent(i: int, j: int, k: int, l: int) -> Fraction:
     )
 
 
-def _limit_composition(n: int, i: int, j: int) -> Composition:
-    """Multiplicity vector of 2n+i-1 spin-1 factors and one spin-(j+1) factor."""
-    count = 2 * n + i - 1
-    if count < 0:
-        raise ValueError("factor count must be nonnegative")
-    parts = [0] * (j + 1)
-    parts[0] = count
-    parts[j] += 1
-    return Composition(parts)
+def coset_gap(i: int, j: int, k: int, l: int) -> int:
+    """Grades from the coset offset up to the branching function's leading q^Delta."""
+    mm = MinimalModel(k + 2, k + 3, j + 1, l + 1)
+    gap = conformal_weight(mm) - coset_prefactor_exponent(i, j, k, l)
+    if gap.denominator != 1 or gap < 0:
+        raise InvariantError(f"coset exponent gap {gap} is not a nonnegative integer")
+    return int(gap)
 
 
 def _reversed_window(l: int, m: Composition, k: int, order: int) -> list[int]:
     """Coefficients of q^0..q^order in reversed_restricted(l, m, k).
 
-    Reversing the fermionic term q^e prod [t, s] gives q^(h - e - D) prod [t, s]
-    with D = sum s(t - s), and every coefficient is positive, so a term whose
-    lowest exponent h - e - D lies above `order` is never summed. The lowest
-    of those exponents over all terms is the reversed polynomial's lowest
-    exponent, which must not be negative.
+    Every reversed term is positive, so one whose lowest exponent lies above
+    `order` is never summed.
     """
-    h = top_degree_h(m)
-    terms = []
-    low = 0
-    for sign, e, pairs in _fermionic_terms(l, m, k):
-        shift = h - e - sum(s * (t - s) for t, s in pairs)
-        low = min(low, shift)
-        if shift <= order:
-            terms.append((sign, shift, pairs))
-    if low < 0:
-        raise StabilizationError("degree reversal produced a negative exponent")
-    poly = gaussian_product_sum(terms)
+    poly = gaussian_product_sum(t for t in _reversed_terms(l, m, k) if t[1] <= order)
     return [poly.coefficient(d) for d in range(order + 1)]
 
 
@@ -197,8 +182,11 @@ def branching_via_kostka_limit(i: int, j: int, k: int, l: int, order: int) -> Br
     spin-(j+1) factor for growing n, summing only the fermionic terms that
     reach degree `order`, until the coefficient window through `order`
     agrees at two consecutive n (n runs at most to order + j + 4), then
-    attaches the coset grade offset. Odd i+j+l means the branching space is
-    absent; the zero series is returned.
+    attaches the coset grade offset. The leading q^Delta coefficient of an
+    irreducible character is 1, so a window whose coefficient at coset_gap
+    (when that lies within `order`) is not 1 has not reached the limit and
+    is never accepted. Odd i+j+l means the branching space is absent; the
+    zero series is returned.
     """
     if i not in (0, 1):
         raise ValueError("i selects a parity and must be 0 or 1")
@@ -211,12 +199,13 @@ def branching_via_kostka_limit(i: int, j: int, k: int, l: int, order: int) -> Br
         return BranchingSeries(
             QSeriesTruncated([0] * (order + 1), offset), route="kostka-limit"
         )
+    gap = coset_gap(i, j, k, l)
     n_cap = order + j + 4
     n = max(1 - i, (l - i - j + 3) // 2, 1)
     prev: list[int] | None = None
     while n <= n_cap:
-        window = _reversed_window(l, _limit_composition(n, i, j), k + 1, order)
-        if window == prev:
+        window = _reversed_window(l, hook_composition(2 * n + i - 1, j), k + 1, order)
+        if window == prev and (gap > order or window[gap] == 1):
             series = QSeriesTruncated(window, offset)
             return BranchingSeries(series, route="kostka-limit", stabilized_at=n - 1)
         prev = window
@@ -250,10 +239,7 @@ def _reversed_term_data(
 ) -> tuple[Fraction, tuple[int, ...], int]:
     """Exponent/tops/pochhammer index of one reversed term at finite N."""
     level = k + 1
-    m = [0] * level
-    m[0] = N + (1 if j == 0 else 0)
-    if j >= 1:
-        m[j] += 1
+    m = hook_composition(N, j).padded(level).parts
     weighted = sum(a * ma for a, ma in enumerate(m, start=1))
     if (weighted - l) % 2:
         raise InvariantError("inadmissible N parity")
@@ -388,10 +374,10 @@ def _add_term(
 ) -> None:
     """Add q**n * binprod / (q)_d through q**order into acc, {exponent: coefficient}.
 
-    The 1/(q)_d tail is cut at q**(order - max(n, 0)), so a term with n < 0
-    stops there rather than at q**order.
+    binprod has no negative exponents, so the 1/(q)_d tail is needed through
+    q**(order - n), also for a term with n < 0.
     """
-    tail = bounded_partition_series(d, order - max(n, 0))
+    tail = bounded_partition_series(d, order - n)
     for e, c in binprod.terms():
         base = n + e // 4
         for dd in range(min(tail.order, order - base) + 1):

@@ -98,6 +98,8 @@ def test_exit_code_2_on_bad_input(capsys):
         ("verify", "routes", "--max-weight", "-1"),
         ("table", "kostka", "--max-level", "0"),
         ("table", "kostka", "--max-weight", "-1"),
+        ("verify", "coset", "--order", "-1"),
+        ("table", "characters", "--order", "-1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -251,6 +253,16 @@ def test_table_characters(capsys):
     assert [(row["exponent_numerator"], row["coefficient"]) for row in vacuum] == [
         (0, "1"), (8, "1"), (12, "1"), (16, "2"),
     ]
+
+
+def test_table_refuses_a_negative_order_before_the_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, out, err = run(
+        capsys, "table", "characters", "--order", "-1", "--cache-dir", str(cache)
+    )
+    assert (code, out) == (2, "")
+    assert "--order must be nonnegative" in err
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize("model", [("1", "4"), ("3", "1"), ("0", "-3"), ("4", "6")])

@@ -7,6 +7,7 @@ from qkostka.compositions import (
     as_composition,
     bridge_to_partition,
     composition_from_factors,
+    hook_composition,
     min_form,
     norm_ss,
     parity_count,
@@ -56,6 +57,16 @@ def test_composition_from_factors():
     assert composition_from_factors([]) == Composition(())
     with pytest.raises(ValueError):
         composition_from_factors([0])
+
+
+def test_hook_composition_matches_the_factor_list():
+    for N in range(8):
+        for j in range(6):
+            want = composition_from_factors([1] * N + [j + 1])
+            assert hook_composition(N, j) == want, (N, j)
+    for N, j in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            hook_composition(N, j)
 
 
 def test_parse_factor_list():

@@ -17,9 +17,7 @@ from qkostka.compositions import (
     weighted_size,
 )
 from qkostka.kostka import (
-    StabilizationError,
     _fusion_tables,
-    _unrestricted_cached,
     alternating_sum_raw,
     fusion_char_hook,
     fusion_weight_char,
@@ -31,7 +29,7 @@ from qkostka.kostka import (
     unrestricted,
 )
 from qkostka.qexact import QPolynomial, vector_gaussian_binomial
-from qkostka.verify import admissible_compositions
+from qkostka.verify import VerifyConfig, admissible_compositions, run_suites
 from qkostka.verlinde import structure_constants
 
 
@@ -163,11 +161,14 @@ def test_raw_alternating_sum_signs():
 def test_reversed_restricted():
     p = reversed_restricted(0, (4,), 2)
     assert p == poly({0: 1, 2: 1})
-    full = reversed_restricted(0, (6,), 2)
-    assert full == poly({0: 1, 2: 1, 3: 1, 4: 1})
-    # reversal is an involution up to the same shift
-    back = full.substitute_inverse().shifted(top_degree_h((6,)))
-    assert back == restricted_fermionic(0, (6,), 2)
+    assert reversed_restricted(0, (6,), 2) == poly({0: 1, 2: 1, 3: 1, 4: 1})
+    # the term-wise reversal is q**h(m) * K(1/q)
+    for k in range(1, 5):
+        for m in admissible_compositions(10, k):
+            h = top_degree_h(m)
+            for l in range(k + 1):
+                want = restricted_fermionic(l, m, k).substitute_inverse().shifted(h)
+                assert reversed_restricted(l, m, k) == want, (l, m, k)
 
 
 def test_fusion_weight_char():
@@ -199,15 +200,29 @@ def test_fusion_weight_char_matches_direct_sums_in_any_order():
         assert fusion_weight_char(m, alpha) == want[m, alpha], (m, alpha)
 
 
-def test_fusion_weight_char_fills_only_down_to_the_slice_asked():
+def _count_calls(monkeypatch, module, name):
+    """Count the calls to module.name from here on; returns a one-item list."""
+    real = getattr(module, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_fusion_weight_char_fills_only_down_to_the_slice_asked(monkeypatch):
     # a full fill of 1^400 would need K_0, which takes far too long
     qkostka.clear_caches()
+    calls = _count_calls(monkeypatch, kostka_module, "unrestricted")
     start = time.perf_counter()
     got = fusion_weight_char((400,), 398)
     assert time.perf_counter() - start < 1.0
-    assert got == unrestricted(398, (400,)) + unrestricted(400, (400,))
-    assert _unrestricted_cached.cache_info().misses == 2
+    assert calls == [2]
     assert len(_fusion_tables[(400,)]) == 3
+    assert got == unrestricted(398, (400,)) + unrestricted(400, (400,))
 
 
 def test_fusion_char_dimensions():
@@ -379,55 +394,25 @@ def test_alternating_sum_matches_the_reference_chain():
     assert nonzero > 1000
 
 
-def _patch_terms(monkeypatch, change=lambda k, terms: terms):
-    """Route kostka._fermionic_terms through change(k, terms).
-
-    Returns the list of term lists kostka.gaussian_product_sum evaluates.
-    """
-    real = kostka_module._fermionic_terms
-    real_sum = kostka_module.gaussian_product_sum
-    evaluated = []
-
-    def counted_sum(terms):
-        evaluated.append(terms)
-        return real_sum(terms)
-
-    monkeypatch.setattr(kostka_module, "_fermionic_terms", lambda l, m, k: change(k, real(l, m, k)))
-    monkeypatch.setattr(kostka_module, "gaussian_product_sum", counted_sum)
-    return evaluated
+def test_unrestricted_terms_are_the_same_one_level_higher():
+    # unrestricted reads level max(|m|, l, 1) alone; the level above it
+    # must give the very same term list
+    checked = 0
+    for m in admissible_compositions(20, 4):
+        size = weighted_size(m)
+        for l in range(size % 2, size + 1, 2):
+            k = max(size, l, 1)
+            terms = kostka_module._fermionic_terms(l, m, k)
+            assert kostka_module._fermionic_terms(l, m, k + 1) == terms, (l, m)
+            checked += 1
+    assert checked == 6101
 
 
-# K_{2,(6,)} is taken at level |m| = 6 and checked against level 7
-def test_stabilization_evaluates_equal_term_lists_once(monkeypatch):
+def test_routes_sweep_walks_each_polynomial_once(monkeypatch):
+    # one walk per restricted polynomial and one per unrestricted one
     qkostka.clear_caches()
-    evaluated = _patch_terms(monkeypatch)
-    assert unrestricted(2, (6,)) == kostka_sl2_oracle(2, (6,))
-    assert evaluated == [kostka_module._fermionic_terms(2, (6,), 6)]
-
-
-def test_stabilization_raises_when_the_next_level_sums_differently(monkeypatch):
-    qkostka.clear_caches()
-    _patch_terms(monkeypatch, lambda k, terms: terms + [(1, 9, ())] if k == 7 else terms)
-    with pytest.raises(StabilizationError):
-        unrestricted(2, (6,))
-    qkostka.clear_caches()
-
-
-def test_stabilization_accepts_reordered_or_mirrored_terms(monkeypatch):
-    want = kostka_sl2_oracle(2, (6,))
-    terms = kostka_module._fermionic_terms(2, (6,), 7)
-    assert len(terms) >= 2 and any(pairs for _, _, pairs in terms)
-
-    def mirrored(terms):
-        return [(sign, e, tuple((t, t - n) for t, n in pairs)) for sign, e, pairs in terms]
-
-    for change in (lambda terms: terms[::-1], mirrored):
-        qkostka.clear_caches()
-        evaluated = _patch_terms(
-            monkeypatch, lambda k, terms, change=change: change(terms) if k == 7 else terms
-        )
-        assert unrestricted(2, (6,)) == want
-        # the differing level-7 list was evaluated too, and summed the same
-        assert evaluated == [terms, change(terms)]
-        monkeypatch.undo()
+    calls = _count_calls(monkeypatch, kostka_module, "_fermionic_terms")
+    (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
+    assert result.passed
+    assert calls == [2759]
     qkostka.clear_caches()

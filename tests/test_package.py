@@ -12,7 +12,6 @@ import qkostka
 from qkostka.charge import _oracle_tables, kostka_sl2_oracle
 from qkostka.kostka import (
     _fusion_tables,
-    _unrestricted_cached,
     fusion_weight_char,
     restricted_fermionic,
     unrestricted,
@@ -24,7 +23,6 @@ from qkostka.weyl import _orbit_items, euler_characteristic_bgg
 def _cache_sizes():
     return (
         len(_oracle_tables),
-        _unrestricted_cached.cache_info().currsize,
         len(_fusion_tables),
         _orbit_items.cache_info().currsize,
     )
@@ -46,7 +44,7 @@ def test_clear_caches_empties_every_cache_and_keeps_results():
     warm = _workload()
     assert all(size > 0 for size in _cache_sizes())
     qkostka.clear_caches()
-    assert _cache_sizes() == (0, 0, 0, 0)
+    assert _cache_sizes() == (0, 0, 0)
     assert _workload() == warm
     assert "clear_caches" in qkostka.__all__
 
@@ -70,7 +68,6 @@ def test_every_module_level_cache_is_one_clear_caches_empties():
                 found.add(f"{path.stem}.{ast.unparse(target)}")
     assert found == {
         "charge._oracle_tables",
-        "kostka._unrestricted_cached",
         "kostka._fusion_tables",
         "weyl._orbit_items",
     }

@@ -5,13 +5,12 @@ from operator import mul
 import pytest
 
 from qkostka import kostka, virasoro
-from qkostka.compositions import InvariantError
+from qkostka.compositions import InvariantError, hook_composition
 from qkostka.kostka import StabilizationError, reversed_restricted
 from qkostka.qexact import QPolynomial
 from qkostka.virasoro import (
     BranchingSeries,
     MinimalModel,
-    _limit_composition,
     branching_via_kostka_limit,
     conformal_weight,
     coset_central_charge,
@@ -115,11 +114,14 @@ def test_branching_limit_ising_vacuum():
 
 
 def test_branching_limit_matches_rocha():
-    for (i, j, l) in [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
-        k = 1
-        bs = branching_via_kostka_limit(i, j, k, l, 8)
-        mm = rocha_caridi(MinimalModel(k + 2, k + 3, j + 1, l + 1), 8)
-        assert series_mismatches(bs.series, mm.series) == [], (i, j, l)
+    # for the k >= 4 cases the windows of two consecutive n first agree as
+    # all zeros, before the leading q^Delta term has reached them
+    cases = [(0, 0, 1, 0), (1, 1, 1, 0), (1, 0, 1, 1), (0, 1, 1, 1),
+             (0, 4, 4, 0), (0, 4, 5, 0), (0, 5, 5, 1), (1, 5, 5, 0)]
+    for (i, j, k, l) in cases:
+        bs = branching_via_kostka_limit(i, j, k, l, 15)
+        mm = rocha_caridi(MinimalModel(k + 2, k + 3, j + 1, l + 1), 15)
+        assert series_mismatches(bs.series, mm.series) == [], (i, j, k, l)
 
 
 def _full_reversal_limit(i, j, k, l, order, polys):
@@ -129,7 +131,7 @@ def _full_reversal_limit(i, j, k, l, order, polys):
     prev = None
     while True:
         if n not in polys:
-            polys[n] = reversed_restricted(l, _limit_composition(n, i, j), k + 1)
+            polys[n] = reversed_restricted(l, hook_composition(2 * n + i - 1, j), k + 1)
         poly = polys[n]
         window = [poly.coefficient(d) for d in range(order + 1)]
         if window == prev:
@@ -155,18 +157,13 @@ def test_branching_window_matches_the_full_reversal():
 
 
 def test_negative_reversed_exponent_raises(monkeypatch):
-    # a term above the top degree h(m) would reverse to a negative exponent
-    def too_high(l, m, k):
-        return [(1, 10**6, ())]
-
-    monkeypatch.setattr(virasoro, "_fermionic_terms", too_high)
-    with pytest.raises(StabilizationError, match="negative exponent"):
-        branching_via_kostka_limit(0, 0, 1, 0, 6)
-    monkeypatch.setattr(
-        kostka, "restricted_fermionic", lambda l, m, k: QPolynomial.q_power(10**6)
-    )
+    # a term above the top degree h(m) would reverse to a negative exponent;
+    # both reversals read the one term reversal in kostka
+    monkeypatch.setattr(kostka, "_fermionic_terms", lambda l, m, k: [(1, 10**6, ())])
     with pytest.raises(StabilizationError, match="negative exponent"):
         reversed_restricted(0, (2,), 1)
+    with pytest.raises(StabilizationError, match="negative exponent"):
+        branching_via_kostka_limit(0, 0, 1, 0, 6)
 
 
 def test_branching_parity_zero():
@@ -209,6 +206,18 @@ def test_fermionic_character_matches_rocha():
         fc = fermionic_character_sum(j, l, k, 8)
         mm = rocha_caridi(MinimalModel(k + 2, k + 3, j + 1, l + 1), 8)
         assert series_mismatches(fc.derived.series, mm.series) == [], (j, l)
+
+
+def test_printed_coefficients_do_not_depend_on_the_order():
+    # a printed term with n < 0 needs its 1/(q)_d tail through q^(order - n)
+    low, high = 8, 12
+    for k in range(1, 7):
+        for j in range(k + 1):
+            for l in range(k + 2):
+                at_low = fermionic_character_sum(j, l, k, low).printed_coefficients
+                at_high = fermionic_character_sum(j, l, k, high).printed_coefficients
+                assert at_low == {e: c for e, c in at_high.items() if e <= low}, (j, l, k)
+    assert fermionic_character_sum(0, 5, 4, low).printed_coefficients[8] == 200
 
 
 def _requested_terms(monkeypatch, j, l, k, order):
