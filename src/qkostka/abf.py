@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .compositions import hook_composition
-from .kostka import restricted_fermionic
+from .kostka import check_level_weight, restricted_fermionic
 from .qexact import QPolynomial, shifted_sum, signed_binomial_sum
 from .reports import AuditRecord
 
@@ -89,8 +89,7 @@ def grouped_identity_check(k: int, j: int, l: int, N: int) -> AuditRecord:
     """
     if not 0 <= j + 1 <= k:
         raise ValueError("hook spin must stay strictly below the level")
-    if not 0 <= l <= k:
-        raise ValueError("weight must satisfy 0 <= l <= k")
+    check_level_weight(l, k)
     lhs = restricted_fermionic(l, hook_composition(N, j), k)
     period = k + 2
     span = (N + j + 3) // (2 * period) + 2
@@ -126,8 +125,7 @@ def finitization_audit(k: int, j: int, l: int, N: int) -> list[AuditRecord]:
     """
     if not 0 <= j + 1 <= k:
         raise ValueError("hook spin must stay strictly below the level")
-    if not 0 <= l <= k:
-        raise ValueError("weight must satisfy 0 <= l <= k")
+    check_level_weight(l, k)
     kostka = restricted_fermionic(l, hook_composition(N, j), k)
     r = k + 1
 

@@ -183,7 +183,7 @@ def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
     return QPolynomial.from_integer_terms(tallies.get(sc.shape[1], {}))
 
 
-# trimmed m (it fixes the content) -> (row-2 cap, {row-2 length: K})
+# m (it fixes the content) -> (row-2 cap, {row-2 length: K})
 _oracle_tables = {}
 
 
@@ -196,7 +196,7 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     row 2 capped at the longest requested, so it answers every weight down
     to the requested one; a request below that reruns it with the new cap.
     """
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     size = weighted_size(comp)
     if l < 0 or l > size or (size - l) % 2:
         return QPolynomial.zero()

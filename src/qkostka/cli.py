@@ -43,7 +43,7 @@ def factor_argument(text: str) -> Composition:
 def factor_string(m: Composition) -> str:
     """Canonical factor-list form, inverse of parse_factor_list."""
     chunks = []
-    for spin, count in enumerate(m.trimmed().parts, start=1):
+    for spin, count in enumerate(m.parts, start=1):
         if count == 1:
             chunks.append(str(spin))
         elif count > 1:

@@ -52,7 +52,7 @@ class FunctionalModelSpec:
     def from_parameters(
         cls, l: int, m: CompositionLike, k: int
     ) -> "FunctionalModelSpec":
-        comp = as_composition(m).trimmed()
+        comp = as_composition(m)
         size = weighted_size(comp)
         if size < l or (size - l) % 2:
             raise ValueError("weight must not exceed |m| and must match its parity")

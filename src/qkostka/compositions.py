@@ -9,6 +9,8 @@ turns (l, m) into the two-row shape/content pair the tableau oracle consumes.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from typing import Iterable, Sequence
 
 
@@ -25,40 +27,39 @@ class InvariantError(AssertionError):
 
 
 class Composition:
-    """Immutable vector of nonnegative multiplicities m_1..m_k, with its |m|."""
+    """Immutable vector of nonnegative multiplicities m_1..m_k, with its |m|.
+
+    Construction drops trailing zero multiplicities (the empty composition
+    is (0,)), so equality and hash do not see them.
+    """
 
     __slots__ = ("parts", "_weighted_size")
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
-        if len(parts) == 0:
-            parts = (0,)
+        try:
+            parts = [operator.index(p) for p in parts]
+        except TypeError:
+            raise ValueError("multiplicities must be integers") from None
         if any(p < 0 for p in parts):
             raise ValueError("multiplicities must be nonnegative")
-        self.parts = parts
+        while len(parts) > 1 and parts[-1] == 0:
+            parts.pop()
+        self.parts = tuple(parts) or (0,)
         self._weighted_size = sum(a * p for a, p in enumerate(parts, start=1))
 
     @property
     def width(self) -> int:
         return len(self.parts)
 
-    def padded(self, width: int) -> "Composition":
+    def padded(self, width: int) -> tuple[int, ...]:
+        """The parts followed by zeros up to `width`."""
         if width < len(self.parts):
             raise ValueError("cannot pad to a smaller width")
-        return Composition(self.parts + (0,) * (width - len(self.parts)))
+        return self.parts + (0,) * (width - len(self.parts))
 
     def trimmed(self) -> "Composition":
-        """Drop trailing zero multiplicities (keeping width at least 1).
-
-        Compositions are immutable, so one that is already trimmed comes back
-        as itself.
-        """
-        if len(self.parts) == 1 or self.parts[-1]:
-            return self
-        parts = list(self.parts)
-        while len(parts) > 1 and parts[-1] == 0:
-            parts.pop()
-        return Composition(parts)
+        """Construction already drops trailing zeros, so this is the identity."""
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Composition):
@@ -94,15 +95,16 @@ def composition_from_factors(factors: Iterable[int]) -> Composition:
     composition_from_factors([1, 1, 1, 1]) is (4,): four spin-1 factors.
     composition_from_factors([1, 1, 2]) is (2, 1).
     """
-    factors = list(factors)
-    if not factors:
-        return Composition((0,))
-    if any(a < 1 for a in factors):
+    return _composition_from_counts(Counter(factors))
+
+
+def _composition_from_counts(counts: dict[int, int]) -> Composition:
+    """The multiplicity vector of {spin: count}; spins must be positive."""
+    if any(a < 1 for a in counts):
         raise ValueError("factor spins must be positive integers")
-    width = max(factors)
-    parts = [0] * width
-    for a in factors:
-        parts[a - 1] += 1
+    parts = [0] * max(counts, default=0)
+    for a, count in counts.items():
+        parts[a - 1] += count
     return Composition(parts)
 
 
@@ -124,22 +126,22 @@ def parse_factor_list(text: str) -> Composition:
 
     Each entry names one factor by its spin; "a^e" repeats spin a e times,
     so "1^4,2" means four spin-1 factors and one spin-2 factor. The result
-    is the multiplicity vector of the multiset.
+    is the multiplicity vector of the multiset. Repeats are counted, not
+    expanded, so "1^1000000000" costs no more to parse than "1^4".
     """
-    factors: list[int] = []
+    counts: dict[int, int] = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise ValueError(f"empty entry in factor list {text!r}")
-        if "^" in token:
-            base_s, _, count_s = token.partition("^")
-            base, count = int(base_s), int(count_s)
-            if count < 0:
-                raise ValueError(f"negative repeat in {token!r}")
-            factors.extend([base] * count)
-        else:
-            factors.append(int(token))
-    return composition_from_factors(factors)
+        base_s, caret, count_s = token.partition("^")
+        base = int(base_s)
+        count = int(count_s) if caret else 1
+        if count < 0:
+            raise ValueError(f"negative repeat in {token!r}")
+        if count:
+            counts[base] = counts.get(base, 0) + count
+    return _composition_from_counts(counts)
 
 
 def weighted_size(m: CompositionLike) -> int:
@@ -148,11 +150,9 @@ def weighted_size(m: CompositionLike) -> int:
 
 
 def min_form(m: CompositionLike, n: CompositionLike) -> int:
-    """The bilinear form sum_{a,b} min(a,b) m_a n_b on equal-width vectors."""
+    """The bilinear form sum_{a,b} min(a,b) m_a n_b."""
     mp = as_composition(m).parts
     np_ = as_composition(n).parts
-    if len(mp) != len(np_):
-        raise ValueError("width mismatch in min form")
     total = 0
     for a, ma in enumerate(mp, start=1):
         if ma == 0:

@@ -80,7 +80,7 @@ def _fermionic_terms(
     any lower level is chosen.
     """
     check_level_weight(l, k)
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     if comp.width > k:
         return []
     # With A_ab = min(a, b), (Ax)_a = sum_{c <= a} sum_{b >= c} x_b: running
@@ -133,12 +133,12 @@ def unrestricted(l: int, m: CompositionLike) -> QPolynomial:
 
     At a level k >= |m| the walk visits only levels a <= N = (|m| - l)/2,
     where v_a = 0 and (Am)_a does not depend on k: every higher level gives
-    the same term list, so the polynomial has stabilized. A trimmed m has
-    width at most max(|m|, 1), so no factor spin exceeds the level.
+    the same term list, so the polynomial has stabilized. With no trailing
+    zeros, m has width at most max(|m|, 1), so no spin exceeds the level.
     """
     if l < 0:
         return QPolynomial.zero()
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     return restricted_fermionic(l, comp, max(weighted_size(comp), l, 1))
 
 
@@ -163,7 +163,7 @@ def alternating_sum_raw(
     level; restricted_alternating adds that admissibility check.
     """
     check_level_weight(l, k)
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     size = weighted_size(comp)
     kostka = _unrestricted_source(source)
     items = []
@@ -191,7 +191,7 @@ def restricted_alternating(
     refused first, as in the fermionic route.
     """
     check_level_weight(l, k)
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     if comp.width > k:
         return QPolynomial.zero()
     return alternating_sum_raw(l, comp, k, source)
@@ -222,7 +222,7 @@ def reversed_restricted(l: int, m: CompositionLike, k: int) -> QPolynomial:
     return gaussian_product_sum(_reversed_terms(l, m, k))
 
 
-# trimmed m -> [0, F(|m|), F(|m| - 2), ...], down to the lowest |alpha| asked
+# m -> [0, F(|m|), F(|m| - 2), ...], down to the lowest |alpha| asked
 _fusion_tables = {}
 
 
@@ -234,7 +234,7 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
     down to the lowest |alpha| asked. Symmetric in alpha and -alpha; zero
     once |alpha| exceeds |m|.
     """
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     size = weighted_size(comp)
     alpha = abs(alpha)
     if alpha > size or (size - alpha) % 2:

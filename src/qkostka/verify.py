@@ -56,23 +56,18 @@ class SuiteResult:
 
 
 def admissible_compositions(max_weight: int, max_width: int) -> list[Composition]:
-    """Trimmed multiplicity vectors with weighted size <= max_weight."""
-    out: list[Composition] = [Composition(())]
+    """Multiplicity vectors of width <= max_width and weighted size <= max_weight."""
+    out: list[Composition] = []
 
     def rec(spin: int, left: int, parts: list[int]) -> None:
         if spin > max_width:
-            if any(parts):
-                trimmed = list(parts)
-                while trimmed and trimmed[-1] == 0:
-                    trimmed.pop()
-                out.append(Composition(trimmed))
+            out.append(Composition(parts))
             return
         for count in range(left // spin + 1):
             rec(spin + 1, left - spin * count, parts + [count])
 
     rec(1, max_weight, [])
-    unique = sorted(set(out), key=lambda c: (weighted_size(c), c.parts))
-    return unique
+    return sorted(out, key=lambda c: (weighted_size(c), c.parts))
 
 
 def _marker(flag: bool) -> QPolynomial:

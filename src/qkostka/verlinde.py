@@ -41,7 +41,7 @@ def _fuse_vector(vec: FusionVector, b: int, k: int) -> FusionVector:
 
 def structure_constants(m: CompositionLike, k: int) -> FusionVector:
     """Expand [1]^{m_1} ... [k]^{m_k} in the basis [0], ..., [k]."""
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     if comp.width > k:
         raise ValueError("composition has a spin above the level")
     vec = tuple(1 if c == 0 else 0 for c in range(k + 1))
@@ -63,7 +63,7 @@ class Q1Report(NamedTuple):
 
 def q1_consistency(m: CompositionLike, k: int) -> list[Q1Report]:
     """Compare restricted_fermionic(l, m, k)(1) with the fusion multiplicity, per l."""
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     if comp.width > k:
         # both sides degenerate: the restricted polynomial is zero and the
         # module is absent, so report zeros across the board

@@ -165,6 +165,12 @@ def coset_gap(i: int, j: int, k: int, l: int) -> int:
     return int(gap)
 
 
+def _check_labels(j: int, l: int, k: int) -> None:
+    """Refuse coset labels outside 0 <= j <= k and 0 <= l <= k + 1."""
+    if not (0 <= j <= k and 0 <= l <= k + 1):
+        raise ValueError("labels out of range")
+
+
 def _reversed_window(l: int, m: Composition, k: int, order: int) -> list[int]:
     """Coefficients of q^0..q^order in reversed_restricted(l, m, k).
 
@@ -190,8 +196,7 @@ def branching_via_kostka_limit(i: int, j: int, k: int, l: int, order: int) -> Br
     """
     if i not in (0, 1):
         raise ValueError("i selects a parity and must be 0 or 1")
-    if not (0 <= j <= k and 0 <= l <= k + 1):
-        raise ValueError("labels out of range")
+    _check_labels(j, l, k)
     if order < 0:
         raise ValueError("order must be nonnegative")
     offset = coset_prefactor_exponent(i, j, k, l)
@@ -239,7 +244,7 @@ def _reversed_term_data(
 ) -> tuple[Fraction, tuple[int, ...], int]:
     """Exponent/tops/pochhammer index of one reversed term at finite N."""
     level = k + 1
-    m = hook_composition(N, j).padded(level).parts
+    m = hook_composition(N, j).padded(level)
     weighted = sum(a * ma for a, ma in enumerate(m, start=1))
     if (weighted - l) % 2:
         raise InvariantError("inadmissible N parity")
@@ -275,8 +280,7 @@ def fermionic_term_limit(
     tvec = tuple(t)
     if len(tvec) != k or any(x < 0 for x in tvec):
         raise ValueError("t must be a nonnegative vector of width k")
-    if not (0 <= j <= k and 0 <= l <= k + 1):
-        raise ValueError("labels out of range")
+    _check_labels(j, l, k)
     n0 = 2 * sum(b * tb for b, tb in zip(range(2, k + 2), tvec))
     n0 += abs(l - j) + j + 3
     if (n0 + j + 1 - l) % 2:
@@ -403,8 +407,7 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
     binomial product are computed once, and both sides add through the same
     truncated-series helper.
     """
-    if not (0 <= j <= k and 0 <= l <= k + 1):
-        raise ValueError("labels out of range")
+    _check_labels(j, l, k)
     if order < 0:
         raise ValueError("order must be nonnegative")
     delta = conformal_weight(MinimalModel(k + 2, k + 3, j + 1, l + 1))

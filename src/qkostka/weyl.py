@@ -97,8 +97,7 @@ def bgg_generators(p: int, l: int, k: int) -> list[AffineWeight]:
     """
     if p < 0:
         raise ValueError("length must be nonnegative")
-    if not 0 <= l <= k:
-        raise ValueError("weight must satisfy 0 <= l <= k")
+    check_level_weight(l, k)
     start = AffineWeight(l, k, 0)
     if p == 0:
         return [start]
@@ -153,7 +152,7 @@ def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
     in the fermionic route.
     """
     check_level_weight(l, k)
-    comp = as_composition(m).trimmed()
+    comp = as_composition(m)
     return shifted_sum(
         [
             (sign, grade, fusion_weight_char(comp, weight))
@@ -170,8 +169,7 @@ def homology_dim_predicate(p: int, n: int, l: int, k: int) -> int:
     """
     if p < 0 or n < 0:
         raise ValueError("length and weight must be nonnegative")
-    if not 0 <= l <= k:
-        raise ValueError("weight must satisfy 0 <= l <= k")
+    check_level_weight(l, k)
     if p % 2 == 0:
         return 1 if n == p * (k + 2) + l else 0
     return 1 if n == p * (k + 2) + k - l else 0

@@ -22,6 +22,15 @@ def test_label_validation():
         AbfLabel(3, 1, 1, -2)
 
 
+def test_hook_checks_refuse_a_level_below_one():
+    # j = -1 passes the hook-spin check, so the level check must catch k = 0
+    for check in (grouped_identity_check, finitization_audit):
+        with pytest.raises(ValueError, match="level must be positive"):
+            check(0, -1, 0, 2)
+        with pytest.raises(ValueError, match="weight must satisfy"):
+            check(2, 0, 3, 2)
+
+
 def test_abf_polynomial_values():
     assert abf_polynomial(AbfLabel(2, 1, 1, 2)) == QPolynomial.one()
     assert abf_polynomial(AbfLabel(3, 1, 1, 0)) == QPolynomial.one()

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import pytest
 
 from qkostka.compositions import (
@@ -20,28 +23,46 @@ from qkostka.compositions import (
 def test_composition_basics():
     m = Composition((2, 0, 1))
     assert m.width == 3
-    assert m.padded(5).parts == (2, 0, 1, 0, 0)
-    assert Composition((2, 0, 1, 0)).trimmed() == m
+    assert type(m.padded(5)) is tuple
+    assert m.padded(5) == (2, 0, 1, 0, 0)
+    assert Composition((2, 0, 1, 0)).parts == m.parts
     assert Composition(()).parts == (0,)
-    assert Composition(()).trimmed().width == 1
+    assert Composition(()).width == 1
+    assert Composition(()).padded(3) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        m.padded(2)
 
 
 def test_trimmed_returns_self_when_already_trimmed():
-    def reference_trimmed(m):
-        parts = list(m.parts)
+    def reference_normal_form(parts):
+        parts = list(parts)
         while len(parts) > 1 and parts[-1] == 0:
             parts.pop()
-        return Composition(parts)
+        return tuple(parts) or (0,)
 
-    for parts in [(), (0,), (3,), (2, 0, 1), (0, 0, 2), (1, 1, 1)]:
+    for parts in [(), (0,), (3,), (2, 0, 1), (0, 0, 2), (1, 1, 1),
+                  (0, 0), (2, 0), (2, 0, 1, 0), (0, 1, 0, 0, 0), (0, 0, 0)]:
         m = Composition(parts)
+        assert m.parts == reference_normal_form(parts), parts
         assert m.trimmed() is m
-        assert m.trimmed() == reference_trimmed(m)
-    for parts in [(0, 0), (2, 0), (2, 0, 1, 0), (0, 1, 0, 0, 0), (0, 0, 0)]:
-        m = Composition(parts)
-        assert m.trimmed() == reference_trimmed(m)
-        assert m.trimmed().parts == reference_trimmed(m).parts
-        assert m.parts == parts
+        assert weighted_size(m) == sum(a * p for a, p in enumerate(parts, start=1))
+
+
+def test_equality_and_hash_ignore_trailing_zeros():
+    for short, long in [((1,), (1, 0)), ((), (0, 0, 0)), ((2, 0, 1), (2, 0, 1, 0, 0))]:
+        assert Composition(short) == Composition(long)
+        assert hash(Composition(short)) == hash(Composition(long))
+        assert len({Composition(short), Composition(long)}) == 1
+    assert Composition((1, 0)) != Composition((0, 1))
+
+
+def test_multiplicities_must_be_nonnegative_integers():
+    for bad in ([1.5], [2.0], ["3"], [1, None]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Composition(bad)
+    with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+        Composition((2, -1))
+    assert Composition((True, 2)).parts == (1, 2)
 
 
 def test_as_composition():
@@ -80,6 +101,36 @@ def test_parse_factor_list():
         parse_factor_list("1^x")
     with pytest.raises(ValueError):
         parse_factor_list("-2")
+    # a zero repeat adds nothing, whatever its spin
+    assert parse_factor_list("0^0") == Composition(())
+    assert parse_factor_list("-1^0") == Composition(())
+    assert parse_factor_list("2^0,1") == Composition((1,))
+    assert parse_factor_list("1^2, 3 ,1^3,3^0") == Composition((5, 0, 1))
+    refusals = {
+        "1^": "invalid literal for int",
+        "^2": "invalid literal for int",
+        "0": "factor spins must be positive integers",
+        "1^-1": "negative repeat in '1^-1'",
+        "1,,2": "empty entry in factor list '1,,2'",
+        # spins are checked after the whole list is read
+        "0,1^-1": "negative repeat in '1^-1'",
+        "0,x": "invalid literal for int",
+    }
+    for text, message in refusals.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_factor_list(text)
+
+
+def test_parse_factor_list_counts_repeats_without_expanding_them():
+    tracemalloc.start()
+    try:
+        m = parse_factor_list("1^2000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.parts == (2000000,)
+    assert peak < 1 << 20
+    assert parse_factor_list("1^1000000000,3").parts == (10**9, 0, 1)
 
 
 def test_weighted_size():
@@ -95,8 +146,10 @@ def test_min_form():
     assert min_form((1, 1), (1, 1)) == (1 + 1) + (1 + 2)
     assert min_form((0, 1), (0, 1)) == 2
     assert min_form((3, 0), (0, 2)) == 6
-    with pytest.raises(ValueError):
-        min_form((3,), (0, 2))  # widths must match
+    # trailing zeros change nothing, so vectors of any two widths pair up
+    assert min_form((3,), (0, 2)) == 6
+    assert min_form((1, 0, 0, 0), (0, 0, 1)) == 1
+    assert min_form((0, 1), (1, 2, 0)) == min_form((0, 1, 0), (1, 2, 0)) == 5
 
 
 def test_statistics_on_single_columns():

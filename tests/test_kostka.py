@@ -63,12 +63,11 @@ def _reference_restricted_fermionic(l, m, k):
     comp = as_composition(m).trimmed()
     if comp.width > k:
         return QPolynomial.zero()
-    comp = comp.padded(k)
     size = weighted_size(comp)
     if (size - l) % 2 or size < l:
         return QPolynomial.zero()
     v = restriction_vector(l, k)
-    mparts = comp.parts
+    mparts = comp.padded(k)
     out = QPolynomial.zero()
     for s in _occupation_vectors((size - l) // 2, k):
         tops = []

@@ -31,6 +31,36 @@ def test_admissible_compositions():
     assert sizes == sorted(sizes)
 
 
+def test_admissible_compositions_match_the_explicit_trimming_enumeration():
+    # the enumeration before compositions trimmed themselves: trim by hand,
+    # deduplicate, sort
+    def reference(max_weight, max_width):
+        out = [()]
+
+        def rec(spin, left, parts):
+            if spin > max_width:
+                if any(parts):
+                    trimmed = list(parts)
+                    while trimmed and trimmed[-1] == 0:
+                        trimmed.pop()
+                    out.append(tuple(trimmed))
+                return
+            for count in range(left // spin + 1):
+                rec(spin + 1, left - spin * count, parts + [count])
+
+        rec(1, max_weight, [])
+        normal = {p or (0,) for p in out}
+        return sorted(normal, key=lambda p: (sum(a * c for a, c in enumerate(p, 1)), p))
+
+    for max_weight, max_width in [(10, 4), (0, 1), (6, 1), (7, 3)]:
+        ms = admissible_compositions(max_weight, max_width)
+        assert [m.parts for m in ms] == reference(max_weight, max_width)
+    ms = admissible_compositions(10, 4)
+    assert len(ms) == 94
+    digest = hashlib.sha256(repr([m.parts for m in ms]).encode()).hexdigest()
+    assert digest == "3ddcddf8ba0e677045157fdb45e7f70c21181f302cab70d229620104195b84bf"
+
+
 def test_run_suites_all_expansion():
     results = run_suites(["all"], small())
     assert [r.suite for r in results] == list(SUITES)

@@ -99,6 +99,15 @@ def test_resolution_weight_line():
                 assert gens[-1].weight == want, (k, l, p)
 
 
+def test_weyl_labels_refused_by_the_level_weight_check():
+    for l, k, message in [(0, 0, "level must be positive"), (0, -1, "level must be positive"),
+                          (3, 2, "weight must satisfy"), (-1, 2, "weight must satisfy")]:
+        with pytest.raises(ValueError, match=message):
+            bgg_generators(1, l, k)
+        with pytest.raises(ValueError, match=message):
+            homology_dim_predicate(1, 4, l, k)
+
+
 def test_homology_dim_predicate():
     assert homology_dim_predicate(0, 0, 0, 1) == 1
     assert homology_dim_predicate(1, 4, 0, 1) == 1  # 1·3 + 1 - 0
