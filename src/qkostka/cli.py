@@ -7,11 +7,16 @@ Commands:
 
 Exit codes: 0 success / all checks pass, 1 hard verification failure,
 2 usage error (a bad argument, or an --out or cache path that cannot be
-used), 3 internal error: a program fault, reported as one JSON line
-{"error": <exception type>, "message": <text>} on stderr. Audit-class
-residuals (published formulas known to disagree with their derivations) are
-reported as data and never affect exit codes.
+used), 3 internal error: any other exception is a program fault, reported
+as one JSON line {"error": <exception type>, "message": <text>} on
+stderr. Audit-class residuals (published formulas known to disagree with
+their derivations) are reported as data and never affect exit codes.
 All output is deterministic: repeated runs print the same bytes.
+
+`kostka` picks its function from one route table, the `table` kinds share
+one row builder, and one function renders JSON and CSV. A command imports
+only what it uses: `kostka` the core (plus `weyl` for `--route bgg`),
+`table` the cache and its kind's modules, `verify` every route.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import stat
 import sys
 
 from . import __version__, kostka
-from .compositions import Composition, parse_factor_list
+from .charge import kostka_sl2_oracle
+from .compositions import Composition, admissible_compositions, parse_factor_list
 from .qexact import QPolynomial
 
 # sorted(verify.SUITES), spelled out so that parsing needs no import of verify
@@ -51,14 +57,12 @@ def factor_string(m: Composition) -> str:
     return ",".join(chunks) if chunks else "0^0"
 
 
-def _polynomial_rows(params: dict, poly: QPolynomial) -> list[dict]:
-    rows = []
-    for num, coeff in poly.terms():
-        row = dict(params)
-        row["exponent_numerator"] = num
-        row["coefficient"] = str(coeff)
-        rows.append(row)
-    return rows
+def _polynomial_rows(params: dict, terms) -> list[dict]:
+    """One row per (exponent numerator, coefficient) pair, after params."""
+    return [{**params, "exponent_numerator": num, "coefficient": str(c)} for num, c in terms]
+
+
+_TERM_COLUMNS = ["exponent_numerator", "coefficient"]
 
 
 def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
@@ -66,6 +70,15 @@ def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
+
+
+def _render(fmt: str, blob: dict | None, columns: list[str], rows: list[dict]) -> str:
+    """Compact sorted-key JSON of blob, or CSV of rows under columns."""
+    if fmt == "json":
+        return json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n"
+    buf = io.StringIO()
+    _write_csv(buf, columns, rows)
+    return buf.getvalue()
 
 
 def _check_out(out: str | None) -> None:
@@ -92,63 +105,54 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _bgg(l: int, m: Composition, k: int) -> QPolynomial:
+    from .weyl import euler_characteristic_bgg
+
+    return euler_characteristic_bgg(m, l, k)
+
+
+# route -> (restricted K(l, m, k), unrestricted K(l, m) or None when the
+# route needs --level). Each entry looks its function up when called, so a
+# wrapper bound over a library function after import (a tracer, a test
+# double) also sees the CLI's calls.
+_ROUTES = {
+    "fermionic": (
+        lambda l, m, k: kostka.restricted_fermionic(l, m, k),
+        lambda l, m: kostka.unrestricted(l, m),
+    ),
+    "alternating": (lambda l, m, k: kostka.restricted_alternating(l, m, k), None),
+    "charge": (
+        lambda l, m, k: kostka.restricted_alternating(l, m, k, source="charge"),
+        lambda l, m: kostka_sl2_oracle(l, m),
+    ),
+    "bgg": (_bgg, None),
+}
+
+
 def cmd_kostka(args) -> int:
-    m = args.m
-    if args.level is not None:
-        k, l = args.level, args.weight
-        if args.reversed:
-            if args.route != "fermionic":
-                print("error: --reversed takes only the fermionic route", file=sys.stderr)
-                return 2
-            poly = kostka.reversed_restricted(l, m, k)
-            route = "reversed"
-        elif args.route == "fermionic":
-            poly = kostka.restricted_fermionic(l, m, k)
-            route = "fermionic"
-        elif args.route == "alternating":
-            poly = kostka.restricted_alternating(l, m, k, source="fermionic")
-            route = "alternating"
-        elif args.route == "charge":
-            poly = kostka.restricted_alternating(l, m, k, source="charge")
-            route = "charge"
-        else:
-            from .weyl import euler_characteristic_bgg
-
-            poly = euler_characteristic_bgg(m, l, k)
-            route = "bgg"
-        params = {
-            "level": k,
-            "weight": l,
-            "m": factor_string(m),
-            "route": route,
-        }
+    k, l, m, route = args.level, args.weight, args.m, args.route
+    restricted, unrestricted = _ROUTES[route]
+    if k is None and (args.reversed or unrestricted is None):
+        print("error: this route needs --level", file=sys.stderr)
+        return 2
+    if args.reversed and route != "fermionic":
+        print("error: --reversed takes only the fermionic route", file=sys.stderr)
+        return 2
+    if args.reversed:
+        poly, route = kostka.reversed_restricted(l, m, k), "reversed"
+    elif k is None:
+        poly = unrestricted(l, m)
     else:
-        if args.reversed or args.route in ("alternating", "bgg"):
-            print("error: this route needs --level", file=sys.stderr)
-            return 2
-        if args.route == "charge":
-            from .charge import kostka_sl2_oracle
-
-            poly = kostka_sl2_oracle(args.weight, m)
-        else:
-            poly = kostka.unrestricted(args.weight, m)
-        params = {
-            "level": "",
-            "weight": args.weight,
-            "m": factor_string(m),
-            "route": args.route,
-        }
+        poly = restricted(l, m, k)
+    params = {"level": "" if k is None else k, "weight": l, "m": factor_string(m), "route": route}
     if args.format == "text":
-        print(poly)
+        text = f"{poly}\n"
     elif args.format == "json":
-        blob = dict(params)
-        blob["polynomial"] = poly.to_json_dict()
-        print(json.dumps(blob, sort_keys=True, separators=(",", ":")))
+        text = _render("json", {**params, "polynomial": poly.to_json_dict()}, [], [])
     else:
-        buf = io.StringIO()
-        columns = ["level", "weight", "m", "route", "exponent_numerator", "coefficient"]
-        _write_csv(buf, columns, _polynomial_rows(params, poly))
-        sys.stdout.write(buf.getvalue())
+        rows = _polynomial_rows(params, poly.terms())
+        text = _render("csv", None, [*params, *_TERM_COLUMNS], rows)
+    _emit(text, None)
     return 0
 
 
@@ -156,109 +160,57 @@ def cmd_verify(args) -> int:
     from .verify import VerifyConfig, run_suites
 
     _check_out(args.out)
-    cfg = VerifyConfig(
-        max_weight=args.max_weight,
-        max_level=args.max_level,
-        order=args.order,
-    )
+    cfg = VerifyConfig(max_weight=args.max_weight, max_level=args.max_level, order=args.order)
     results = run_suites([args.suite], cfg)
-    report = {"suites": [r.to_json_dict() for r in results]}
     all_passed = all(r.passed for r in results)
-    if args.format == "json":
+    if args.format == "text":
+        summary = (
+            f"suite {r.suite}: checked {r.checked}, failures {len(r.failures)}, "
+            f"audit mismatches {r.audit_mismatches} -> {'pass' if r.passed else 'FAIL'}\n"
+            for r in results
+        )
+        _emit("".join(summary), args.out)
+    if args.format == "json" or not all_passed:
+        # a failing text run follows its summary with the report on stdout
+        report = {"suites": [r.to_json_dict() for r in results]}
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        _emit(text, args.out)
-    else:
-        lines = []
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"suite {r.suite}: checked {r.checked}, failures {len(r.failures)}, "
-                f"audit mismatches {r.audit_mismatches} -> {status}"
-            )
-        text = "\n".join(lines) + "\n"
-        _emit(text, args.out)
-        if not all_passed:
-            sys.stdout.write(
-                json.dumps(report, sort_keys=True, indent=2) + "\n"
-            )
+        _emit(text, args.out if args.format == "json" else None)
     return 0 if all_passed else 1
 
 
+def _table_params(args) -> dict:
+    """The cache-key params of a table; kostka and verlinde tables print them too."""
+    if args.kind == "characters":
+        return {"model": list(args.model), "order": args.order}
+    return {"max_weight": args.max_weight, "max_level": args.max_level}
+
+
 def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
-    if kind == "kostka":
-        from .verify import admissible_compositions
+    if kind == "characters":
+        from .virasoro import MinimalModel, rocha_caridi
 
-        params = {"max_weight": args.max_weight, "max_level": args.max_level}
-        columns = ["level", "weight", "m", "exponent_numerator", "coefficient"]
-        items = [
-            (k, m)
-            for k in range(1, args.max_level + 1)
-            for m in admissible_compositions(args.max_weight, k)
-        ]
+        p, pp = args.model
         rows = []
-        for k, m in items:
-            for l in range(k + 1):
-                poly = kostka.restricted_fermionic(l, m, k)
-                rows.extend(
-                    _polynomial_rows(
-                        {"level": k, "weight": l, "m": factor_string(m)}, poly
-                    )
-                )
-        return params, rows, columns
+        for r in range(1, p):
+            for s in range(1, pp):
+                bs = rocha_caridi(MinimalModel(p, pp, r, s), args.order)
+                params = {"p": p, "p_prime": pp, "r": r, "s": s, "offset": str(bs.offset)}
+                terms = [(4 * d, c) for d, c in enumerate(bs.coefficients()) if c]
+                rows += _polynomial_rows(params, terms)
+        columns = ["p", "p_prime", "r", "s", "offset", *_TERM_COLUMNS]
+        return {"p": p, "p_prime": pp, "order": args.order}, rows, columns
     if kind == "verlinde":
-        from .verify import admissible_compositions
         from .verlinde import structure_constants
-
-        params = {"max_weight": args.max_weight, "max_level": args.max_level}
-        columns = ["level", "weight", "m", "exponent_numerator", "coefficient"]
-        rows = []
-        for k in range(1, args.max_level + 1):
-            for m in admissible_compositions(args.max_weight, k):
-                constants = structure_constants(m, k)
-                for l, c in enumerate(constants):
-                    if c:
-                        rows.append(
-                            {
-                                "level": k,
-                                "weight": l,
-                                "m": factor_string(m),
-                                "exponent_numerator": 0,
-                                "coefficient": str(c),
-                            }
-                        )
-        return params, rows, columns
-    # characters
-    from .virasoro import MinimalModel, rocha_caridi
-
-    p, pp = args.model
-    params = {"p": p, "p_prime": pp, "order": args.order}
-    columns = [
-        "p",
-        "p_prime",
-        "r",
-        "s",
-        "offset",
-        "exponent_numerator",
-        "coefficient",
-    ]
     rows = []
-    for r in range(1, p):
-        for s in range(1, pp):
-            bs = rocha_caridi(MinimalModel(p, pp, r, s), args.order)
-            for d, c in enumerate(bs.coefficients()):
-                if c:
-                    rows.append(
-                        {
-                            "p": p,
-                            "p_prime": pp,
-                            "r": r,
-                            "s": s,
-                            "offset": str(bs.offset),
-                            "exponent_numerator": 4 * d,
-                            "coefficient": str(c),
-                        }
-                    )
-    return params, rows, columns
+    for k in range(1, args.max_level + 1):
+        for m in admissible_compositions(args.max_weight, k):
+            if kind == "kostka":
+                by_weight = [kostka.restricted_fermionic(l, m, k).terms() for l in range(k + 1)]
+            else:
+                by_weight = [[(0, c)] if c else [] for c in structure_constants(m, k)]
+            for l, terms in enumerate(by_weight):
+                rows += _polynomial_rows({"level": k, "weight": l, "m": factor_string(m)}, terms)
+    return _table_params(args), rows, ["level", "weight", "m", *_TERM_COLUMNS]
 
 
 def cmd_table(args) -> int:
@@ -272,33 +224,21 @@ def cmd_table(args) -> int:
         MinimalModel(*args.model, 1, 1)
     _check_out(args.out)
     cache_dir = resolve_cache_dir(args.cache_dir)
+    payload = key = None
     if cache_dir is not None:
         # a path that is not a directory fails here, as store would fail
         cache_dir.mkdir(parents=True, exist_ok=True)
-    payload = None
-    key = None
-    if kind in ("kostka", "verlinde"):
-        key_params = {"max_weight": args.max_weight, "max_level": args.max_level}
-    else:
-        key_params = {"model": list(args.model), "order": args.order}
-    if cache_dir is not None:
-        key = cache_key(__version__, kind, key_params)
+        key = cache_key(__version__, kind, _table_params(args))
         payload = load(cache_dir, key)
         if payload is not None:
             print(f"cache hit {key}", file=sys.stderr)
     if payload is None:
         params, rows, columns = _table_rows(kind, args)
         payload = {"kind": kind, "params": params, "columns": columns, "rows": rows}
-        if cache_dir is not None and key is not None:
+        if key is not None:
             store(cache_dir, key, payload)
             print(f"cache store {key}", file=sys.stderr)
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        buf = io.StringIO()
-        _write_csv(buf, payload["columns"], payload["rows"])
-        text = buf.getvalue()
-    _emit(text, args.out)
+    _emit(_render(args.format, payload, payload["columns"], payload["rows"]), args.out)
     return 0
 
 
@@ -361,7 +301,7 @@ def main(argv=None) -> int:
             parser.error("--order must be nonnegative")
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # the only files opened are the user's --out and cache paths, so an
         # OSError is an unusable path, not a fault
         print(f"error: {exc}", file=sys.stderr)

@@ -121,6 +121,21 @@ def hook_composition(N: int, j: int) -> Composition:
     return Composition(parts)
 
 
+def admissible_compositions(max_weight: int, max_width: int) -> list[Composition]:
+    """Multiplicity vectors of width <= max_width and weighted size <= max_weight."""
+    out: list[Composition] = []
+
+    def rec(spin: int, left: int, parts: list[int]) -> None:
+        if spin > max_width:
+            out.append(Composition(parts))
+            return
+        for count in range(left // spin + 1):
+            rec(spin + 1, left - spin * count, parts + [count])
+
+    rec(1, max_weight, [])
+    return sorted(out, key=lambda c: (c._weighted_size, c.parts))
+
+
 def parse_factor_list(text: str) -> Composition:
     """Parse a comma-separated factor list such as "2,1" or "1^4,2".
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import abf as abf_mod
 from . import kostka, verlinde, virasoro, weyl
-from .compositions import Composition, weighted_size
+from .compositions import Composition, admissible_compositions
 from .qexact import QPolynomial
 from .reports import AuditRecord
 
@@ -53,21 +53,6 @@ class SuiteResult:
             "passed": self.passed,
             "records": [r.to_json_dict() for r in self.records],
         }
-
-
-def admissible_compositions(max_weight: int, max_width: int) -> list[Composition]:
-    """Multiplicity vectors of width <= max_width and weighted size <= max_weight."""
-    out: list[Composition] = []
-
-    def rec(spin: int, left: int, parts: list[int]) -> None:
-        if spin > max_width:
-            out.append(Composition(parts))
-            return
-        for count in range(left // spin + 1):
-            rec(spin + 1, left - spin * count, parts + [count])
-
-    rec(1, max_weight, [])
-    return sorted(out, key=lambda c: (weighted_size(c), c.parts))
 
 
 def _marker(flag: bool) -> QPolynomial:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -420,6 +421,20 @@ def test_exit_code_3_on_internal_fault(monkeypatch, capsys):
     assert json.loads(err) == {"error": "RuntimeError", "message": "route exploded"}
 
 
+def test_exit_code_3_on_a_key_error_fault(monkeypatch, capsys):
+    # argparse refuses unknown suite names, so a KeyError is a fault, not usage
+    from qkostka import verify as verify_mod
+
+    def faulty(cfg):
+        raise KeyError("oops")
+
+    monkeypatch.setitem(verify_mod.SUITES, "routes", faulty)
+    code, out, err = run(capsys, "verify", "routes")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "KeyError", "message": "'oops'"}
+
+
 def test_exit_code_3_on_recursion_error(capsys):
     # the occupation-vector recursion is deeper than the interpreter allows
     code, out, err = run(
@@ -469,3 +484,57 @@ def test_verify_help_and_choice_error_bytes(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, "verify", "--help") == (0, VERIFY_HELP, "")
     assert run(capsys, "verify", "nosuch") == (2, "", VERIFY_NOSUCH_ERROR)
+
+
+# sha256 of stdout for each front-end path: every `kostka` route in every
+# format on one restricted input, the two unrestricted routes, the degree
+# reversal, and the three `table` kinds (no cache)
+RESTRICTED = "kostka --m 2,1^5 --weight 1 --level 3"
+UNRESTRICTED = "kostka --m 2,1^5 --weight 1"
+RESTRICTED_TEXT_SHA256 = "8be89703296ad15c28edd98937b5473c88b1822307978c37b3d6d56c32a01dec"
+GOLDEN_FRONT_END_SHA256 = {
+    RESTRICTED: RESTRICTED_TEXT_SHA256,
+    f"{RESTRICTED} --format json": "25e6182b66f4f6d31dee8160d298cc7c8b1a499942737328845aef53e9a49f14",
+    f"{RESTRICTED} --format csv": "ffcc765cf0930d6d926b631b4a46d14d5d527eda45ead6d984d783bc16b10b9b",
+    f"{RESTRICTED} --route alternating": RESTRICTED_TEXT_SHA256,
+    f"{RESTRICTED} --route alternating --format json":
+        "8798d566e512765dcee0feead4649ff1f9d509e6be81141ca94bc756388a73b4",
+    f"{RESTRICTED} --route alternating --format csv":
+        "d7dcdd78eba8781fbdc1d1dbe32cd92037ff6a32570004ca6a2a85ffaa4c48c9",
+    f"{RESTRICTED} --route charge": RESTRICTED_TEXT_SHA256,
+    f"{RESTRICTED} --route charge --format json":
+        "f6abe14951caf6f65709f308c607257e9a71df117f7c10a6d945a13bed55b874",
+    f"{RESTRICTED} --route charge --format csv":
+        "ca7d47bc754682d5b0efc87207cf1ec2ffcb085055a6b25549256afa30e68e4f",
+    f"{RESTRICTED} --route bgg": RESTRICTED_TEXT_SHA256,
+    f"{RESTRICTED} --route bgg --format json":
+        "b0f9fb17182a41e27940d0d1508148a84627353588aa3c396f356bd67d3b675f",
+    f"{RESTRICTED} --route bgg --format csv":
+        "6b27c83a6e24ccca2b84103e84138fb1e49ad13c5569633a9ee525efb098c53d",
+    f"{RESTRICTED} --reversed --format csv":
+        "c9081cf83524276041ffd1fb3d07f9fe65144ce7223ba44097d0d6f66e750296",
+    f"{UNRESTRICTED} --format json": "114bd927258a3d628cff067fe516aaa06c76994f8186cce1fb74e1ab46688f1a",
+    f"{UNRESTRICTED} --format csv": "1e3bf32eae72f4f4afe56c9a8a6fe76d00ff86068e081e656fdd3a99f984b285",
+    f"{UNRESTRICTED} --route charge --format json":
+        "d6ce0dc6f2b9c97cc83840f73283492ffc5e6e608d1ffcca60e044adf151db00",
+    f"{UNRESTRICTED} --route charge --format csv":
+        "33050b6d959d26cf7399d36982ab288a5ad73e6a04e7bbaf06f14c47d2efdddd",
+    "table kostka --max-weight 6 --max-level 3 --format json":
+        "2fe2fa57b53b5a2b0fb88f0e01e1d1c7508b61451291bc58292e459acbc99fe3",
+    "table verlinde --max-weight 10 --max-level 3":
+        "18588bf035f8209a8da6a7844a4336e69fc481a986f7459ff55329bb7bfa74f7",
+    "table verlinde --max-weight 10 --max-level 3 --format json":
+        "150edb80e663f16132ae85379c7f9984b99e6657a5db756e7746eb52fc115270",
+    "table characters --model 4 5 --order 16":
+        "ece3efe289b6e95a985235eed332cfc062929f9cdc6367a9e138c9c336e5fa74",
+    "table characters --model 4 5 --order 16 --format json":
+        "35e3ae6dcda8aafba6a81bd74acd9e02420fe466227e10d177844ac964e77b49",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_FRONT_END_SHA256))
+def test_golden_front_end_bytes(command, capsys, monkeypatch):
+    monkeypatch.delenv("KOSTKA_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FRONT_END_SHA256[command]

@@ -191,6 +191,22 @@ def test_cli_start_up_loads_only_the_core():
     assert loaded_after_kostka == []
 
 
+def test_table_kostka_cache_miss_loads_no_other_route():
+    # without a cache directory every call is a miss that builds the grid
+    loaded = _fresh_process(
+        "import io, json, os, sys\n"
+        "os.environ.pop('KOSTKA_CACHE_DIR', None)\n"
+        "before = set(sys.modules)\n"
+        "import qkostka.cli\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "qkostka.cli.main(['table', 'kostka', '--max-weight', '4', '--max-level', '2'])\n"
+        "sys.stdout = stdout\n"
+        "watched = ['qkostka.' + m for m in ('verify', 'abf', 'reports', 'virasoro', 'weyl')]\n"
+        "print(json.dumps(sorted(m for m in watched if m in sys.modules and m not in before)))\n"
+    )
+    assert loaded == []
+
+
 def test_lazy_export_loads_its_module_on_first_access():
     lazy = sorted(set(qkostka._LAZY_EXPORTS.values()))
     assert lazy == ["abf", "coinvariants", "reports", "verlinde", "virasoro", "weyl"]
