@@ -91,8 +91,11 @@ def _fermionic_terms(
     size = a_m[-1]
     if (size - l) % 2 or size < l:
         return []
-    a_m += [size] * (k - comp.width)
     n = (size - l) // 2
+    # the walk reads (Am)_a only at levels a <= min(k, N), so the padding
+    # stops there: a list as long as the level would cost memory that grows
+    # with k, and unrestricted walks at level |m|
+    a_m += [size] * (min(k, n) - comp.width)
     shift = k - l  # v_a = max(0, a - shift), the restriction vector
     terms: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
 

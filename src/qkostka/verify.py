@@ -1,8 +1,11 @@
 """Verification sweeps behind the `verify` CLI command.
 
 Every suite counts the identities it checked and keeps a record for each
-failure of a hard identity plus a record for each audit-class comparison
-(published closed forms that are wrong in print; their residuals are data).
+failed hard identity. Audit comparisons check published closed forms that
+are wrong in print, so their residuals are data, not failures:
+`fermionic-virasoro` keeps its printed-exponent audit record for every
+label, zero residuals included, while `abf` keeps a finitization audit
+record only when its residual is nonzero.
 Suites are deterministic: fixed seeds and sorted enumeration.
 """
 
@@ -15,7 +18,7 @@ from fractions import Fraction
 from . import abf as abf_mod
 from . import kostka, verlinde, virasoro, weyl
 from .compositions import Composition, admissible_compositions
-from .qexact import QPolynomial
+from .qexact import QPolynomial, QSeriesTruncated
 from .reports import AuditRecord
 
 
@@ -44,6 +47,17 @@ class SuiteResult:
     def audit_mismatches(self) -> int:
         return sum(1 for r in self.records if r.verdict == "audit-mismatch")
 
+    def fail(self, params: dict, route_a: str, route_b: str, residual=1, **detail) -> None:
+        """Keep a failed hard identity; an integer residual is a constant."""
+        if isinstance(residual, int):
+            residual = QPolynomial.q_power(0, residual)
+        self.records.append(AuditRecord(params, route_a, route_b, residual, detail=detail))
+
+    def keep(self, record: AuditRecord) -> None:
+        """Keep a record unless its two routes matched."""
+        if record.verdict != "match":
+            self.records.append(record)
+
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -55,51 +69,41 @@ class SuiteResult:
         }
 
 
-def _marker(flag: bool) -> QPolynomial:
-    """Zero polynomial for pass, constant 1 for fail, for non-polynomial checks."""
-    return QPolynomial.zero() if flag else QPolynomial.one()
+def _grid(cfg: VerifyConfig):
+    """(k, m) for each level up to max_level and each admissible m there."""
+    for k in range(1, cfg.max_level + 1):
+        for m in admissible_compositions(cfg.max_weight, k):
+            yield k, m
 
 
 def suite_routes(cfg: VerifyConfig) -> SuiteResult:
     """Fermionic sum vs signed charge-oracle sum vs Weyl-orbit Euler sum."""
     result = SuiteResult("routes")
-    for k in range(1, cfg.max_level + 1):
-        for m in admissible_compositions(cfg.max_weight, k):
-            for l in range(k + 1):
-                result.checked += 1
-                ferm = kostka.restricted_fermionic(l, m, k)
-                alt = kostka.restricted_alternating(l, m, k, source="charge")
-                eul = weyl.euler_characteristic_bgg(m, l, k)
-                params = {"k": k, "l": l, "m": list(m.parts)}
-                if alt != ferm:
-                    result.records.append(
-                        AuditRecord(params, "fermionic", "alternating-charge", alt - ferm)
-                    )
-                if eul != ferm:
-                    result.records.append(
-                        AuditRecord(params, "fermionic", "weyl-euler", eul - ferm)
-                    )
+    for k, m in _grid(cfg):
+        for l in range(k + 1):
+            result.checked += 1
+            ferm = kostka.restricted_fermionic(l, m, k)
+            alt = kostka.restricted_alternating(l, m, k, source="charge")
+            eul = weyl.euler_characteristic_bgg(m, l, k)
+            params = {"k": k, "l": l, "m": list(m.parts)}
+            # compared with != so that a residual is built only on a mismatch
+            if alt != ferm:
+                result.fail(params, "fermionic", "alternating-charge", alt - ferm)
+            if eul != ferm:
+                result.fail(params, "fermionic", "weyl-euler", eul - ferm)
     return result
 
 
 def suite_verlinde(cfg: VerifyConfig) -> SuiteResult:
     """q = 1 specialization against fusion-ring multiplicities."""
     result = SuiteResult("verlinde")
-    for k in range(1, cfg.max_level + 1):
-        for m in admissible_compositions(cfg.max_weight, k):
-            for rep in verlinde.q1_consistency(m, k):
-                result.checked += 1
-                if not rep.passed:
-                    result.records.append(
-                        AuditRecord(
-                            {"k": k, "l": rep.l, "m": list(m.parts)},
-                            "fermionic-at-one",
-                            "fusion-multiplicity",
-                            QPolynomial.q_power(
-                                0, rep.fermionic_at_one - rep.fusion_multiplicity
-                            ),
-                        )
-                    )
+    for k, m in _grid(cfg):
+        for rep in verlinde.q1_consistency(m, k):
+            result.checked += 1
+            if not rep.passed:
+                params = {"k": k, "l": rep.l, "m": list(m.parts)}
+                residual = rep.fermionic_at_one - rep.fusion_multiplicity
+                result.fail(params, "fermionic-at-one", "fusion-multiplicity", residual)
     return result
 
 
@@ -117,43 +121,23 @@ def suite_weyl(cfg: VerifyConfig) -> SuiteResult:
                 result.checked += 1
                 direct = weyl.closed_form_action(branch, n, w)
                 iterated = weyl.apply_word(weyl.word_for(branch, n), w)
-                ok = direct == iterated and direct.level == w.level
-                if not ok:
-                    result.records.append(
-                        AuditRecord(
-                            {"branch": branch, "n": n, "start": list(w)},
-                            "closed-form",
-                            "iterated-reflections",
-                            _marker(ok),
-                            detail={"closed": list(direct), "iterated": list(iterated)},
-                        )
-                    )
+                if direct != iterated or direct.level != w.level:
+                    params = {"branch": branch, "n": n, "start": list(w)}
+                    result.fail(params, "closed-form", "iterated-reflections",
+                                closed=list(direct), iterated=list(iterated))
         result.checked += 1
-        back = weyl.shifted_reflection("s1", weyl.shifted_reflection("s1", w))
-        if back != w:
-            result.records.append(
-                AuditRecord(
-                    {"start": list(w)}, "s1-twice", "identity", _marker(False)
-                )
-            )
+        if weyl.shifted_reflection("s1", weyl.shifted_reflection("s1", w)) != w:
+            result.fail({"start": list(w)}, "s1-twice", "identity")
     # one-line slices of the resolution: top weight per length
     for k in range(1, 5):
         for l in range(k + 1):
             for p in range(0, 7):
                 result.checked += 1
-                gens = weyl.bgg_generators(p, l, k)
+                got = weyl.bgg_generators(p, l, k)[-1].weight
                 expected = p * (k + 2) + (l if p % 2 == 0 else k - l)
-                ok = gens[-1].weight == expected
-                if not ok:
-                    result.records.append(
-                        AuditRecord(
-                            {"k": k, "l": l, "p": p},
-                            "branch-weight",
-                            "line-position",
-                            _marker(ok),
-                            detail={"got": gens[-1].weight, "expected": expected},
-                        )
-                    )
+                if got != expected:
+                    result.fail({"k": k, "l": l, "p": p}, "branch-weight", "line-position",
+                                got=got, expected=expected)
     return result
 
 
@@ -169,10 +153,7 @@ def suite_bgg(cfg: VerifyConfig) -> SuiteResult:
         for l in range(k + 1):
             for n in range(0, 3 * (k + 2) + 1):
                 result.checked += 1
-                if n == 0:
-                    m = Composition(())
-                else:
-                    m = Composition([0] * (n - 1) + [1])
+                m = Composition([0] * (n - 1) + [1] if n else ())
                 raw = kostka.alternating_sum_raw(l, m, k)
                 signs = raw.evaluate_at_one()
                 p_cap = (n + k) // (k + 2) + 2
@@ -181,27 +162,33 @@ def suite_bgg(cfg: VerifyConfig) -> SuiteResult:
                     for p in range(p_cap + 1)
                 )
                 if signs != pred:
-                    result.records.append(
-                        AuditRecord(
-                            {"k": k, "l": l, "n": n},
-                            "raw-signed-sum",
-                            "homology-predicate",
-                            QPolynomial.q_power(0, signs - pred),
-                            detail={"raw": raw},
-                        )
-                    )
+                    result.fail({"k": k, "l": l, "n": n}, "raw-signed-sum",
+                                "homology-predicate", signs - pred, raw=raw)
     return result
 
 
-def _mismatch_record(
-    params: dict, route_a: str, route_b: str, mismatches, hard: bool = True
+def _rocha_caridi_record(
+    params: dict, route: str, series: QSeriesTruncated, mm: virasoro.MinimalModel, order: int
 ) -> AuditRecord:
-    detail = {
-        "mismatches": [[str(e), ca, cb] for e, ca, cb in mismatches[:8]],
-    }
-    return AuditRecord(
-        params, route_a, route_b, _marker(not mismatches), hard=hard, detail=detail
-    )
+    """Compare a series with the Rocha-Caridi character of mm through `order`.
+
+    The residual is the constant 1 on a mismatch; the detail lists the first
+    eight disagreeing (exponent, series, Rocha-Caridi) coefficients.
+    """
+    rc = virasoro.rocha_caridi(mm, order)
+    mismatches = virasoro.series_mismatches(series, rc.series)
+    residual = QPolynomial.one() if mismatches else QPolynomial.zero()
+    detail = {"mismatches": [[str(e), ca, cb] for e, ca, cb in mismatches[:8]]}
+    return AuditRecord(params, route, "rocha-caridi", residual, detail=detail)
+
+
+def _coset_labels(k_max: int):
+    """(i, j, k, l) with i + j + l even, for each level k up to k_max."""
+    for k in range(1, k_max + 1):
+        for i in (0, 1):
+            for j in range(k + 1):
+                for l in range((i + j) % 2, k + 2, 2):
+                    yield i, j, k, l
 
 
 def suite_coset(cfg: VerifyConfig) -> SuiteResult:
@@ -211,62 +198,32 @@ def suite_coset(cfg: VerifyConfig) -> SuiteResult:
     for k in range(1, 7):
         result.checked += 1
         t = Fraction(k + 3, k + 2)
-        closed = 13 - 6 * (t + 1 / t)
-        if virasoro.coset_central_charge(k) != closed:
-            result.records.append(
-                AuditRecord(
-                    {"k": k}, "central-charge", "13-6(t+1/t)", _marker(False)
-                )
-            )
-    for k in range(1, 5):
-        for i in (0, 1):
-            for j in range(k + 1):
-                for l in range(k + 2):
-                    if (i + j + l) % 2:
-                        continue
-                    result.checked += 1
-                    lhs = (
-                        virasoro.coset_prefactor_exponent(i, j, k, l)
-                        - Fraction(i + j, 4)
-                        + Fraction((l - j) ** 2 + j, 4)
-                    )
-                    mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
-                    if lhs != virasoro.conformal_weight(mm):
-                        result.records.append(
-                            AuditRecord(
-                                {"i": i, "j": j, "k": k, "l": l},
-                                "prefactor-combination",
-                                "conformal-weight",
-                                _marker(False),
-                            )
-                        )
-    for k in range(1, 3):
-        for i in (0, 1):
-            for j in range(k + 1):
-                for l in range(k + 2):
-                    if (i + j + l) % 2:
-                        continue
-                    result.checked += 1
-                    mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
-                    gap = virasoro.coset_gap(i, j, k, l)
-                    bs = virasoro.branching_via_kostka_limit(i, j, k, l, order + gap)
-                    rc = virasoro.rocha_caridi(mm, order)
-                    mismatches = virasoro.series_mismatches(bs.series, rc.series)
-                    if mismatches:
-                        result.records.append(
-                            _mismatch_record(
-                                {"i": i, "j": j, "k": k, "l": l, "order": order},
-                                "kostka-limit",
-                                "rocha-caridi",
-                                mismatches,
-                            )
-                        )
+        if virasoro.coset_central_charge(k) != 13 - 6 * (t + 1 / t):
+            result.fail({"k": k}, "central-charge", "13-6(t+1/t)")
+    for i, j, k, l in _coset_labels(4):
+        result.checked += 1
+        lhs = (
+            virasoro.coset_prefactor_exponent(i, j, k, l)
+            - Fraction(i + j, 4)
+            + Fraction((l - j) ** 2 + j, 4)
+        )
+        mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
+        if lhs != virasoro.conformal_weight(mm):
+            params = {"i": i, "j": j, "k": k, "l": l}
+            result.fail(params, "prefactor-combination", "conformal-weight")
+    for i, j, k, l in _coset_labels(2):
+        result.checked += 1
+        mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
+        gap = virasoro.coset_gap(i, j, k, l)
+        bs = virasoro.branching_via_kostka_limit(i, j, k, l, order + gap)
+        params = {"i": i, "j": j, "k": k, "l": l, "order": order}
+        result.keep(_rocha_caridi_record(params, "kostka-limit", bs.series, mm, order))
     return result
 
 
 def suite_fermionic_virasoro(cfg: VerifyConfig) -> SuiteResult:
     """Quasi-particle character sums against theta quotients, plus the
-    published-exponent audit."""
+    published-exponent audit, kept for every label."""
     result = SuiteResult("fermionic-virasoro")
     order = cfg.order
     for k in range(1, 3):
@@ -276,23 +233,11 @@ def suite_fermionic_virasoro(cfg: VerifyConfig) -> SuiteResult:
                 params = {"j": j, "k": k, "l": l, "order": order}
                 fc = virasoro.fermionic_character_sum(j, l, k, order)
                 mm = virasoro.MinimalModel(k + 2, k + 3, j + 1, l + 1)
-                rc = virasoro.rocha_caridi(mm, order)
-                mismatches = virasoro.series_mismatches(fc.derived.series, rc.series)
-                if mismatches:
-                    result.records.append(
-                        _mismatch_record(
-                            params, "fermionic-derived", "rocha-caridi", mismatches
-                        )
-                    )
-                result.records.append(
-                    AuditRecord(
-                        params,
-                        "fermionic-derived",
-                        "fermionic-printed",
-                        fc.printed_minus_derived,
-                        hard=False,
-                    )
+                result.keep(
+                    _rocha_caridi_record(params, "fermionic-derived", fc.derived.series, mm, order)
                 )
+                result.records.append(AuditRecord(params, "fermionic-derived", "fermionic-printed",
+                                                  fc.printed_minus_derived, hard=False))
     return result
 
 
@@ -303,41 +248,28 @@ def suite_abf(cfg: VerifyConfig) -> SuiteResult:
     for r in range(2, 5):
         for b in range(-4, 5):
             for a in range(1, 5):
-                for N in range(0, 11):
-                    if (N - (b - a)) % 2:
-                        continue
+                for N in range((b - a) % 2, 11, 2):
                     result.checked += 1
-                    rec = abf_mod.inversion_check(abf_mod.AbfLabel(r, b, a, N))
-                    if rec.failed:
-                        result.records.append(rec)
+                    result.keep(abf_mod.inversion_check(abf_mod.AbfLabel(r, b, a, N)))
     for k in range(1, 4):
         for j in range(k):
             for l in range(k + 1):
                 for N in range(0, 11):
                     result.checked += 1
-                    rec = abf_mod.grouped_identity_check(k, j, l, N)
-                    if rec.failed:
-                        result.records.append(rec)
+                    result.keep(abf_mod.grouped_identity_check(k, j, l, N))
     for k in range(1, 4):
         for j in range(k):
             for l in range(k + 1):
-                for N in range(0, 7):
-                    if (N + j + 1 - l) % 2:
-                        continue
+                for N in range((j + 1 - l) % 2, 7, 2):
                     result.checked += 1
-                    printed, repaired = abf_mod.finitization_audit(k, j, l, N)
-                    if not printed.residual.is_zero():
-                        result.records.append(printed)
-                    if repaired.failed:
-                        result.records.append(repaired)
+                    for rec in abf_mod.finitization_audit(k, j, l, N):
+                        result.keep(rec)
     limit_order = min(cfg.order, 12)
     for r in range(2, 5):
         for b in range(1, r):
             for a in range(1, r + 1):
                 result.checked += 1
-                rec = _abf_limit_record(r, b, a, limit_order)
-                if rec.failed:
-                    result.records.append(rec)
+                result.keep(_abf_limit_record(r, b, a, limit_order))
     return result
 
 
@@ -349,10 +281,7 @@ def _abf_limit_record(r: int, b: int, a: int, order: int) -> AuditRecord:
     degree min(m, N-m), so N below is large enough for every term of the
     window; the N vs N+2 check guards the bound.
     """
-    from .qexact import QSeriesTruncated
-
     mm = virasoro.MinimalModel(r, r + 1, b, a)
-    rc = virasoro.rocha_caridi(mm, order)
     N = 2 * order + abs(b - a) + 4 * (r + 1)
     N += (N - (b - a)) % 2
     window = None
@@ -365,13 +294,8 @@ def _abf_limit_record(r: int, b: int, a: int, order: int) -> AuditRecord:
             )
         window = current
     series = QSeriesTruncated(window, offset=virasoro.conformal_weight(mm))
-    mismatches = virasoro.series_mismatches(series, rc.series)
-    return _mismatch_record(
-        {"r": r, "b": b, "a": a, "order": order},
-        "finitization-limit",
-        "rocha-caridi",
-        mismatches,
-    )
+    params = {"r": r, "b": b, "a": a, "order": order}
+    return _rocha_caridi_record(params, "finitization-limit", series, mm, order)
 
 
 SUITES = {
@@ -386,15 +310,10 @@ SUITES = {
 
 
 def run_suites(names: list[str], cfg: VerifyConfig) -> list[SuiteResult]:
-    expanded: list[str] = []
-    for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        else:
-            expanded.append(name)
-    results = []
-    for name in expanded:
-        if name not in SUITES:
-            raise KeyError(name)
-        results.append(SUITES[name](cfg))
-    return results
+    """Run the named suites in order, "all" naming every suite.
+
+    Every name is looked up before any suite runs, so an unknown one raises
+    KeyError without computing anything.
+    """
+    suites = [SUITES[s] for name in names for s in (SUITES if name == "all" else [name])]
+    return [suite(cfg) for suite in suites]

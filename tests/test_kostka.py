@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from typing import Iterator
 
@@ -415,3 +416,20 @@ def test_routes_sweep_walks_each_polynomial_once(monkeypatch):
     assert result.passed
     assert calls == [2759]
     qkostka.clear_caches()
+
+
+def test_fermionic_walk_memory_does_not_grow_with_the_level():
+    # the walk reads (Am)_a only up to a = min(k, N), so neither a huge level
+    # nor the unrestricted level |m| may cost a list that long
+    for call, want in (
+        (lambda: restricted_fermionic(0, (4,), 10**7), QPolynomial.q_power(2) + QPolynomial.q_power(4)),
+        (lambda: unrestricted(2 * 10**6, (2 * 10**6,)), QPolynomial.one()),
+    ):
+        tracemalloc.start()
+        try:
+            got = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20

@@ -68,6 +68,16 @@ def test_run_suites_all_expansion():
         run_suites(["nonsense"], small())
 
 
+def test_run_suites_refuses_an_unknown_name_before_running_any(monkeypatch):
+    calls = []
+    monkeypatch.setitem(SUITES, "routes", lambda cfg: calls.append(cfg))
+    with pytest.raises(KeyError, match="nosuch"):
+        run_suites(["routes", "nosuch"], small())
+    with pytest.raises(KeyError, match="nosuch"):
+        run_suites(["all", "nosuch"], small())
+    assert calls == []
+
+
 def test_each_suite_passes_small():
     for name in SUITES:
         result = SUITES[name](small())
@@ -155,3 +165,69 @@ def test_golden_character_suite_report(suite, order, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SUITE_REPORT_SHA256[suite, order]
+
+
+# sha256 of `qkostka verify all --max-weight 6 --max-level 2 --order 8`
+# stdout, in each format, with one route broken in every suite: the bytes of
+# failing records, which the passing goldens above never show
+GOLDEN_FAILING_REPORT_SHA256 = {
+    "json": "844ac0702d502b824cf91aeccd06eac322f2b48e4b330c48d531a9ab646bc1a9",
+    "text": "748e5d468cd15a6f8f2d713837977bbaa385c9be5bf96ab2b879ec54ad2e8fd5",
+}
+
+
+@pytest.fixture
+def broken_routes(monkeypatch):
+    from qkostka import abf, kostka, verlinde, virasoro, weyl
+    from qkostka.qexact import QPolynomial, QSeriesTruncated
+
+    fermionic = kostka.restricted_fermionic
+    rocha_caridi = virasoro.rocha_caridi
+    closed_form = weyl.closed_form_action
+    generators = weyl.bgg_generators
+    predicate = weyl.homology_dim_predicate
+
+    def bad_fermionic(l, m, k):
+        return fermionic(l, m, k) + QPolynomial.one()
+
+    def bad_rocha_caridi(mm, order):
+        bs = rocha_caridi(mm, order)
+        coeffs = [c + 1 for c in bs.series.coeffs]
+        return virasoro.BranchingSeries(QSeriesTruncated(coeffs, bs.offset), bs.route)
+
+    def bad_closed_form(branch, n, w):
+        out = closed_form(branch, n, w)
+        return out._replace(grade=out.grade + 1) if branch == "a" else out
+
+    def bad_generators(p, l, k):
+        gens = generators(p, l, k)
+        return gens[:-1] + [gens[-1]._replace(weight=gens[-1].weight + 1)]
+
+    def bad_predicate(p, n, l, k):
+        return predicate(p, n, l, k) + (p == 0)
+
+    for module in (kostka, verlinde, abf):
+        monkeypatch.setattr(module, "restricted_fermionic", bad_fermionic)
+    monkeypatch.setattr(virasoro, "rocha_caridi", bad_rocha_caridi)
+    monkeypatch.setattr(weyl, "closed_form_action", bad_closed_form)
+    monkeypatch.setattr(weyl, "bgg_generators", bad_generators)
+    monkeypatch.setattr(weyl, "homology_dim_predicate", bad_predicate)
+    # the memoized orbit walks and fusion tables must neither serve correct
+    # values to the broken run nor keep its broken values afterwards
+    qkostka.clear_caches()
+    yield
+    qkostka.clear_caches()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_golden_failing_report(fmt, broken_routes, capsys):
+    code = cli.main(
+        ["verify", "all", "--max-weight", "6", "--max-level", "2", "--order", "8",
+         "--format", fmt]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    report = json.loads(out[out.index("{"):])
+    assert [s["suite"] for s in report["suites"]] == list(SUITES)
+    assert all(s["failures"] > 0 for s in report["suites"])
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FAILING_REPORT_SHA256[fmt]
