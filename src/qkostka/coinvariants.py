@@ -167,9 +167,7 @@ def build_constraint_matrix(
     l = spec.weight
     m = spec.composition
     factor_count = sum(m.parts)
-    basis = _partitions_of(degree, s, factor_count - 1) if factor_count else (
-        [tuple([0] * s)] if degree == 0 else []
-    )
+    basis = _partitions_of(degree, s, factor_count - 1)
     if s == 0:
         return basis, []
     ascending = [lam[::-1] for lam in basis]

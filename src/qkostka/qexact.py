@@ -27,11 +27,15 @@ the sum should equal: that would assume the identity the routes check.
 
 Signed sums of q-shifted polynomials already built (the alternating and
 Euler routes) go through `shifted_sum`, one pass into a single dict.
+
+Every division by (q)_d (partition series, theta quotients, quasi-particle
+sums) is `divide_by_pochhammer`, one running sum per factor 1 - q^part.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -66,6 +70,7 @@ class QPolynomial:
         data = {}
         if terms:
             for num, coeff in terms.items():
+                coeff = _exact(coeff)
                 if coeff:
                     data[num] = coeff
         self._terms = data
@@ -213,6 +218,14 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self!s})"
+
+
+def _exact(coeff) -> int:
+    """`coeff` as an int; a float, a Fraction or a string is refused, not rounded."""
+    try:
+        return operator.index(coeff)
+    except TypeError:
+        raise ValueError(f"coefficient {coeff!r} is not an integer") from None
 
 
 def _wrap(data: dict[int, int]) -> QPolynomial:
@@ -405,7 +418,7 @@ class QSeriesTruncated:
         if len(coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
         self.offset = Fraction(offset)
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(map(_exact, coeffs))
 
     @property
     def order(self) -> int:
@@ -459,7 +472,19 @@ def bounded_partition_series(max_part: int, order: int) -> QSeriesTruncated:
     if max_part < 0:
         return QSeriesTruncated([0] * (order + 1))
     counts = [1] + [0] * order
-    for part in range(1, min(max_part, order) + 1):
-        for n in range(part, order + 1):
-            counts[n] += counts[n - part]
+    divide_by_pochhammer(counts, max_part)
     return QSeriesTruncated(counts)
+
+
+def divide_by_pochhammer(coeffs: list[int], d: int) -> None:
+    """Divide the series c_0 + c_1 q + ... by (q)_d in place, truncated at len(coeffs).
+
+    (q)_d = (1 - q)(1 - q^2)...(1 - q^d); dividing by one factor 1 - q^part
+    is the running sum c_n += c_(n - part), and parts beyond the list's
+    length change nothing.
+    """
+    if d < 0:
+        raise ValueError("the Pochhammer index must be nonnegative")
+    for part in range(1, min(d, len(coeffs) - 1) + 1):
+        for n in range(part, len(coeffs)):
+            coeffs[n] += coeffs[n - part]

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
-from operator import mul
+from math import floor, gcd
+from operator import add, mul
 from typing import Iterator
 
 from .compositions import Composition, InvariantError, hook_composition
@@ -24,9 +24,9 @@ from .kostka import _reversed_terms
 from .qexact import (
     QPolynomial,
     QSeriesTruncated,
-    bounded_partition_series,
+    divide_by_pochhammer,
     gaussian_product_sum,
-    partition_series,
+    shifted_sum,
     vector_gaussian_binomial,
 )
 
@@ -56,7 +56,7 @@ class BranchingSeries:
         return self.series.offset
 
     def coefficients(self) -> list[int]:
-        return [self.series.coefficient(n) for n in range(self.series.order + 1)]
+        return list(self.series.coeffs)
 
 
 class StabilizationCapExceeded(RuntimeError):
@@ -106,42 +106,27 @@ def rocha_caridi(mm: MinimalModel, order: int) -> BranchingSeries:
     """Truncated minimal-model character: q^Delta * theta sum / (q)_infinity."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    theta = _theta_coefficients(mm, order)
-    parts = partition_series(order)
-    coeffs = [
-        sum(theta[e] * parts.coefficient(d - e) for e in range(d + 1))
-        for d in range(order + 1)
-    ]
+    coeffs = _theta_coefficients(mm, order)
+    # through q^order, 1/(q)_infinity is 1/(q)_order
+    divide_by_pochhammer(coeffs, order)
     series = QSeriesTruncated(coeffs, offset=conformal_weight(mm))
     return BranchingSeries(series, route="rocha-caridi")
 
 
-def series_mismatches(
-    a: QSeriesTruncated, b: QSeriesTruncated
-) -> list[tuple[Fraction, int, int]]:
-    """Coefficient disagreements of two series over their common window.
+def series_mismatches(a: QSeriesTruncated, b: QSeriesTruncated) -> list[tuple[Fraction, int, int]]:
+    """Coefficient disagreements (exponent, a's, b's) of two series.
 
-    Compares absolute exponents from the lower of the two offsets up to the
-    lower of the two truncation edges; a grid point outside one series'
-    window but above its edge is not comparable and is not reported.
+    The grid is each series' own exponents offset, offset + 1, ... up to the
+    lower of the two truncation edges, so both coefficients are known at
+    every grid point: a series reads 0 below its offset and off its own
+    integer ladder.
     """
-    lo = min(a.offset, b.offset)
     hi = min(a.hi_exponent(), b.hi_exponent())
-    grid: set[Fraction] = set()
-    for s in (a, b):
-        e = s.offset
-        while e <= hi:
-            if e >= lo:
-                grid.add(e)
-            e += 1
+    grid = {s.offset + n for s in (a, b) for n in range(floor(hi - s.offset) + 1)}
     out = []
     for e in sorted(grid):
-        ca = a.coefficient_at(e)
-        cb = b.coefficient_at(e)
-        ca = 0 if ca is None and e < a.offset else ca
-        cb = 0 if cb is None and e < b.offset else cb
-        if ca is None or cb is None:
-            continue
+        ca = a.coefficient_at(e) or 0
+        cb = b.coefficient_at(e) or 0
         if ca != cb:
             out.append((e, ca, cb))
     return out
@@ -157,7 +142,10 @@ def coset_prefactor_exponent(i: int, j: int, k: int, l: int) -> Fraction:
 
 
 def coset_gap(i: int, j: int, k: int, l: int) -> int:
-    """Grades from the coset offset up to the branching function's leading q^Delta."""
+    """Grades from the coset offset up to the leading q^Delta; i + j + l must be even."""
+    _check_coset_labels(i, j, l, k)
+    if (i + j + l) % 2:
+        raise ValueError("i + j + l must be even")
     mm = MinimalModel(k + 2, k + 3, j + 1, l + 1)
     gap = conformal_weight(mm) - coset_prefactor_exponent(i, j, k, l)
     if gap.denominator != 1 or gap < 0:
@@ -169,6 +157,13 @@ def _check_labels(j: int, l: int, k: int) -> None:
     """Refuse coset labels outside 0 <= j <= k and 0 <= l <= k + 1."""
     if not (0 <= j <= k and 0 <= l <= k + 1):
         raise ValueError("labels out of range")
+
+
+def _check_coset_labels(i: int, j: int, l: int, k: int) -> None:
+    """Refuse a parity i outside {0, 1} and the labels `_check_labels` refuses."""
+    if i not in (0, 1):
+        raise ValueError("i selects a parity and must be 0 or 1")
+    _check_labels(j, l, k)
 
 
 def _reversed_window(l: int, m: Composition, k: int, order: int) -> list[int]:
@@ -194,16 +189,12 @@ def branching_via_kostka_limit(i: int, j: int, k: int, l: int, order: int) -> Br
     is never accepted. Odd i+j+l means the branching space is absent; the
     zero series is returned.
     """
-    if i not in (0, 1):
-        raise ValueError("i selects a parity and must be 0 or 1")
-    _check_labels(j, l, k)
+    _check_coset_labels(i, j, l, k)
     if order < 0:
         raise ValueError("order must be nonnegative")
     offset = coset_prefactor_exponent(i, j, k, l)
     if (i + j + l) % 2:
-        return BranchingSeries(
-            QSeriesTruncated([0] * (order + 1), offset), route="kostka-limit"
-        )
+        return BranchingSeries(QSeriesTruncated([0] * (order + 1), offset), route="kostka-limit")
     gap = coset_gap(i, j, k, l)
     n_cap = order + j + 4
     n = max(1 - i, (l - i - j + 3) // 2, 1)
@@ -215,9 +206,7 @@ def branching_via_kostka_limit(i: int, j: int, k: int, l: int, order: int) -> Br
             return BranchingSeries(series, route="kostka-limit", stabilized_at=n - 1)
         prev = window
         n += 1
-    raise StabilizationCapExceeded(
-        f"no agreement through order {order} for n up to {n_cap}"
-    )
+    raise StabilizationCapExceeded(f"no agreement through order {order} for n up to {n_cap}")
 
 
 @dataclass(frozen=True)
@@ -248,10 +237,8 @@ def _reversed_term_data(
     weighted = sum(a * ma for a, ma in enumerate(m, start=1))
     if (weighted - l) % 2:
         raise InvariantError("inadmissible N parity")
-    s = [0] * level
-    s[0] = (weighted - l) // 2 - sum(b * tb for b, tb in zip(range(2, level + 1), t))
-    for b, tb in zip(range(2, level + 1), t):
-        s[b - 1] = tb
+    # s_1 absorbs what the frozen species 2..k+1 do not occupy
+    s = [(weighted - l) // 2 - sum(b * tb for b, tb in zip(range(2, level + 1), t)), *t]
     x = [Fraction(ma, 2) - sa for ma, sa in zip(m, s)]
     exponent = sum(
         min(a, b) * x[a - 1] * x[b - 1]
@@ -288,11 +275,8 @@ def fermionic_term_limit(
     first = _reversed_term_data(tvec, j, l, k, n0)
     second = _reversed_term_data(tvec, j, l, k, n0 + 2)
     if first != second:
-        raise InvariantError(
-            f"term data depends on N at t={tvec}, j={j}, l={l}, k={k}"
-        )
-    exponent, tops, d = first
-    return LimitTermData(tvec, exponent, tops, d)
+        raise InvariantError(f"term data depends on N at t={tvec}, j={j}, l={l}, k={k}")
+    return LimitTermData(tvec, *first)
 
 
 def quadratic_form_matrix(k: int) -> list[list[int]]:
@@ -316,37 +300,22 @@ def printed_linear_term(j: int, l: int, k: int) -> list[int]:
 def _coordinate_ranges(B: list[list[int]], u: list[int], order: int) -> list[int]:
     """Per-coordinate caps X_a so any t with some t_a > X_a has exponent > order.
 
-    Cross terms of B are nonnegative, so the exponent is bounded below by
-    the sum of the decoupled one-variable quadratics; each coordinate only
-    needs to range while its own quadratic can stay under order minus the
-    other coordinates' minima.
+    Cross terms of B are nonnegative, so the exponent is at least the sum of
+    the convex g_a(x) = B_aa x^2 + u_a x (B_aa = a(a - 1) > 0), whose minima,
+    reached by x = |u_a| // B_aa + 1, are at most g_a(0) = 0. Coordinate a's
+    budget, order minus the other minima, is thus >= 0: the x within it run 0..X_a.
     """
 
     def g(a: int, x: int) -> int:
         return B[a][a] * x * x + u[a] * x
 
-    mins = []
-    for a in range(len(u)):
-        best = 0
-        x = 0
-        while True:
-            best = min(best, g(a, x))
-            if g(a, x) > best and B[a][a] * x >= abs(u[a]):
-                break
-            x += 1
-        mins.append(best)
-    total_min = sum(mins)
+    mins = [min(g(a, x) for x in range(abs(u[a]) // B[a][a] + 2)) for a in range(len(u))]
     caps = []
     for a in range(len(u)):
-        budget = order - (total_min - mins[a])
+        budget = order - (sum(mins) - mins[a])
         cap = 0
-        x = 0
-        while True:
-            if g(a, x) <= budget:
-                cap = x
-            if g(a, x) > budget and B[a][a] * x >= abs(u[a]):
-                break
-            x += 1
+        while g(a, cap + 1) <= budget:
+            cap += 1
         caps.append(cap)
     return caps
 
@@ -373,19 +342,21 @@ def _enumerate_terms(
             yield n_derived, n_printed, fermionic_term_limit(t, j, l, k)
 
 
-def _add_term(
-    acc: dict[int, int], n: int, binprod: QPolynomial, d: int, order: int
-) -> None:
-    """Add q**n * binprod / (q)_d through q**order into acc, {exponent: coefficient}.
+def _divided_window(terms: list[tuple[int, int, QPolynomial]], order: int) -> dict[int, int]:
+    """{e: coefficient of q^e} of the sum of q^n p / (q)_d over (d, n, p) terms.
 
-    binprod has no negative exponents, so the 1/(q)_d tail is needed through
-    q**(order - n), also for a term with n < 0.
+    The window runs from the least n, or from 0 if that is lower, through
+    q^order. Division by (q)_d is linear, so the numerators q^n p of each d
+    are summed first and divided once.
     """
-    tail = bounded_partition_series(d, order - n)
-    for e, c in binprod.terms():
-        base = n + e // 4
-        for dd in range(min(tail.order, order - base) + 1):
-            acc[base + dd] = acc.get(base + dd, 0) + c * tail.coefficient(dd)
+    low = min([0] + [n for _, n, _ in terms])
+    window = [0] * (order - low + 1)
+    for d in {d for d, _, _ in terms}:
+        numerator = shifted_sum((1, n, p) for dd, n, p in terms if dd == d)
+        coeffs = [numerator.coefficient(e) for e in range(low, order + 1)]
+        divide_by_pochhammer(coeffs, d)
+        window = list(map(add, window, coeffs))
+    return dict(zip(range(low, order + 1), window))
 
 
 @dataclass(frozen=True)
@@ -404,8 +375,9 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
     term; its deviation from the derived route is returned as a polynomial
     in relative exponents, possibly with negative powers, and is never an
     error. One enumeration of t serves both: each t's limit term and
-    binomial product are computed once, and both sides add through the same
-    truncated-series helper.
+    binomial product are computed once. Each side sums its numerators q^n *
+    binomial product per Pochhammer index d, from its least n (which may be
+    negative on the printed side), and divides each sum by (q)_d once.
     """
     _check_labels(j, l, k)
     if order < 0:
@@ -413,8 +385,8 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
     delta = conformal_weight(MinimalModel(k + 2, k + 3, j + 1, l + 1))
     c0 = Fraction((l - j) ** 2 + j, 4)
 
-    derived_acc: dict[int, int] = {}
-    printed_acc: dict[int, int] = {}
+    derived_terms: list[tuple[int, int, QPolynomial]] = []
+    printed_terms: list[tuple[int, int, QPolynomial]] = []
     for n_derived, n_printed, data in _enumerate_terms(j, l, k, order):
         on_derived = n_derived <= order
         if on_derived and data.exponent - c0 != n_derived:
@@ -427,21 +399,19 @@ def fermionic_character_sum(j: int, l: int, k: int, order: int) -> FermionicChar
         if on_derived:
             if n_derived < 0:
                 raise InvariantError("contributing term with negative relative exponent")
-            _add_term(derived_acc, n_derived, binprod, data.pochhammer_index, order)
+            derived_terms.append((data.pochhammer_index, n_derived, binprod))
         if n_printed <= order:
-            _add_term(printed_acc, n_printed, binprod, data.pochhammer_index, order)
+            printed_terms.append((data.pochhammer_index, n_printed, binprod))
 
-    derived_coeffs = [derived_acc.get(e, 0) for e in range(order + 1)]
-    if any(c < 0 for c in derived_coeffs):
+    # every derived n is at least 0, so its window is q^0..q^order
+    derived = _divided_window(derived_terms, order)
+    if any(c < 0 for c in derived.values()):
         raise InvariantError("character coefficients must be nonnegative")
-    derived = BranchingSeries(
-        QSeriesTruncated(derived_coeffs, offset=delta), route="fermionic-derived"
+    series = QSeriesTruncated(list(derived.values()), offset=delta)
+    printed = _divided_window(printed_terms, order)
+    residual = {e: c - derived.get(e, 0) for e, c in printed.items()}
+    return FermionicCharacter(
+        BranchingSeries(series, route="fermionic-derived"),
+        QPolynomial.from_integer_terms(residual),
+        {e: c for e, c in printed.items() if c},
     )
-    diff_terms: dict[int, int] = {}
-    for e in range(min([0] + list(printed_acc)), order + 1):
-        d = printed_acc.get(e, 0) - (derived_coeffs[e] if 0 <= e <= order else 0)
-        if d:
-            diff_terms[4 * e] = d
-    residual = QPolynomial(diff_terms)
-    printed_clean = {e: c for e, c in sorted(printed_acc.items()) if c}
-    return FermionicCharacter(derived, residual, printed_clean)

@@ -10,6 +10,7 @@ from qkostka.qexact import (
     QPolynomial,
     QSeriesTruncated,
     bounded_partition_series,
+    divide_by_pochhammer,
     exponent_numerator,
     gaussian_binomial,
     gaussian_product_sum,
@@ -143,6 +144,16 @@ def test_series_window_access():
     assert s.coefficient_at(Fraction(1)) == 0
     # beyond the window nothing is known
     assert s.coefficient_at(Fraction(9, 2)) is None
+
+
+def test_exact_types_refuse_inexact_coefficients():
+    for bad in (1.5, 2.0, 0.0, Fraction(1, 2), "3"):
+        with pytest.raises(ValueError):
+            QSeriesTruncated([1, bad])
+        with pytest.raises(ValueError):
+            QPolynomial({0: 1, 4: bad})
+    assert QSeriesTruncated([True, 2]).coeffs == (1, 2)
+    assert QPolynomial({0: 3, 4: 0}).terms() == [(0, 3)]
 
 
 # -- oracle tests for the arithmetic kernel --------------------------------
@@ -477,3 +488,50 @@ def test_gaussian_product_sum_rejects_improper_factors():
     for sign in (0, 2, -2):
         with pytest.raises(ValueError):
             gaussian_product_sum([(sign, 0, ((7, 3),))])
+
+
+# -- oracle tests for the division by (q)_d ---------------------------------
+#
+# Every 1/(q)_d the characters carry (the partition series, the theta
+# quotient, each quasi-particle term) goes through divide_by_pochhammer, so
+# it is checked against multiplication by the product it inverts and
+# against a direct count of partitions.
+
+
+def _times_pochhammer(coeffs: list[int], d: int) -> list[int]:
+    """coeffs * (1 - q)(1 - q^2)...(1 - q^d), truncated to len(coeffs)."""
+    out = list(coeffs)
+    for part in range(1, d + 1):
+        out = [c - (out[n - part] if n >= part else 0) for n, c in enumerate(out)]
+    return out
+
+
+def _count_partitions(n: int, max_part: int) -> int:
+    """Partitions of n into parts at most max_part, one largest part at a time."""
+    if n == 0:
+        return 1
+    return sum(_count_partitions(n - first, first) for first in range(1, min(n, max_part) + 1))
+
+
+def test_divide_by_pochhammer_inverts_the_product():
+    rng = random.Random(2005)
+    for _ in range(400):
+        size = rng.randint(1, 30)
+        coeffs = [rng.randint(-10**rng.randint(1, 20), 10**rng.randint(1, 20)) for _ in range(size)]
+        for d in (0, 1, rng.randint(2, size + 1), size, size + rng.randint(0, 5)):
+            quotient = list(coeffs)
+            assert divide_by_pochhammer(quotient, d) is None
+            assert len(quotient) == size
+            assert _times_pochhammer(quotient, d) == coeffs, (coeffs, d)
+            if d == 0:
+                assert quotient == coeffs
+
+
+def test_divide_by_pochhammer_counts_bounded_partitions():
+    for size in range(1, 16):
+        for d in range(size + 3):
+            counts = [1] + [0] * (size - 1)
+            divide_by_pochhammer(counts, d)
+            assert counts == [_count_partitions(n, d) for n in range(size)], (size, d)
+    with pytest.raises(ValueError):
+        divide_by_pochhammer([1, 0], -1)

@@ -1,5 +1,8 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import mul
 
 import pytest
@@ -7,13 +10,14 @@ import pytest
 from qkostka import kostka, virasoro
 from qkostka.compositions import InvariantError, hook_composition
 from qkostka.kostka import StabilizationError, reversed_restricted
-from qkostka.qexact import QPolynomial
+from qkostka.qexact import QPolynomial, QSeriesTruncated
 from qkostka.virasoro import (
     BranchingSeries,
     MinimalModel,
     branching_via_kostka_limit,
     conformal_weight,
     coset_central_charge,
+    coset_gap,
     coset_prefactor_exponent,
     derived_linear_term,
     fermionic_character_sum,
@@ -291,3 +295,127 @@ def test_fermionic_character_sum_derived_checks_raise(monkeypatch):
     monkeypatch.setattr(virasoro.LimitTermData, "binomial_product", lambda self: -QPolynomial.one())
     with pytest.raises(InvariantError, match="must be nonnegative"):
         fermionic_character_sum(0, 0, 1, 6)
+
+
+# sha256 of every fermionic character sum (derived series, printed-minus-
+# derived residual, printed coefficients) for all labels with k <= 6 at
+# orders 0, 3 and 8 and with k <= 3 at orders 15 and 25
+GOLDEN_FERMIONIC_CHARACTERS_SHA256 = (
+    "6e05f11148e0914e513e563a29b36c17fb1f9cb4de6f3b58084731f293794144"
+)
+
+# sha256 of every Rocha-Caridi character of the coprime models p < p' <= 9
+# at orders 0, 1, 7, 30 and 60
+GOLDEN_ROCHA_CARIDI_SHA256 = "ee44275758a941036a87bf4d2bb9f8456d231f8bbb59da8526f5dcdc14b1f1ea"
+
+
+def test_golden_fermionic_characters():
+    rows = []
+    for order, top in ((0, 6), (3, 6), (8, 6), (15, 3), (25, 3)):
+        for k in range(1, top + 1):
+            for j in range(k + 1):
+                for l in range(k + 2):
+                    fc = fermionic_character_sum(j, l, k, order)
+                    rows.append((
+                        (j, l, k, order),
+                        str(fc.derived.series),
+                        fc.derived.route,
+                        fc.printed_minus_derived.terms(),
+                        sorted(fc.printed_coefficients.items()),
+                    ))
+    assert len(rows) == 574
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == GOLDEN_FERMIONIC_CHARACTERS_SHA256
+
+
+def test_golden_rocha_caridi_characters():
+    rows = []
+    for pp in range(3, 10):
+        for p in range(2, pp):
+            if gcd(p, pp) != 1:
+                continue
+            for r in range(1, p):
+                for s in range(1, pp):
+                    for order in (0, 1, 7, 30, 60):
+                        bs = rocha_caridi(MinimalModel(p, pp, r, s), order)
+                        rows.append(((p, pp, r, s, order), str(bs.series), bs.route))
+    assert len(rows) == 1970
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == GOLDEN_ROCHA_CARIDI_SHA256
+
+
+def _reference_series_mismatches(a, b):
+    # series_mismatches before its grid became one comprehension, kept verbatim
+    lo = min(a.offset, b.offset)
+    hi = min(a.hi_exponent(), b.hi_exponent())
+    grid: set[Fraction] = set()
+    for s in (a, b):
+        e = s.offset
+        while e <= hi:
+            if e >= lo:
+                grid.add(e)
+            e += 1
+    out = []
+    for e in sorted(grid):
+        ca = a.coefficient_at(e)
+        cb = b.coefficient_at(e)
+        ca = 0 if ca is None and e < a.offset else ca
+        cb = 0 if cb is None and e < b.offset else cb
+        if ca is None or cb is None:
+            continue
+        if ca != cb:
+            out.append((e, ca, cb))
+    return out
+
+
+def _random_series(rng: random.Random, offset: Fraction) -> QSeriesTruncated:
+    return QSeriesTruncated([rng.randint(-1, 2) for _ in range(rng.randint(1, 12))], offset)
+
+
+def test_series_mismatches_matches_the_reference():
+    rng = random.Random(20)
+    shapes = {"same grid": 0, "other grid": 0, "apart": 0, "unequal orders": 0, "agree": 0}
+    for _ in range(3000):
+        a = _random_series(rng, Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4))))
+        roll = rng.random()
+        if roll < 0.4:
+            # an integer shift of a's offset, often a's own coefficients
+            b = _random_series(rng, a.offset + rng.randint(-4, 4))
+            if rng.random() < 0.5:
+                keep = rng.randint(0, a.order)
+                b = QSeriesTruncated(a.coeffs[keep:], a.offset + keep)
+            shapes["same grid"] += 1
+        elif roll < 0.8:
+            b = _random_series(rng, Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4))))
+            shapes["other grid"] += 1
+        else:
+            # a window that ends below a's offset, or starts above a's edge
+            b = _random_series(rng, 0)
+            gap = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+            if rng.random() < 0.5:
+                b = QSeriesTruncated(b.coeffs, a.offset - b.order - gap)
+            else:
+                b = QSeriesTruncated(b.coeffs, a.hi_exponent() + gap)
+            shapes["apart"] += 1
+        shapes["unequal orders"] += a.order != b.order
+        want = _reference_series_mismatches(a, b)
+        shapes["agree"] += not want
+        assert series_mismatches(a, b) == want, (a, b)
+        assert series_mismatches(b, a) == _reference_series_mismatches(b, a), (b, a)
+    assert min(shapes.values()) >= 200, shapes
+
+
+def test_coset_gap_refuses_bad_labels(monkeypatch):
+    # a parity outside {0, 1}, a label out of range or an odd i + j + l is
+    # a caller's mistake, not a program fault
+    for labels in [(0, 0, 1, 1), (1, 0, 1, 0), (2, 0, 1, 0), (-1, 0, 1, 1),
+                   (0, 2, 1, 0), (0, -1, 1, 1), (0, 0, 1, 3)]:
+        with pytest.raises(ValueError):
+            coset_gap(*labels)
+    assert coset_gap(0, 0, 1, 0) == 0
+    # a non-integral gap on valid labels still is one
+    monkeypatch.setattr(
+        virasoro, "coset_prefactor_exponent", lambda i, j, k, l: Fraction(1, 2)
+    )
+    with pytest.raises(InvariantError, match="not a nonnegative integer"):
+        coset_gap(0, 0, 1, 0)
