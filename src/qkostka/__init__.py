@@ -91,17 +91,20 @@ def __dir__() -> list[str]:
 def clear_caches() -> None:
     """Empty every in-memory result cache, so the next calls compute cold.
 
-    Covers the charge oracle's per-content passes, the fusion slice tables
-    and the Weyl orbit walks per (l, k, |m|). Results do not change; only
-    the time to the next answer does.
+    Covers the charge oracle's per-content passes, the fusion slice tables,
+    the Weyl orbit walks per (l, k, |m|) and the Gaussian row store, whose
+    walked rows are held up to a fixed budget of bits. Results do not
+    change; only the time to the next answer does.
     """
     # imported here to keep private names out of the package namespace
     from .charge import _oracle_tables
     from .kostka import _fusion_tables
+    from .qexact import _clear_row_store
     from .weyl import _orbit_items
 
     _oracle_tables.clear()
     _fusion_tables.clear()
+    _clear_row_store()
     _orbit_items.cache_clear()
 
 

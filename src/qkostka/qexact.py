@@ -25,6 +25,15 @@ never carry. The width comes from the terms, as the sum over terms of the
 product of the ordinary binomials C(t, n), not from the fusion multiplicity
 the sum should equal: that would assume the identity the routes check.
 
+Walked rows outlive the call. The row store keeps, per (t, bits), the prefix
+[t, 1] ... [t, x] of row t packed at q = 2**bits, so a later call at the same
+width reads it or walks on from its last x. A stored [t, x] is the exact
+value at 2**bits, because the call that walked it chose a width that holds
+its coefficients; the integers any later call reads are the ones it would
+have walked. The store holds at most _ROW_STORE_BITS (2**22) bits of int
+objects, dropping the least recently used rows first; `qkostka.clear_caches`
+empties it.
+
 Signed sums of q-shifted polynomials already built (the alternating and
 Euler routes) go through `shifted_sum`, one pass into a single dict.
 
@@ -37,6 +46,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -309,7 +319,8 @@ def vector_gaussian_binomial(a: Sequence[int], b: Sequence[int]) -> QPolynomial:
     """Componentwise product of Gaussian binomials; zero if any factor is.
 
     The factors other than 1 make one `gaussian_product_sum` term, so the
-    product is taken on the packed integer and nothing is cached.
+    product is taken on the packed integer, from rows kept in the row store
+    (at most 2**22 bits, emptied by `qkostka.clear_caches`).
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
@@ -334,29 +345,69 @@ def signed_binomial_sum(items: Iterable[tuple[int, int, int, int]]) -> QPolynomi
     )
 
 
+# The row store: (t, bits) -> ([[t, 1], ..., [t, x]] at q = 2**bits, the bits
+# of memory those ints take), oldest use first. _row_store_bits is the total
+# held, kept at most _ROW_STORE_BITS by dropping the oldest rows.
+_row_store: dict[tuple[int, int], tuple[list[int], int]] = {}
+_row_store_bits = 0
+_ROW_STORE_BITS = 1 << 22
+_row_store_lock = threading.Lock()
+
+
+def _clear_row_store() -> None:
+    """Forget every stored row; the next calls walk from [t, 1] again."""
+    global _row_store_bits
+    with _row_store_lock:
+        _row_store.clear()
+        _row_store_bits = 0
+
+
 def _gaussian_rows(rows: dict[int, set[int]], bits: int) -> dict[tuple[int, int], int]:
     """[t choose n]_q at q = 2**bits for each n in rows[t], 0 < n <= t / 2.
 
-    Walks each row t once, up to its largest n, by [t, x] = [t, x - 1]
-    (1 - q^(t-x+1)) / (1 - q^x). Every [t, x] walked has positive
-    coefficients at most C(t, n) for that largest n, so fits when it does.
+    Row t is read from the row store and walked on from the last [t, x] it
+    holds, up to the largest n, by [t, x] = [t, x - 1] (1 - q^(t-x+1)) /
+    (1 - q^x). Every [t, x] walked has positive coefficients at most C(t, n)
+    for that largest n, so fits when it does; the call that stored a prefix
+    made its own [t, x] fit at the same width, so it holds the same ints.
+    Each row keeps the longest prefix that fits the budget by itself.
     """
+    global _row_store_bits
     out = {}
-    for t, ns in rows.items():
-        g = 1
-        for x in range(1, max(ns) + 1):
-            g -= g << (bits * (t - x + 1))
-            # Divide by 1 - y, y = q^x, as a product (1 + y)(1 + y^2)(1 + y^4)...
-            # = (1 - q^span) / (1 - y), doubling span until it exceeds the
-            # quotient r's degree x(t - x). Then g = r - r q^span, the two
-            # parts do not overlap, and the mask keeps r.
-            span = x
-            while span <= x * (t - x):
-                g += g << (bits * span)
-                span *= 2
-            g &= (1 << (bits * span)) - 1
-            if x in ns:
-                out[t, x] = g
+    with _row_store_lock:
+        for t, ns in rows.items():
+            key = t, bits
+            # taken out and put back below, as the newest row
+            row, held = _row_store.pop(key, None) or ([], 0)
+            top = max(ns)
+            if len(row) < top:
+                old = held
+                g = row[-1] if row else 1
+                for x in range(len(row) + 1, top + 1):
+                    g -= g << (bits * (t - x + 1))
+                    # Divide by 1 - y, y = q^x, as a product (1 + y)(1 + y^2)(1 + y^4)...
+                    # = (1 - q^span) / (1 - y), doubling span until it exceeds the
+                    # quotient r's degree x(t - x). Then g = r - r q^span, the two
+                    # parts do not overlap, and the mask keeps r.
+                    span = x
+                    while span <= x * (t - x):
+                        g += g << (bits * span)
+                        span *= 2
+                    g &= (1 << (bits * span)) - 1
+                    size = 8 * sys.getsizeof(g)
+                    if len(row) == x - 1 and held + size <= _ROW_STORE_BITS:
+                        row.append(g)
+                        held += size
+                    elif x in ns:
+                        out[t, x] = g
+                _row_store_bits += held - old
+            for n in ns:
+                if n <= len(row):
+                    out[t, n] = row[n - 1]
+            if row:
+                _row_store[key] = row, held
+                while _row_store_bits > _ROW_STORE_BITS:
+                    _row_store_bits -= _row_store.pop(next(iter(_row_store)))[1]
     return out
 
 
@@ -365,34 +416,47 @@ def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int
 
     Signs are 1 or -1, exponents any integers (shifted by the least), and
     every factor needs 0 < n < t; see the module docstring for the packing.
-    Each row of factors is walked once per call, at that call's width, and
-    nothing is cached beyond the call.
+    Each distinct factor is checked once per call. Rows come from the row
+    store (at most 2**22 bits, emptied by `qkostka.clear_caches`), walked
+    only past the prefix it holds at this call's width.
     """
     terms = list(terms)
     if not terms:
         return _ZERO
     bound = 0
     low = terms[0][1]
+    combs: dict[tuple[int, int], int] = {}
     rows: dict[int, set[int]] = {}
+    mirrored = []
     for sign, exponent, pairs in terms:
         if sign not in (1, -1):
             raise ValueError(f"sign {sign} is neither 1 nor -1")
-        low = min(low, exponent)
+        if exponent < low:
+            low = exponent
         value = 1
-        for t, n in pairs:
-            if not 0 < n < t:
-                raise ValueError(f"factor [{t} choose {n}] is not a proper Gaussian binomial")
-            value *= math.comb(t, n)
-            rows.setdefault(t, set()).add(min(n, t - n))
+        for pair in pairs:
+            c = combs.get(pair)
+            if c is None:
+                t, n = pair
+                if not 0 < n < t:
+                    raise ValueError(f"factor [{t} choose {n}] is not a proper Gaussian binomial")
+                c = combs[pair] = math.comb(t, n)
+                if 2 * n > t:
+                    mirrored.append(pair)
+                    n = t - n
+                rows.setdefault(t, set()).add(n)
+            value *= c
         bound += value
     width = _digit_bytes(bound.bit_length())
     bits = 8 * width
     factors = _gaussian_rows(rows, bits)
+    for t, n in mirrored:
+        factors[t, n] = factors[t, t - n]
     positive = negative = 0
     for sign, exponent, pairs in terms:
         product = 1
-        for t, n in pairs:
-            product *= factors[t, min(n, t - n)]
+        for pair in pairs:
+            product *= factors[pair]
         if sign > 0:
             positive += product << (bits * (exponent - low))
         else:

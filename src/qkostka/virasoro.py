@@ -70,9 +70,12 @@ def conformal_weight(mm: MinimalModel) -> Fraction:
 
 
 def coset_central_charge(k: int) -> Fraction:
-    """Central charge of the level-(1,k) coset: (k^2+5k)/((k+2)(k+3))."""
-    if k < 1:
-        raise ValueError("level must be positive")
+    """Central charge of the level-(1,k) coset: (k^2+5k)/((k+2)(k+3)).
+
+    Level 0 is the (2, 3) model, c = 0, as in every other coset entry point.
+    """
+    if k < 0:
+        raise ValueError("level must be nonnegative")
     return Fraction(k * k + 5 * k, (k + 2) * (k + 3))
 
 

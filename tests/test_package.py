@@ -16,7 +16,7 @@ from qkostka.kostka import (
     restricted_fermionic,
     unrestricted,
 )
-from qkostka.qexact import gaussian_binomial
+from qkostka.qexact import _row_store, gaussian_binomial
 from qkostka.weyl import _orbit_items, euler_characteristic_bgg
 
 
@@ -25,6 +25,7 @@ def _cache_sizes():
         len(_oracle_tables),
         len(_fusion_tables),
         _orbit_items.cache_info().currsize,
+        len(_row_store),
     )
 
 
@@ -44,7 +45,7 @@ def test_clear_caches_empties_every_cache_and_keeps_results():
     warm = _workload()
     assert all(size > 0 for size in _cache_sizes())
     qkostka.clear_caches()
-    assert _cache_sizes() == (0, 0, 0)
+    assert _cache_sizes() == (0, 0, 0, 0)
     assert _workload() == warm
     assert "clear_caches" in qkostka.__all__
 
@@ -69,6 +70,7 @@ def test_every_module_level_cache_is_one_clear_caches_empties():
     assert found == {
         "charge._oracle_tables",
         "kostka._fusion_tables",
+        "qexact._row_store",
         "weyl._orbit_items",
     }
 

@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import qkostka
 from qkostka import qexact
+from qkostka.kostka import restricted_fermionic
 from qkostka.qexact import (
     QPolynomial,
     QSeriesTruncated,
@@ -488,6 +491,187 @@ def test_gaussian_product_sum_rejects_improper_factors():
     for sign in (0, 2, -2):
         with pytest.raises(ValueError):
             gaussian_product_sum([(sign, 0, ((7, 3),))])
+
+
+# -- oracle tests for the row store ------------------------------------------
+#
+# `_gaussian_rows` keeps the rows it walks, per (t, bits), for later calls.
+# Every Gaussian factor of every route is read from that store, so a stored
+# row that is wrong at some width, a prefix extended from the wrong place or
+# an eviction that leaves a stale row would make all routes agree on a wrong
+# answer. Each read below is held to the Pascal recursion.
+
+STORE_WIDTHS = (8, 16, 32, 64, 72)
+
+
+def _stored_read(t: int, n: int, bits: int) -> dict[int, int]:
+    """[t choose n] read through the row store at width `bits`, as term dict."""
+    packed = qexact._gaussian_rows({t: {n}}, bits)[t, n]
+    size = n * (t - n) + 1
+    assert packed >> (bits * size) == 0, (t, n, bits)
+    digits = qexact._digits(packed, bits // 8, size)
+    return {4 * k: c for k, c in enumerate(digits) if c}
+
+
+def _reads_that_fit(bits: int) -> list[tuple[int, int]]:
+    """Every (t, n), t <= 60 and 0 < n <= t / 2, whose C(t, n) fits a digit."""
+    return [
+        (t, n)
+        for t in range(2, 61)
+        for n in range(1, t // 2 + 1)
+        if math.comb(t, n) < 1 << bits
+    ]
+
+
+def _stored_bits() -> int:
+    """The bits the store's ints take, counted afresh from its rows."""
+    total = 0
+    for row, held in qexact._row_store.values():
+        assert held == sum(8 * sys.getsizeof(g) for g in row)
+        total += held
+    assert total == qexact._row_store_bits
+    return total
+
+
+def test_row_store_cold_and_warm_reads_match_the_pascal_recursion():
+    for bits in STORE_WIDTHS:
+        for t, n in _reads_that_fit(bits):
+            want = reference_gaussian_binomial(t, n)._terms
+            qkostka.clear_caches()
+            assert qexact._row_store == {} and qexact._row_store_bits == 0
+            assert _stored_read(t, n, bits) == want, (t, n, bits, "cold")
+            row, _ = qexact._row_store[t, bits]
+            assert len(row) == n
+            assert _stored_read(t, n, bits) == want, (t, n, bits, "warm")
+            assert qexact._row_store[t, bits][0] is row
+    # the public path, every n on both sides of t / 2, cold and then warm
+    for t in range(2, 61):
+        for n in range(1, t):
+            want = reference_gaussian_binomial(t, n)._terms
+            qkostka.clear_caches()
+            assert gaussian_product_sum([(1, 0, ((t, n),))])._terms == want, (t, n)
+            assert gaussian_product_sum([(1, 0, ((t, n),))])._terms == want, (t, n)
+
+
+def test_row_store_extends_a_stored_prefix():
+    for bits in STORE_WIDTHS:
+        for t in range(10, 61):
+            if math.comb(t, 5) >= 1 << bits:
+                continue
+            qexact._clear_row_store()
+            assert _stored_read(t, 2, bits) == reference_gaussian_binomial(t, 2)._terms
+            assert len(qexact._row_store[t, bits][0]) == 2
+            assert _stored_read(t, 5, bits) == reference_gaussian_binomial(t, 5)._terms
+            row, _ = qexact._row_store[t, bits]
+            assert len(row) == 5
+            # the extended row is the one a cold walk to [t, 5] stores
+            qexact._clear_row_store()
+            qexact._gaussian_rows({t: {5}}, bits)
+            assert qexact._row_store[t, bits][0] == row, (t, bits)
+            assert _stored_read(t, 2, bits) == reference_gaussian_binomial(t, 2)._terms
+    _stored_bits()
+
+
+def test_row_store_reads_after_the_budget_is_passed(monkeypatch):
+    qexact._clear_row_store()
+    first = (2, STORE_WIDTHS[0])
+    dropped = False
+    for bits in STORE_WIDTHS:
+        for t, n in _reads_that_fit(bits):
+            assert _stored_read(t, n, bits) == reference_gaussian_binomial(t, n)._terms
+            assert _stored_bits() <= qexact._ROW_STORE_BITS
+            dropped = dropped or first not in qexact._row_store
+    assert dropped, "the sweep never passed the budget"
+    # a second pass reads rows the first left stored and walks the dropped ones
+    for bits in reversed(STORE_WIDTHS):
+        for t, n in _reads_that_fit(bits):
+            assert _stored_read(t, n, bits) == reference_gaussian_binomial(t, n)._terms, (t, n)
+    # a budget below one row's size keeps the longest prefix that fits
+    monkeypatch.setattr(qexact, "_ROW_STORE_BITS", 1 << 15)
+    qexact._clear_row_store()
+    for t in range(40, 61):
+        for n in (1, t // 4, t // 2):
+            assert _stored_read(t, n, 72) == reference_gaussian_binomial(t, n)._terms, (t, n)
+            assert _stored_bits() <= 1 << 15
+    assert 0 < len(qexact._row_store[60, 72][0]) < 30
+    qexact._clear_row_store()
+
+
+def test_row_store_drops_the_least_recently_used_row_first(monkeypatch):
+    qexact._clear_row_store()
+    for t in (20, 21, 22):
+        qexact._gaussian_rows({t: {3}}, 32)
+    sizes = {t: qexact._row_store[t, 32][1] for t in (20, 21, 22)}
+    # room for exactly these three rows; reading row 20 again makes 21 the oldest
+    monkeypatch.setattr(qexact, "_ROW_STORE_BITS", sum(sizes.values()))
+    qexact._gaussian_rows({20: {2}}, 32)
+    qexact._gaussian_rows({23: {1}}, 32)
+    assert [t for t, _ in qexact._row_store] == [22, 20, 23]
+    assert _stored_bits() <= sum(sizes.values())
+    qexact._clear_row_store()
+
+
+def test_row_store_stays_within_its_budget_over_long_sweeps():
+    qkostka.clear_caches()
+    budget = qexact._ROW_STORE_BITS
+    peak = 0
+    # central rows up to t = 300; the largest take more than the budget
+    # alone, so the store keeps only a prefix of them
+    for t in (*range(2, 101), 200, 300):
+        b = gaussian_binomial(t, t // 2)
+        if t % 50 == 0:
+            assert b.evaluate_at_one() == math.comb(t, t // 2)
+        peak = max(peak, _stored_bits())
+        assert peak <= budget, t
+    [(row, _)] = [entry for (t, _), entry in qexact._row_store.items() if t == 300]
+    assert 0 < len(row) < 150
+    # a fermionic grid the size of one poly-queries stream: 57 calls at
+    # levels 3 to 7, weighted sizes 22 to 44, mostly spin-1/2 factors with up
+    # to three spin-1 and one spin-3/2 factor (m counts the factors per spin)
+    for i in range(57):
+        k = 3 + i % 5
+        size = (36 - 4 * (k - 3) if k < 7 else 22) + i // 5 % 5 * 2 + i % 2
+        m2, m3 = i % 4, i % 2
+        m = (size - 2 * m2 - 3 * m3, m2, m3)
+        l = size % 2 + 2 * (i % ((k - size % 2) // 2 + 1))
+        got = restricted_fermionic(l, m, k).evaluate_at_one()
+        assert got == qkostka.structure_constants(m, k)[l], (l, m, k)
+        peak = max(peak, _stored_bits())
+        assert peak <= budget, (l, m, k)
+    assert peak > budget // 2, "the sweep never came near the budget"
+    qkostka.clear_caches()
+    assert qexact._row_store_bits == _stored_bits() == 0
+
+
+def test_row_store_keeps_its_total_under_concurrent_calls(monkeypatch):
+    # a budget a few rows wide keeps every thread inserting and dropping;
+    # a lost update of the total would leave it unequal to the rows held
+    monkeypatch.setattr(qexact, "_ROW_STORE_BITS", 1 << 16)
+    qexact._clear_row_store()
+    want = {(t, n): reference_gaussian_binomial(t, n)._terms for t in range(2, 41) for n in range(1, t)}
+    wrong = []
+
+    def work(seed: int) -> None:
+        rng = random.Random(seed)
+        for _ in range(200):
+            t, n = rng.choice(list(want))
+            if gaussian_product_sum([(1, 0, ((t, n),))])._terms != want[t, n]:
+                wrong.append((t, n))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert _stored_bits() <= 1 << 16
+    qexact._clear_row_store()
 
 
 # -- oracle tests for the division by (q)_d ---------------------------------

@@ -60,6 +60,17 @@ def test_central_charge():
         assert coset_central_charge(k) == 13 - 6 * (t + 1 / t)
 
 
+def test_central_charge_is_the_minimal_model_value_from_level_0():
+    # the level-k coset is the (p, p') = (k + 2, k + 3) minimal model, and
+    # level 0 is the (2, 3) model with c = 0, a level the other entry points take
+    for k in range(7):
+        p, pp = k + 2, k + 3
+        assert coset_central_charge(k) == 1 - Fraction(6 * (p - pp) ** 2, p * pp), k
+    assert coset_central_charge(0) == 0
+    with pytest.raises(ValueError):
+        coset_central_charge(-1)
+
+
 def test_rocha_caridi_ising():
     vac = rocha_caridi(MinimalModel(3, 4, 1, 1), 6)
     assert window(vac) == [1, 0, 1, 1, 2, 2, 3]
