@@ -649,14 +649,18 @@ def test_row_store_keeps_its_total_under_concurrent_calls(monkeypatch):
     monkeypatch.setattr(qexact, "_ROW_STORE_BITS", 1 << 16)
     qexact._clear_row_store()
     want = {(t, n): reference_gaussian_binomial(t, n)._terms for t in range(2, 41) for n in range(1, t)}
+    pairs = list(want)
     wrong = []
 
     def work(seed: int) -> None:
         rng = random.Random(seed)
-        for _ in range(200):
-            t, n = rng.choice(list(want))
-            if gaussian_product_sum([(1, 0, ((t, n),))])._terms != want[t, n]:
-                wrong.append((t, n))
+        try:
+            for _ in range(200):
+                t, n = rng.choice(pairs)
+                if gaussian_product_sum([(1, 0, ((t, n),))])._terms != want[t, n]:
+                    wrong.append((t, n))
+        except Exception as exc:  # a fault in a worker fails the test, not only warns
+            wrong.append(exc)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
