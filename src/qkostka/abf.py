@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .compositions import hook_composition
-from .kostka import check_level_weight, restricted_fermionic
+from .compositions import check_level_weight, hook_composition
+from .kostka import fusion_char_hook, restricted_fermionic
 from .qexact import QPolynomial, shifted_sum, signed_binomial_sum
 from .reports import AuditRecord
 
@@ -39,38 +39,33 @@ class AbfLabel:
         return (self.N - (self.b - self.a)) % 2 == 0
 
 
+def _theta_sum(lab: AbfLabel, square: int, linear: int, mirror: int, corner: int) -> QPolynomial:
+    """Sum over n of q^(square n^2 + linear n) [N, (N-b+a)/2 - (r+1)n]
+    minus q^(square n^2 + mirror n + corner) [N, (N-b-a)/2 - (r+1)n]."""
+    b, a, N = lab.b, lab.a, lab.N
+    period = lab.r + 1
+    span = (N + abs(b) + abs(a)) // (2 * period) + 2
+    items = []
+    for n in range(-span, span + 1):
+        items.append((1, square * n * n + linear * n, N, (N - b + a) // 2 - period * n))
+        items.append((-1, square * n * n + mirror * n + corner, N, (N - b - a) // 2 - period * n))
+    return signed_binomial_sum(items)
+
+
 def abf_polynomial(lab: AbfLabel) -> QPolynomial:
     """Signed binomial theta sum chi-hat_{b,a}(q; N) for the (r, r+1) model."""
     if not lab.parity_ok:
         raise ValueError("N must have the parity of b - a")
-    r, b, a, N = lab.r, lab.b, lab.a, lab.N
-    period = r + 1
-    span = (N + abs(b) + abs(a)) // (2 * period) + 2
-    items = []
-    for n in range(-span, span + 1):
-        e1 = r * period * n * n + (period * b - r * a) * n
-        x1 = (N - b + a) // 2 - period * n
-        items.append((1, e1, N, x1))
-        e2 = r * period * n * n + (period * b + r * a) * n + b * a
-        x2 = (N - b - a) // 2 - period * n
-        items.append((-1, e2, N, x2))
-    return signed_binomial_sum(items)
+    r, b, a = lab.r, lab.b, lab.a
+    return _theta_sum(lab, r * (r + 1), (r + 1) * b - r * a, (r + 1) * b + r * a, b * a)
 
 
 def inversion_check(lab: AbfLabel) -> AuditRecord:
     """Degree reversal: q^{N^2/4-(a-b)^2/4} chi-hat(1/q; N) as a short theta sum."""
     r, b, a, N = lab.r, lab.b, lab.a, lab.N
-    period = r + 1
     shift = Fraction(N * N - (a - b) ** 2, 4)
     lhs = abf_polynomial(lab).substitute_inverse().shifted(shift)
-    span = (N + abs(b) + abs(a)) // (2 * period) + 2
-    items = []
-    for n in range(-span, span + 1):
-        x1 = (N - b + a) // 2 - period * n
-        items.append((1, period * n * n - n * a, N, x1))
-        x2 = (N - b - a) // 2 - period * n
-        items.append((-1, period * n * n + n * a, N, x2))
-    rhs = signed_binomial_sum(items)
+    rhs = _theta_sum(lab, r + 1, -a, a, 0)
     return AuditRecord(
         params={"r": r, "b": b, "a": a, "N": N},
         route_a="reversed-finitization",
@@ -80,36 +75,36 @@ def inversion_check(lab: AbfLabel) -> AuditRecord:
     )
 
 
+def _hook_kostka(k: int, j: int, l: int, N: int) -> QPolynomial:
+    """The restricted Kostka polynomial of N spin-1 factors and one spin-(j+1)
+    factor, refusing a hook spin at or above the level and a bad (l, k)."""
+    if not 0 <= j + 1 <= k:
+        raise ValueError("hook spin must stay strictly below the level")
+    check_level_weight(l, k)
+    return restricted_fermionic(l, hook_composition(N, j), k)
+
+
 def grouped_identity_check(k: int, j: int, l: int, N: int) -> AuditRecord:
     """Restricted Kostka of N spin-1 factors plus one spin-(j+1) factor,
     rebuilt from the signed level sum of closed-form hook characters.
 
-    The right-hand side groups the unrestricted polynomials of the signed
-    level sum into binomial blocks, one theta index p per level shift.
+    With T = k + 2 and H the weight-w hook character `fusion_char_hook(N, j, w)`,
+    the right-hand side is the sum over p of q^(T p^2 + (l+1)p) (H(w) - H(w+2))
+    at w = l + 2Tp; H vanishes once |w| passes N + j + 1.
     """
-    if not 0 <= j + 1 <= k:
-        raise ValueError("hook spin must stay strictly below the level")
-    check_level_weight(l, k)
-    lhs = restricted_fermionic(l, hook_composition(N, j), k)
+    lhs = _hook_kostka(k, j, l, N)
     period = k + 2
     span = (N + j + 3) // (2 * period) + 2
-    blocks = []
+    items = []
     for p in range(-span, span + 1):
         e = period * p * p + (l + 1) * p
-        c = N + j - l - 2 * period * p
-        for s in range(j + 1):
-            blocks += [(1, e, N + 1, c + 1 - 2 * s), (-1, e, N + 1, c - 1 - 2 * s)]
-        for s in range(j):
-            blocks += [(-1, e, N, c - 1 - 2 * s), (1, e, N, c - 3 - 2 * s)]
-    # a block [top choose num / 2] with an odd num is zero
-    rhs = signed_binomial_sum(
-        (sign, e, top, num // 2) for sign, e, top, num in blocks if num % 2 == 0
-    )
+        w = l + 2 * period * p
+        items += [(1, e, fusion_char_hook(N, j, w)), (-1, e, fusion_char_hook(N, j, w + 2))]
     return AuditRecord(
         params={"k": k, "j": j, "l": l, "N": N},
         route_a="restricted-fermionic",
         route_b="grouped-finitization-sum",
-        residual=rhs - lhs,
+        residual=shifted_sum(items) - lhs,
         hard=True,
     )
 
@@ -123,12 +118,8 @@ def finitization_audit(k: int, j: int, l: int, N: int) -> list[AuditRecord]:
     reversal actually produces for its own labels, and then matches K with
     no prefactor at all. Returns [published-record, repaired-record].
     """
-    if not 0 <= j + 1 <= k:
-        raise ValueError("hook spin must stay strictly below the level")
-    check_level_weight(l, k)
-    kostka = restricted_fermionic(l, hook_composition(N, j), k)
+    kostka = _hook_kostka(k, j, l, N)
     r = k + 1
-
     printed_items = []
     repaired_items = []
     labels = [(1, j + 1 - 2 * s, N + 1) for s in range(j + 1)]
@@ -141,9 +132,10 @@ def finitization_audit(k: int, j: int, l: int, N: int) -> list[AuditRecord]:
     repaired = shifted_sum(repaired_items)
 
     printed_lhs = kostka.shifted(Fraction((l - j) ** 2, 4))
-    records = [
+    params = {"k": k, "j": j, "l": l, "N": N}
+    return [
         AuditRecord(
-            params={"k": k, "j": j, "l": l, "N": N},
+            params=params,
             route_a="prefixed-restricted-fermionic",
             route_b="published-finitization-rhs",
             residual=printed - printed_lhs,
@@ -151,7 +143,7 @@ def finitization_audit(k: int, j: int, l: int, N: int) -> list[AuditRecord]:
             detail={"lhs": printed_lhs, "rhs": printed},
         ),
         AuditRecord(
-            params={"k": k, "j": j, "l": l, "N": N},
+            params=params,
             route_a="restricted-fermionic",
             route_b="per-term-reversal-rhs",
             residual=repaired - kostka,
@@ -159,4 +151,3 @@ def finitization_audit(k: int, j: int, l: int, N: int) -> list[AuditRecord]:
             detail={"lhs": kostka, "rhs": repaired},
         ),
     ]
-    return records

@@ -14,6 +14,10 @@ distinct splits of the basis partition into a collided head and a free tail,
 as a product of two arrangement numbers, so no orbit of exponent vectors is
 ever listed. The rank is taken by sparse fraction-free elimination over
 deduplicated rows, shortest first.
+
+A spec refuses what every route refuses through `check_level_weight`, a
+level below 1 or a weight outside 0..k, and also a weight above |m| or of
+the wrong parity, and a variable count other than (|m| - l)/2.
 """
 
 from __future__ import annotations
@@ -22,7 +26,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, gcd
 
-from .compositions import Composition, CompositionLike, as_composition, weighted_size
+from .compositions import (
+    Composition,
+    CompositionLike,
+    as_composition,
+    check_level_weight,
+    weighted_size,
+)
 from .qexact import QPolynomial
 
 VARIABLE_CAP = 4
@@ -40,8 +50,7 @@ class FunctionalModelSpec:
     composition: Composition
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be positive")
+        check_level_weight(self.weight, self.level)
         size = weighted_size(self.composition)
         if size < self.weight or (size - self.weight) % 2:
             raise ValueError("weight must not exceed |m| and must match its parity")
@@ -53,10 +62,7 @@ class FunctionalModelSpec:
         cls, l: int, m: CompositionLike, k: int
     ) -> "FunctionalModelSpec":
         comp = as_composition(m)
-        size = weighted_size(comp)
-        if size < l or (size - l) % 2:
-            raise ValueError("weight must not exceed |m| and must match its parity")
-        return cls((size - l) // 2, k, l, comp)
+        return cls((weighted_size(comp) - l) // 2, k, l, comp)
 
 
 def _partitions_of(d: int, parts: int, max_part: int) -> list[tuple[int, ...]]:
@@ -203,8 +209,6 @@ def restricted_kostka_oracle(spec: FunctionalModelSpec) -> QPolynomial:
     terms: dict[int, int] = {}
     for d in range(top + 1):
         basis, rows = build_constraint_matrix(spec, d)
-        if not basis:
-            continue
         nullity = len(basis) - _integer_rank(rows, len(basis))
         if nullity:
             terms[d] = nullity

@@ -89,6 +89,14 @@ def as_composition(m: CompositionLike) -> Composition:
     return m if isinstance(m, Composition) else Composition(m)
 
 
+def check_level_weight(l: int, k: int) -> None:
+    """Refuse a level below 1 or a weight outside 0..k, as every route does."""
+    if k < 1:
+        raise ValueError("level must be positive")
+    if not 0 <= l <= k:
+        raise ValueError("weight must satisfy 0 <= l <= k")
+
+
 def composition_from_factors(factors: Iterable[int]) -> Composition:
     """Build the multiplicity vector from a list of factor spins.
 

@@ -27,6 +27,7 @@ from .compositions import (
     CompositionLike,
     InvariantError,
     as_composition,
+    check_level_weight,
     top_degree_h,
     weighted_size,
 )
@@ -42,14 +43,6 @@ class StabilizationError(InvariantError):
 def restriction_vector(l: int, k: int) -> tuple[int, ...]:
     """v_a = max(0, a - k + l) for a = 1..k."""
     return tuple(max(0, a - k + l) for a in range(1, k + 1))
-
-
-def check_level_weight(l: int, k: int) -> None:
-    """Refuse a level below 1 or a weight outside 0..k, as every route does."""
-    if k < 1:
-        raise ValueError("level must be positive")
-    if not 0 <= l <= k:
-        raise ValueError("weight must satisfy 0 <= l <= k")
 
 
 def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
@@ -242,9 +235,11 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
     alpha = abs(alpha)
     if alpha > size or (size - alpha) % 2:
         return QPolynomial.zero()
-    table = _fusion_tables.setdefault(comp.parts, [QPolynomial.zero()])
+    table = _fusion_tables.get(comp.parts, [QPolynomial.zero()])
+    # a published table is never changed, so a concurrent call reads a whole one
     for l in range(size + 2 - 2 * len(table), alpha - 1, -2):
-        table.append(unrestricted(l, comp) + table[-1])
+        table = table + [unrestricted(l, comp) + table[-1]]
+        _fusion_tables[comp.parts] = table
     return table[(size + 2 - alpha) // 2]
 
 

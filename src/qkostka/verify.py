@@ -284,15 +284,14 @@ def _abf_limit_record(r: int, b: int, a: int, order: int) -> AuditRecord:
     mm = virasoro.MinimalModel(r, r + 1, b, a)
     N = 2 * order + abs(b - a) + 4 * (r + 1)
     N += (N - (b - a)) % 2
-    window = None
-    for trial in (N, N + 2):
-        poly = abf_mod.abf_polynomial(abf_mod.AbfLabel(r, b, a, trial))
-        current = [poly.coefficient(d) for d in range(order + 1)]
-        if window is not None and current != window:
-            raise virasoro.StabilizationCapExceeded(
-                f"finitization window does not settle for r={r}, b={b}, a={a}"
-            )
-        window = current
+    window, wider = (
+        [poly.coefficient(d) for d in range(order + 1)]
+        for poly in [abf_mod.abf_polynomial(abf_mod.AbfLabel(r, b, a, n)) for n in (N, N + 2)]
+    )
+    if window != wider:
+        raise virasoro.StabilizationCapExceeded(
+            f"finitization window does not settle for r={r}, b={b}, a={a}"
+        )
     series = QSeriesTruncated(window, offset=virasoro.conformal_weight(mm))
     params = {"r": r, "b": b, "a": a, "order": order}
     return _rocha_caridi_record(params, "finitization-limit", series, mm, order)

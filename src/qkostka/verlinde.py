@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .compositions import CompositionLike, as_composition
+from .compositions import CompositionLike, as_composition, check_level_weight
 from .kostka import restricted_fermionic
 
 # vector of multiplicities indexed by weight 0..k
@@ -19,10 +19,8 @@ FusionVector = tuple[int, ...]
 
 def fuse_basic(a: int, b: int, k: int) -> FusionVector:
     """[a]*[b] = sum of [c] for c from |a-b| to min(a+b, 2k-a-b), step 2."""
-    if k < 1:
-        raise ValueError("level must be positive")
-    if not (0 <= a <= k and 0 <= b <= k):
-        raise ValueError("weights must lie between 0 and the level")
+    check_level_weight(a, k)
+    check_level_weight(b, k)
     out = [0] * (k + 1)
     for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2):
         out[c] += 1
@@ -69,8 +67,7 @@ def q1_consistency(m: CompositionLike, k: int) -> list[Q1Report]:
         # module is absent, so report zeros across the board
         return [Q1Report(l, 0, 0) for l in range(k + 1)]
     constants = structure_constants(comp, k)
-    reports = []
-    for l in range(k + 1):
-        value = restricted_fermionic(l, comp, k).evaluate_at_one()
-        reports.append(Q1Report(l, value, constants[l]))
-    return reports
+    return [
+        Q1Report(l, restricted_fermionic(l, comp, k).evaluate_at_one(), constants[l])
+        for l in range(k + 1)
+    ]

@@ -13,8 +13,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .compositions import CompositionLike, InvariantError, as_composition, weighted_size
-from .kostka import check_level_weight, fusion_weight_char
+from .compositions import (
+    CompositionLike,
+    InvariantError,
+    as_composition,
+    check_level_weight,
+    weighted_size,
+)
+from .kostka import fusion_weight_char
 from .qexact import QPolynomial, shifted_sum
 
 

@@ -104,12 +104,17 @@ def test_inversion_check():
 def test_grouped_identity():
     assert grouped_identity_check(1, 0, 0, 1).residual.is_zero()
     assert grouped_identity_check(2, 1, 0, 2).residual.is_zero()
-    for k in (1, 2):
+    # the right side is built from fusion_char_hook; the fermionic left side
+    # is its oracle on every label with k <= 5 and N <= 24
+    checked = 0
+    for k in range(1, 6):
         for j in range(k):
             for l in range(k + 1):
-                for N in range(7):
+                for N in range(25):
                     rec = grouped_identity_check(k, j, l, N)
                     assert rec.residual.is_zero(), (k, j, l, N)
+                    checked += 1
+    assert checked == 1750
 
 
 def test_finitization_audit_flagship():

@@ -120,8 +120,8 @@ def test_spec_validation():
     assert s.variable_count == 2
     with pytest.raises(ValueError):
         spec(1, (4,), 2)  # parity
-    with pytest.raises(ValueError):
-        spec(4, (2,), 2)  # l exceeds |m|
+    with pytest.raises(ValueError, match="must not exceed"):
+        spec(3, (1,), 3)  # l exceeds |m|
     for l, parts, k in [(1, (1,), 0), (0, (4,), -1), (0, (), 0)]:
         with pytest.raises(ValueError, match="level must be positive"):
             spec(l, parts, k)
@@ -132,9 +132,17 @@ def test_variable_cap():
         restricted_kostka_oracle(spec(0, (12,), 3))
 
 
+def test_spec_refuses_a_weight_outside_the_level():
+    # the shared level and weight rule, with its message, as on every route
+    for l, parts, k in [(2, (2,), 1), (4, (4,), 2), (3, (1, 1), 2), (-2, (), 1), (-1, (1,), 3)]:
+        with pytest.raises(ValueError, match="weight must satisfy 0 <= l <= k"):
+            spec(l, parts, k)
+
+
 def test_empty_system_is_constants():
-    # zero variables: the model degenerates to the constants, even for l > k
-    assert restricted_kostka_oracle(spec(2, (2,), 1)) == QPolynomial.one()
+    # zero variables: the model degenerates to the constants; l > k is refused
+    with pytest.raises(ValueError, match="weight must satisfy"):
+        spec(2, (2,), 1)
     assert restricted_kostka_oracle(spec(0, (), 1)) == QPolynomial.one()
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -198,6 +200,43 @@ def test_fusion_weight_char_matches_direct_sums_in_any_order():
     qkostka.clear_caches()
     for m, alpha in requests:
         assert fusion_weight_char(m, alpha) == want[m, alpha], (m, alpha)
+
+
+def test_fusion_weight_char_is_right_under_concurrent_calls():
+    # one thread per weight fills one composition's table at once; a thread
+    # that grew a table another thread had already published would shift
+    # every slice behind it, and the wrong slices would stay cached
+    m = (8, 2, 1)
+    size = weighted_size(m)
+    want = {
+        alpha: sum((unrestricted(l, m) for l in range(alpha, size + 1, 2)), QPolynomial.zero())
+        for alpha in range(1, size + 1, 2)
+    }
+    wrong = []
+
+    def work(alpha: int) -> None:
+        try:
+            if fusion_weight_char(m, alpha) != want[alpha]:
+                wrong.append(alpha)
+        except Exception as exc:  # a fault in a worker fails the test, not only warns
+            wrong.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            qkostka.clear_caches()
+            threads = [threading.Thread(target=work, args=(alpha,)) for alpha in want]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            wrong += [alpha for alpha in want if fusion_weight_char(m, alpha) != want[alpha]]
+    finally:
+        sys.setswitchinterval(switch)
+    assert wrong == []
+    qkostka.clear_caches()
 
 
 def _count_calls(monkeypatch, module, name):

@@ -110,6 +110,23 @@ def test_no_unused_imports_in_the_library():
     assert found == []
 
 
+def test_the_independent_oracles_import_only_the_input_and_arithmetic_layers():
+    # the charge oracle and the functional model are the routes the fermionic
+    # sum is checked against, so a rule they share with it (a level check
+    # taken from kostka, say) must come from a layer below both. Any absolute
+    # import of the package is refused too, since the library uses none.
+    src = Path(qkostka.__file__).resolve().parent
+    for name in ("charge", "coinvariants"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                imported |= {n for n in names if n.partition(".")[0] == "qkostka"}
+        assert imported <= {"compositions", "qexact"}, (name, imported)
+
+
 # Module-level functions that stay although nothing in the library names
 # them and no export lists them. Each needs its reason here.
 UNNAMED_FUNCTIONS_KEPT: dict[str, str] = {

@@ -13,6 +13,11 @@ def test_fuse_basic():
     assert fuse_basic(0, 2, 2) == (0, 0, 1)
     # truncation from above: c <= 2k - a - b
     assert fuse_basic(2, 2, 3) == (1, 0, 1, 0)
+    # the shared level and weight rule
+    with pytest.raises(ValueError, match="weight must satisfy"):
+        fuse_basic(3, 0, 2)
+    with pytest.raises(ValueError, match="level must be positive"):
+        fuse_basic(0, 0, 0)
 
 
 def test_fuse_commutes():
