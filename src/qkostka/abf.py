@@ -12,7 +12,6 @@ variant and reports the residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .compositions import check_level_weight, hook_composition
@@ -21,18 +20,32 @@ from .qexact import QPolynomial, shifted_sum, signed_binomial_sum
 from .reports import AuditRecord
 
 
-@dataclass(frozen=True)
 class AbfLabel:
-    r: int
-    b: int
-    a: int
-    N: int
+    __slots__ = ("r", "b", "a", "N")
 
-    def __post_init__(self):
-        if self.r < 2:
+    def __init__(self, r: int, b: int, a: int, N: int):
+        if r < 2:
             raise ValueError("model index r must be at least 2")
-        if self.N < 0:
+        if N < 0:
             raise ValueError("width N must be nonnegative")
+        self.r = r
+        self.b = b
+        self.a = a
+        self.N = N
+
+    def _key(self) -> tuple:
+        return (self.r, self.b, self.a, self.N)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"AbfLabel(r={self.r!r}, b={self.b!r}, a={self.a!r}, N={self.N!r})"
 
     @property
     def parity_ok(self) -> bool:

@@ -66,10 +66,9 @@ _TERM_COLUMNS = ["exponent_numerator", "coefficient"]
 
 
 def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
-    writer = csv.DictWriter(stream, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row.get(c, "") for c in columns] for row in rows)
 
 
 def _render(fmt: str, blob: dict | None, columns: list[str], rows: list[dict]) -> str:

@@ -15,6 +15,14 @@ as a product of two arrangement numbers, so no orbit of exponent vectors is
 ever listed. The rank is taken by sparse fraction-free elimination over
 deduplicated rows, shortest first.
 
+The system is cut to the part that carries information before it is built.
+Condition (4), f(0, z_2, .., z_s) = 0, holds for a symmetric f exactly when
+e_s = z_1 ... z_s divides f, so the basis keeps only the partitions with s
+positive parts and no (4) row is built. Condition (2), vanishing when k + 1
+variables collide, implies vanishing when more collide, so once s >= k + 1
+the (3) rows at a >= k + 1 and the (5) rows at k - l + 1 = k + 1 lie in the
+row space of (2) and are not built either. The nullities do not change.
+
 A spec refuses what every route refuses through `check_level_weight`, a
 level below 1 or a weight outside 0..k, and also a weight above |m| or of
 the wrong parity, and a variable count other than (|m| - l)/2.
@@ -22,7 +30,6 @@ the wrong parity, and a variable count other than (|m| - l)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, gcd
 
@@ -42,20 +49,37 @@ class OracleScaleExceeded(RuntimeError):
     """The instance needs more variables than `VARIABLE_CAP` allows."""
 
 
-@dataclass(frozen=True)
 class FunctionalModelSpec:
-    variable_count: int
-    level: int
-    weight: int
-    composition: Composition
+    __slots__ = ("variable_count", "level", "weight", "composition")
 
-    def __post_init__(self):
-        check_level_weight(self.weight, self.level)
-        size = weighted_size(self.composition)
-        if size < self.weight or (size - self.weight) % 2:
+    def __init__(self, variable_count: int, level: int, weight: int, composition: Composition):
+        check_level_weight(weight, level)
+        size = weighted_size(composition)
+        if size < weight or (size - weight) % 2:
             raise ValueError("weight must not exceed |m| and must match its parity")
-        if self.variable_count != (size - self.weight) // 2:
+        if variable_count != (size - weight) // 2:
             raise ValueError("variable count must equal (|m| - l)/2")
+        self.variable_count = variable_count
+        self.level = level
+        self.weight = weight
+        self.composition = composition
+
+    def _key(self) -> tuple:
+        return (self.variable_count, self.level, self.weight, self.composition)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"FunctionalModelSpec(variable_count={self.variable_count!r}, level={self.level!r}, "
+            f"weight={self.weight!r}, composition={self.composition!r})"
+        )
 
     @classmethod
     def from_parameters(
@@ -160,33 +184,41 @@ def build_constraint_matrix(
 ) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
     """Basis partitions and constraint rows for one total-degree slice.
 
-    Basis: monomial symmetric polynomials indexed by partitions of `degree`
-    into at most s parts, each below the factor count of m. Conditions, all
-    degree-preserving:
+    The space is cut out of the symmetric polynomials in s variables whose
+    exponents lie below the factor count of m by these degree-preserving
+    conditions:
       (2) vanishing when k+1 variables collide          (s >= k+1)
       (3) for a = 2..s, collided degree in z at most sum_i min(a,i)m_i - a
       (4) vanishing at z_1 = 0
       (5) order >= k-l+2 in z when k-l+1 variables collide  (s >= k-l+1)
+    Condition (4) is divisibility by e_s = z_1 ... z_s, so the basis is the
+    monomial symmetric polynomials indexed by partitions of `degree` into
+    exactly s parts, each from 1 to the factor count less one, and no (4)
+    row is built. When s >= k+1, condition (2) implies the (3) rows at
+    a >= k+1 and, at l = 0, the (5) rows, so those are not built either.
+    With s = 0 the basis is the constant and there are no rows.
     """
     s = spec.variable_count
     k = spec.level
     l = spec.weight
     m = spec.composition
-    factor_count = sum(m.parts)
-    basis = _partitions_of(degree, s, factor_count - 1)
     if s == 0:
-        return basis, []
+        return ([()] if degree == 0 else []), []
+    factor_count = sum(m.parts)
+    basis: list[tuple[int, ...]] = []
+    if factor_count > 1:
+        # every part lies in 1..factor_count-1: shift the partitions of degree - s
+        shifted = _partitions_of(degree - s, s, factor_count - 2)
+        basis = [tuple(p + 1 for p in lam) for lam in shifted]
     ascending = [lam[::-1] for lam in basis]
     rows: list[dict[int, int]] = []
     if s >= k + 1:
         rows.extend(_split_rows(ascending, k + 1, lambda zd: True))
-    for a in range(2, s + 1):
+    for a in range(2, min(s, k) + 1):
         bound = sum(min(a, i) * mi for i, mi in enumerate(m.parts, start=1)) - a
         rows.extend(_split_rows(ascending, a, lambda zd, b=bound: zd > b))
-    # f(0, z_2, .., z_s) = 0: the one-variable head of z-degree 0
-    rows.extend(_split_rows(ascending, 1, lambda zd: zd == 0))
     order = k - l + 2
-    if s >= k - l + 1 and k - l + 1 >= 1:
+    if l > 0 and s >= k - l + 1:
         rows.extend(_split_rows(ascending, k - l + 1, lambda zd: zd < order))
     return basis, rows
 

@@ -8,19 +8,42 @@ residual there is data to report, never an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .qexact import QPolynomial
 
 
-@dataclass(frozen=True)
 class AuditRecord:
-    params: dict
-    route_a: str
-    route_b: str
-    residual: QPolynomial
-    hard: bool = True
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("params", "route_a", "route_b", "residual", "hard", "detail")
+
+    def __init__(
+        self,
+        params: dict,
+        route_a: str,
+        route_b: str,
+        residual: QPolynomial,
+        hard: bool = True,
+        detail: dict | None = None,
+    ):
+        self.params = params
+        self.route_a = route_a
+        self.route_b = route_b
+        self.residual = residual
+        self.hard = hard
+        self.detail = {} if detail is None else detail
+
+    def _key(self) -> tuple:
+        return (self.params, self.route_a, self.route_b, self.residual, self.hard, self.detail)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"AuditRecord(params={self.params!r}, route_a={self.route_a!r}, "
+            f"route_b={self.route_b!r}, residual={self.residual!r}, hard={self.hard!r}, "
+            f"detail={self.detail!r})"
+        )
 
     @property
     def verdict(self) -> str:

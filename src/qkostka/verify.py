@@ -12,8 +12,8 @@ Suites are deterministic: fixed seeds and sorted enumeration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import abf as abf_mod
 from . import kostka, verlinde, virasoro, weyl
@@ -22,18 +22,32 @@ from .qexact import QPolynomial, QSeriesTruncated
 from .reports import AuditRecord
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     max_weight: int = 10
     max_level: int = 4
     order: int = 15
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    checked: int = 0
-    records: list[AuditRecord] = field(default_factory=list)
+    __slots__ = ("suite", "checked", "records")
+
+    def __init__(self, suite: str, checked: int = 0, records: list[AuditRecord] | None = None):
+        self.suite = suite
+        self.checked = checked
+        self.records = [] if records is None else records
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.checked, self.records) == (
+            other.suite, other.checked, other.records
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SuiteResult(suite={self.suite!r}, checked={self.checked!r}, "
+            f"records={self.records!r})"
+        )
 
     @property
     def failures(self) -> list[AuditRecord]:

@@ -39,6 +39,7 @@ def _fuse_vector(vec: FusionVector, b: int, k: int) -> FusionVector:
 
 def structure_constants(m: CompositionLike, k: int) -> FusionVector:
     """Expand [1]^{m_1} ... [k]^{m_k} in the basis [0], ..., [k]."""
+    check_level_weight(0, k)
     comp = as_composition(m)
     if comp.width > k:
         raise ValueError("composition has a spin above the level")
@@ -61,6 +62,7 @@ class Q1Report(NamedTuple):
 
 def q1_consistency(m: CompositionLike, k: int) -> list[Q1Report]:
     """Compare restricted_fermionic(l, m, k)(1) with the fusion multiplicity, per l."""
+    check_level_weight(0, k)
     comp = as_composition(m)
     if comp.width > k:
         # both sides degenerate: the restricted polynomial is zero and the

@@ -12,12 +12,11 @@ audit, with the difference reported as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import floor, gcd
 from operator import add, mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .compositions import Composition, InvariantError, hook_composition
 from .kostka import _reversed_terms
@@ -31,22 +30,35 @@ from .qexact import (
 )
 
 
-@dataclass(frozen=True)
 class MinimalModel:
-    p: int
-    p_prime: int
-    r: int
-    s: int
+    __slots__ = ("p", "p_prime", "r", "s")
 
-    def __post_init__(self):
-        if self.p < 2 or self.p_prime < 2 or gcd(self.p, self.p_prime) != 1:
+    def __init__(self, p: int, p_prime: int, r: int, s: int):
+        if p < 2 or p_prime < 2 or gcd(p, p_prime) != 1:
             raise ValueError("model labels must be coprime and at least 2")
-        if not (1 <= self.r <= self.p - 1 and 1 <= self.s <= self.p_prime - 1):
+        if not (1 <= r <= p - 1 and 1 <= s <= p_prime - 1):
             raise ValueError("field labels out of range")
+        self.p = p
+        self.p_prime = p_prime
+        self.r = r
+        self.s = s
+
+    def _key(self) -> tuple:
+        return (self.p, self.p_prime, self.r, self.s)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"MinimalModel(p={self.p!r}, p_prime={self.p_prime!r}, r={self.r!r}, s={self.s!r})"
 
 
-@dataclass(frozen=True)
-class BranchingSeries:
+class BranchingSeries(NamedTuple):
     series: QSeriesTruncated
     route: str
     stabilized_at: int | None = None
@@ -212,8 +224,7 @@ def branching_via_kostka_limit(i: int, j: int, k: int, l: int, order: int) -> Br
     raise StabilizationCapExceeded(f"no agreement through order {order} for n up to {n_cap}")
 
 
-@dataclass(frozen=True)
-class LimitTermData:
+class LimitTermData(NamedTuple):
     """One quasi-particle term of the limiting fermionic character.
 
     t indexes occupation numbers of the species 2..k+1; exponent is the
@@ -362,8 +373,7 @@ def _divided_window(terms: list[tuple[int, int, QPolynomial]], order: int) -> di
     return dict(zip(range(low, order + 1), window))
 
 
-@dataclass(frozen=True)
-class FermionicCharacter:
+class FermionicCharacter(NamedTuple):
     derived: BranchingSeries
     printed_minus_derived: QPolynomial
     printed_coefficients: dict[int, int]

@@ -226,6 +226,19 @@ def test_table_kostka_cache_miss_loads_no_other_route():
     assert loaded == []
 
 
+def test_the_lazy_layers_load_without_dataclasses_or_inspect():
+    # importing dataclasses pulls in inspect, ast and dis, and each class it
+    # builds compiles its methods: a cost the first call into a layer pays
+    loaded = _fresh_process(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import qkostka.verify, qkostka.coinvariants, qkostka.abf, qkostka.virasoro\n"
+        "print(json.dumps(sorted(m for m in ('dataclasses', 'inspect')\n"
+        "                        if m in sys.modules and m not in before)))\n"
+    )
+    assert loaded == []
+
+
 def test_lazy_export_loads_its_module_on_first_access():
     lazy = sorted(set(qkostka._LAZY_EXPORTS.values()))
     assert lazy == ["abf", "coinvariants", "reports", "verlinde", "virasoro", "weyl"]

@@ -36,6 +36,14 @@ def test_structure_constants():
         structure_constants((0, 1), 1)
 
 
+def test_structure_constants_and_q1_consistency_refuse_a_level_below_one():
+    # the shared level rule runs before the width shortcut and the width check
+    for call, args in [(structure_constants, ((), 0)), (structure_constants, ((1,), -1)),
+                       (q1_consistency, ((4,), 0)), (q1_consistency, ((0, 1), 0))]:
+        with pytest.raises(ValueError, match="level must be positive"):
+            call(*args)
+
+
 def test_q1_consistency_reports():
     reports = q1_consistency((4,), 2)
     assert [(r.l, r.fermionic_at_one, r.fusion_multiplicity) for r in reports] == [
