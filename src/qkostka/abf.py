@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .compositions import check_level_weight, hook_composition
+from .compositions import as_integers, check_level_weight, hook_composition
 from .kostka import fusion_char_hook, restricted_fermionic
 from .qexact import QPolynomial, shifted_sum, signed_binomial_sum
 from .reports import AuditRecord
@@ -24,6 +24,7 @@ class AbfLabel:
     __slots__ = ("r", "b", "a", "N")
 
     def __init__(self, r: int, b: int, a: int, N: int):
+        r, b, a, N = as_integers((r, b, a, N), "labels must be integers")
         if r < 2:
             raise ValueError("model index r must be at least 2")
         if N < 0:

@@ -7,12 +7,15 @@ weight-indexed polynomials the production routes compute.
 
 This is the independent check, not the fast path. A pass over the placement
 DAG, which places all copies of a letter at once, sums charge letter by
-letter; the shape only prunes the DAG, so the oracle keeps one pass per
-content, with row 1 free and row 2 capped at the longest requested, for all
-its weights. enumerate_ssyt, reading_word and charge grade tableaux one by
-one, as the brute-force cross-check. Nothing here is shared with the
-fermionic route in kostka.py, so one bug cannot make both routes agree on a
-wrong answer.
+letter. A DAG state keeps only the row of each subword's last pick: a
+letter's new copies sit at the right end of row 2 or of row 1 in the
+reading word, so which copy the cyclic scan takes next depends on that row
+alone, not on the position. The shape only prunes the DAG, so the oracle
+keeps one pass per content, with row 1 free and row 2 capped at the longest
+requested, for all its weights. enumerate_ssyt, reading_word and charge
+grade tableaux one by one, as the brute-force cross-check. Nothing here is
+shared with the fermionic route in kostka.py, so one bug cannot make both
+routes agree on a wrong answer.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .compositions import (
     norm_ss,
     weighted_size,
 )
-from .qexact import QPolynomial
+from .qexact import _ZERO, QPolynomial
 
 Tableau = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -128,40 +131,65 @@ def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, di
     0, 1, ... in turn take the free copy of v nearest left of their copy of
     v - 1, or else the rightmost; subword s sees the same free copies as in
     subword-by-subword extraction, since only subwords 0..s-1 took any. A
-    wrap adds the number of letters >= v its subword holds. A state
-    (row-2 length, each live subword's last position) holds a
-    {charge: count} tally shared by every path through it.
+    wrap adds the number of letters >= v its subword holds.
+
+    The row of a subword's last pick is all its next pick reads. The new
+    row-2 copies lie right of every earlier row-2 position and left of
+    every row-1 position, and the new row-1 copies right of everything
+    before them. So a pick after row 1 takes the rightmost free row-2 copy
+    if one is left and wraps otherwise, a pick after row 2 always wraps,
+    and a wrap takes the rightmost free copy: row 1 while any is free. A
+    state (row-2 length, each live subword's last row) holds a
+    {charge: count} tally shared by every path through it; each letter's
+    transitions are computed once per (rows, x), in a memo the pass drops.
     """
-    n = sum(counts)
     top = counts[0] if counts else 0
     # subword s holds letters 1..ends[s]: a wrap at counts[v] adds ends[s] - v
     ends = [0] * top
     for c in counts:
         for s in range(min(c, top)):
             ends[s] += 1
-    # the first letter's subwords start right of the word: no wrap
-    frontier: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {(0, (2 * n,) * top): {0: 1}}
+    # row 0 marks a subword before its first letter: it takes the rightmost
+    # copy without a wrap
+    frontier: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {(0, (0,) * top): {0: 1}}
     placed = 0
     for v, (c, after) in enumerate(zip(counts, (*counts[1:], 0))):
         nxt: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
-        for (r2, picks), tally in frontier.items():
+        # (rows, x) -> (the live subwords' new rows, charge added)
+        steps: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+        for (r2, rows), tally in frontier.items():
             r1 = placed - r2
             # same bounds on x as enumerate_ssyt
             for x in range(max(0, r1 + c - cap1), min(c, r1 - r2, cap2 - r2) + 1):
-                free = [*range(r2, r2 + x), *range(n + r1, n + r1 + c - x)]
-                taken = []
-                shift = 0
-                for s, pos in enumerate(picks[:c]):
-                    j = bisect_left(free, pos)
-                    if j:
-                        taken.append(free.pop(j - 1))
-                    else:
-                        taken.append(free.pop())
-                        shift += ends[s] - v
-                # subwords with no letter after this one drop out of the state
-                into = nxt.setdefault((r2 + x, tuple(taken[:after])), {})
+                step = steps.get((rows, x))
+                if step is None:
+                    free2, free1 = x, c - x
+                    taken = []
+                    shift = 0
+                    for s, row in enumerate(rows):
+                        if row == 1 and free2:
+                            free2 -= 1
+                            taken.append(2)
+                            continue
+                        if row:
+                            shift += ends[s] - v
+                        if free1:
+                            free1 -= 1
+                            taken.append(1)
+                        else:
+                            free2 -= 1
+                            taken.append(2)
+                    # subwords with no letter after this one drop out of the state
+                    step = steps[rows, x] = tuple(taken[:after]), shift
+                taken, shift = step
+                into = nxt.get((r2 + x, taken))
+                if into is None:
+                    nxt[r2 + x, taken] = {e + shift: k for e, k in tally.items()}
+                    continue
+                get = into.get
                 for e, k in tally.items():
-                    into[e + shift] = into.get(e + shift, 0) + k
+                    e += shift
+                    into[e] = get(e, 0) + k
         frontier = nxt
         placed += c
     if frontier and any(a < b for a, b in zip(counts, counts[1:])):
@@ -185,6 +213,7 @@ def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
 
 # m (it fixes the content) -> (row-2 cap, {row-2 length: K})
 _oracle_tables = {}
+_NO_TABLE = (-1, {})
 
 
 def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
@@ -199,9 +228,9 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     comp = as_composition(m)
     size = weighted_size(comp)
     if l < 0 or l > size or (size - l) % 2:
-        return QPolynomial.zero()
+        return _ZERO
     len2 = (size - l) // 2
-    cap2, polys = _oracle_tables.get(comp.parts, (-1, {}))
+    cap2, polys = _oracle_tables.get(comp.parts, _NO_TABLE)
     if len2 > cap2:
         cap2 = len2
         norm = norm_ss(comp)
@@ -211,4 +240,4 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
                 raise InvariantError("reversal produced a negative exponent")
             polys[r2] = QPolynomial.from_integer_terms({norm - e: k for e, k in tally.items()})
         _oracle_tables[comp.parts] = (cap2, polys)
-    return polys.get(len2, QPolynomial.zero())
+    return polys.get(len2, _ZERO)

@@ -34,9 +34,9 @@ from itertools import combinations
 from math import factorial, gcd
 
 from .compositions import (
-    Composition,
     CompositionLike,
     as_composition,
+    as_integers,
     check_level_weight,
     weighted_size,
 )
@@ -52,7 +52,11 @@ class OracleScaleExceeded(RuntimeError):
 class FunctionalModelSpec:
     __slots__ = ("variable_count", "level", "weight", "composition")
 
-    def __init__(self, variable_count: int, level: int, weight: int, composition: Composition):
+    def __init__(self, variable_count: int, level: int, weight: int, composition: CompositionLike):
+        variable_count, level, weight = as_integers(
+            (variable_count, level, weight), "variable count, level and weight must be integers"
+        )
+        composition = as_composition(composition)
         check_level_weight(weight, level)
         size = weighted_size(composition)
         if size < weight or (size - weight) % 2:

@@ -36,10 +36,7 @@ class Composition:
     __slots__ = ("parts", "_weighted_size")
 
     def __init__(self, parts: Iterable[int]):
-        try:
-            parts = [operator.index(p) for p in parts]
-        except TypeError:
-            raise ValueError("multiplicities must be integers") from None
+        parts = as_integers(parts, "multiplicities must be integers")
         if any(p < 0 for p in parts):
             raise ValueError("multiplicities must be nonnegative")
         while len(parts) > 1 and parts[-1] == 0:
@@ -83,6 +80,15 @@ class Composition:
 
 
 CompositionLike = Composition | Sequence[int]
+
+
+def as_integers(values: Iterable, message: str) -> list[int]:
+    """The values as ints; a float, a Fraction or a string is refused with
+    ValueError(message), not rounded or kept to fail later."""
+    try:
+        return [operator.index(v) for v in values]
+    except TypeError:
+        raise ValueError(message) from None
 
 
 def as_composition(m: CompositionLike) -> Composition:

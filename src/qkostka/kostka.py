@@ -5,7 +5,10 @@ quasi-particle occupation vectors (this module), the signed theta-like sum
 through unrestricted polynomials (this module, with the unrestricted input
 taken either from the fermionic sum at a level past |m|, where it has
 stabilized, or from the tableau oracle), and the
-graded Euler characteristic over shifted Weyl orbits (module weyl). Route
+graded Euler characteristic over shifted Weyl orbits (module weyl), which
+sums the fusion slices of `fusion_weight_char`. Those slices come from
+their own bottom-up walk over suffix sums, not from the fermionic walk, so
+a fault in the fermionic walk does not reach the Euler route. Route
 agreement across all of them is the central correctness argument.
 
 The fermionic sum walks the occupation vectors s (sum a*s_a = N) top-down,
@@ -31,7 +34,7 @@ from .compositions import (
     top_degree_h,
     weighted_size,
 )
-from .qexact import QPolynomial, gaussian_product_sum, shifted_sum, signed_binomial_sum
+from .qexact import _ZERO, QPolynomial, gaussian_product_sum, shifted_sum, signed_binomial_sum
 
 Route = Literal["fermionic", "charge"]
 
@@ -133,7 +136,7 @@ def unrestricted(l: int, m: CompositionLike) -> QPolynomial:
     zeros, m has width at most max(|m|, 1), so no spin exceeds the level.
     """
     if l < 0:
-        return QPolynomial.zero()
+        return _ZERO
     comp = as_composition(m)
     return restricted_fermionic(l, comp, max(weighted_size(comp), l, 1))
 
@@ -189,7 +192,7 @@ def restricted_alternating(
     check_level_weight(l, k)
     comp = as_composition(m)
     if comp.width > k:
-        return QPolynomial.zero()
+        return _ZERO
     return alternating_sum_raw(l, comp, k, source)
 
 
@@ -220,6 +223,7 @@ def reversed_restricted(l: int, m: CompositionLike, k: int) -> QPolynomial:
 
 # m -> [0, F(|m|), F(|m| - 2), ...], down to the lowest |alpha| asked
 _fusion_tables = {}
+_NO_SLICES = (_ZERO,)
 
 
 def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
@@ -227,20 +231,66 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
 
     Sum of K_{l,m} over l >= |alpha| with l = alpha (mod 2), from suffix
     sums F(l) = K_{l,m} + F(l + 2) kept per composition and filled from |m|
-    down to the lowest |alpha| asked. Symmetric in alpha and -alpha; zero
-    once |alpha| exceeds |m|.
+    down to the lowest |alpha| asked, the missing slices from one
+    `_fusion_slices` walk. Symmetric in alpha and -alpha; zero once |alpha|
+    exceeds |m|.
     """
     comp = as_composition(m)
     size = weighted_size(comp)
     alpha = abs(alpha)
     if alpha > size or (size - alpha) % 2:
-        return QPolynomial.zero()
-    table = _fusion_tables.get(comp.parts, [QPolynomial.zero()])
-    # a published table is never changed, so a concurrent call reads a whole one
-    for l in range(size + 2 - 2 * len(table), alpha - 1, -2):
-        table = table + [unrestricted(l, comp) + table[-1]]
+        return _ZERO
+    index = (size + 2 - alpha) // 2
+    table = _fusion_tables.get(comp.parts, _NO_SLICES)
+    if index >= len(table):
+        # a published table is never changed, so a concurrent call reads a whole one
+        table = [*table]
+        for poly in _fusion_slices(comp, len(table) - 1, index - 1):
+            table.append(poly + table[-1])
         _fusion_tables[comp.parts] = table
-    return table[(size + 2 - alpha) // 2]
+    return table[index]
+
+
+def _fusion_slices(comp: Composition, first: int, last: int) -> list[QPolynomial]:
+    """K_{|m| - 2N, m} for N = first..last, from one bottom-up walk.
+
+    The unrestricted fermionic sum is read in the suffix sums
+    S_c = sum_(b>=c) s_b, S_1 >= S_2 >= ... >= 0, where
+    N = sum_c S_c, sAs = sum_c S_c^2 and (As)_a = sum_(c<=a) S_c: choosing
+    S_1, S_2, ... in turn fixes the vacancy number
+    P_a = (Am)_a - 2(As)_a as soon as S_a is chosen, and closes the factor
+    [P_a + s_a, s_a], s_a = S_a - S_(a+1), once S_(a+1) is. A configuration
+    ends at its last nonzero level L, and every walk prefix is one, so a
+    single walk yields every N up to `last`. P_a >= 0 is checked up to L
+    only: past it (As)_a stays N while (Am)_a does not fall, so P_a >= P_L.
+    Each slice is one `gaussian_product_sum`. A term lists its factors from
+    level L down to level 1, as the top-down walk does: the packed product
+    then grows from the small factors up, which is the cheaper order.
+    """
+    # (Am)_a for a = 0..width, from the suffix sums M_c of m; it stays |m| past the width
+    a_m = [0, *accumulate(list(accumulate(reversed(comp.parts)))[::-1])]
+    size = a_m[-1]
+    width = len(a_m) - 1
+    slices: list[list] = [[] for _ in range(first, last + 1)]
+
+    def walk(a: int, top: int, n: int, exponent: int, pairs: tuple) -> None:
+        # S_a = top and n = (As)_a, with P_c >= 0 for c <= a; level 0 is the
+        # empty prefix, with P_0 = 0
+        p = a_m[a] - 2 * n if a <= width else size - 2 * n
+        if n >= first:
+            # S_(a+1) = 0 ends the configuration at N = n
+            slices[n - first].append((1, exponent, ((p + top, top),) + pairs if p else pairs))
+        # P_(a+1) >= 0 bounds S_(a+1) from above
+        bound = (a_m[a + 1] if a < width else size) // 2 - n
+        for below in range(1, min(top, last - n, bound) + 1):
+            s = top - below
+            walk(
+                a + 1, below, n + below, exponent + below * below,
+                ((p + s, s),) + pairs if s and p else pairs,
+            )
+
+    walk(0, last, 0, 0, ())
+    return [gaussian_product_sum(terms) for terms in slices]
 
 
 def fusion_char_hook(N: int, j: int, l: int) -> QPolynomial:
@@ -253,7 +303,7 @@ def fusion_char_hook(N: int, j: int, l: int) -> QPolynomial:
     if N < 0 or j < 0:
         raise ValueError("hook parameters must be nonnegative")
     if (N + j + 1 - l) % 2:
-        return QPolynomial.zero()
+        return _ZERO
     return signed_binomial_sum(
         [(1, 0, N + 1, (N + j + 1 - l - 2 * s) // 2) for s in range(j + 1)]
         + [(-1, 0, N, (N + j - 1 - l - 2 * s) // 2) for s in range(j)]

@@ -18,7 +18,7 @@ from math import floor, gcd
 from operator import add, mul
 from typing import Iterator, NamedTuple
 
-from .compositions import Composition, InvariantError, hook_composition
+from .compositions import Composition, InvariantError, as_integers, hook_composition
 from .kostka import _reversed_terms
 from .qexact import (
     QPolynomial,
@@ -34,6 +34,7 @@ class MinimalModel:
     __slots__ = ("p", "p_prime", "r", "s")
 
     def __init__(self, p: int, p_prime: int, r: int, s: int):
+        p, p_prime, r, s = as_integers((p, p_prime, r, s), "model and field labels must be integers")
         if p < 2 or p_prime < 2 or gcd(p, p_prime) != 1:
             raise ValueError("model labels must be coprime and at least 2")
         if not (1 <= r <= p - 1 and 1 <= s <= p_prime - 1):

@@ -22,6 +22,13 @@ def test_label_validation():
         AbfLabel(3, 1, 1, -2)
 
 
+def test_label_refuses_values_that_are_not_integers():
+    # refused at construction, not left to fail inside abf_polynomial
+    for labels in [(2, 1.0, 1, 2), (2.0, 1, 1, 2), (3, 1, 2, "5"), (3, 1, 2, 5.0)]:
+        with pytest.raises(ValueError, match="labels must be integers"):
+            AbfLabel(*labels)
+
+
 def test_hook_checks_refuse_a_level_below_one():
     # j = -1 passes the hook-spin check, so the level check must catch k = 0
     for check in (grouped_identity_check, finitization_audit):

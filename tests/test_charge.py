@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from bisect import bisect_left
 
 import pytest
 
@@ -346,9 +347,13 @@ def test_oracle_answers_match_graded_tableaux_in_any_request_order():
     assert shapes > 1500
 
 
-def _record_passes(monkeypatch):
+def _charge_module():
     # qkostka.charge is the function, so reach the module through sys.modules
-    module = sys.modules["qkostka.charge"]
+    return sys.modules["qkostka.charge"]
+
+
+def _record_passes(monkeypatch):
+    module = _charge_module()
     passes = []
     walk = module._charge_by_row2
 
@@ -389,3 +394,95 @@ def test_routes_grid_runs_one_oracle_pass_per_content(monkeypatch):
     (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
     assert result.passed
     assert len(passes) == len({counts for counts, _, _ in passes}) == 194
+
+
+# The placement-DAG pass keys each state by the row of every live subword's
+# last pick. The position-keyed pass it replaced is kept here verbatim as the
+# reference: both must give the same {row-2 length: {charge: count}} tallies,
+# shape by shape and under any caps, and refuse the same contents.
+
+
+def _reference_charge_by_row2(counts, cap1, cap2):
+    n = sum(counts)
+    top = counts[0] if counts else 0
+    ends = [0] * top
+    for c in counts:
+        for s in range(min(c, top)):
+            ends[s] += 1
+    frontier = {(0, (2 * n,) * top): {0: 1}}
+    placed = 0
+    for v, (c, after) in enumerate(zip(counts, (*counts[1:], 0))):
+        nxt = {}
+        for (r2, picks), tally in frontier.items():
+            r1 = placed - r2
+            for x in range(max(0, r1 + c - cap1), min(c, r1 - r2, cap2 - r2) + 1):
+                free = [*range(r2, r2 + x), *range(n + r1, n + r1 + c - x)]
+                taken = []
+                shift = 0
+                for s, pos in enumerate(picks[:c]):
+                    j = bisect_left(free, pos)
+                    if j:
+                        taken.append(free.pop(j - 1))
+                    else:
+                        taken.append(free.pop())
+                        shift += ends[s] - v
+                into = nxt.setdefault((r2 + x, tuple(taken[:after])), {})
+                for e, k in tally.items():
+                    into[e + shift] = into.get(e + shift, 0) + k
+        frontier = nxt
+        placed += c
+    if frontier and any(a < b for a, b in zip(counts, counts[1:])):
+        raise ValueError("charge needs partition content")
+    out = {}
+    for (r2, _), tally in frontier.items():
+        out[r2] = tally
+    return out
+
+
+def test_row_keyed_pass_matches_position_keyed_reference_on_every_bridge():
+    bridges = 0
+    for m in admissible_compositions(16, 16):
+        size = weighted_size(m)
+        for l in range(size % 2, size + 1, 2):
+            sc = bridge_to_partition(m, l)
+            want = _reference_charge_by_row2(sc.content, *sc.shape)
+            assert _charge_module()._charge_by_row2(sc.content, *sc.shape) == want, sc
+            bridges += 1
+    assert bridges == 6813
+
+
+def test_row_keyed_pass_matches_position_keyed_reference_under_random_caps():
+    rng = random.Random(20240524)
+    capped_row_1 = 0
+    for _ in range(300):
+        n = rng.randint(1, 18)
+        counts = []
+        left = n
+        while left:
+            c = rng.randint(1, min(left, counts[-1] if counts else left))
+            counts.append(c)
+            left -= c
+        cap2 = rng.randint(0, n // 2)
+        # row 1 below n - cap2 leaves some shapes out, and some draws out entirely
+        cap1 = rng.randint(max(0, n - cap2 - 3), n)
+        capped_row_1 += cap1 < n - cap2
+        want = _reference_charge_by_row2(counts, cap1, cap2)
+        assert _charge_module()._charge_by_row2(counts, cap1, cap2) == want, (counts, cap1, cap2)
+    assert capped_row_1 > 100
+
+
+@pytest.mark.parametrize(
+    "counts", [(1, 3), (0, 2, 2), (1, 2, 2), (2, 2, 1, 0, 0), (1, 1, 2), (2, 3, 1)]
+)
+def test_row_keyed_pass_refuses_what_the_reference_refuses(counts):
+    n = sum(counts)
+    for cap1 in range(n + 1):
+        for cap2 in range(n // 2 + 1):
+            try:
+                want = _reference_charge_by_row2(counts, cap1, cap2)
+            except ValueError as ref:
+                with pytest.raises(ValueError) as new:
+                    _charge_module()._charge_by_row2(counts, cap1, cap2)
+                assert str(new.value) == str(ref), (counts, cap1, cap2)
+            else:
+                assert _charge_module()._charge_by_row2(counts, cap1, cap2) == want

@@ -128,6 +128,19 @@ def test_spec_validation():
             spec(l, parts, k)
 
 
+def test_spec_takes_any_composition_like_and_refuses_what_is_not_one():
+    # a plain tuple is turned into the Composition from_parameters would build
+    direct = FunctionalModelSpec(2, 2, 0, (4,))
+    assert direct == spec(0, (4,), 2)
+    assert isinstance(direct.composition, Composition)
+    assert restricted_kostka_oracle(direct) == restricted_kostka_oracle(spec(0, (4,), 2))
+    with pytest.raises(ValueError, match="multiplicities must be integers"):
+        FunctionalModelSpec(2, 2, 0, (4.0,))
+    for counts in [(2.0, 2, 0), (2, 2.5, 0), (2, 2, "0")]:
+        with pytest.raises(ValueError, match="variable count, level and weight must be integers"):
+            FunctionalModelSpec(*counts, (4,))
+
+
 def test_variable_cap():
     with pytest.raises(OracleScaleExceeded):
         restricted_kostka_oracle(spec(0, (12,), 3))

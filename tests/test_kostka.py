@@ -252,16 +252,75 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _record_fills(monkeypatch):
+    """Record (parts, first, last) of every slice fill from here on."""
+    fills = []
+    real = kostka_module._fusion_slices
+
+    def recorded(comp, first, last):
+        fills.append((comp.parts, first, last))
+        return real(comp, first, last)
+
+    monkeypatch.setattr(kostka_module, "_fusion_slices", recorded)
+    return fills
+
+
 def test_fusion_weight_char_fills_only_down_to_the_slice_asked(monkeypatch):
-    # a full fill of 1^400 would need K_0, which takes far too long
+    # a full fill of 1^400 would need K_0, which takes far too long; the
+    # walk yields K_400 and K_398 (N = 0, 1) and nothing below
     qkostka.clear_caches()
-    calls = _count_calls(monkeypatch, kostka_module, "unrestricted")
+    fills = _record_fills(monkeypatch)
     start = time.perf_counter()
     got = fusion_weight_char((400,), 398)
     assert time.perf_counter() - start < 1.0
-    assert calls == [2]
+    assert fills == [((400,), 0, 1)]
     assert len(_fusion_tables[(400,)]) == 3
     assert got == unrestricted(398, (400,)) + unrestricted(400, (400,))
+    # a lower slice fills only what is missing; a slice held fills nothing
+    assert fusion_weight_char((400,), 396) == got + unrestricted(396, (400,))
+    assert fusion_weight_char((400,), 400) == unrestricted(400, (400,))
+    assert fills == [((400,), 0, 1), ((400,), 2, 2)]
+
+
+def _compositions(max_size: int, max_width: int) -> Iterator[tuple[int, ...]]:
+    """Every composition of weighted size <= max_size and width <= max_width,
+    inner zeros included and trailing zeros left out."""
+
+    def rec(parts: list[int], size: int) -> Iterator[tuple[int, ...]]:
+        if parts and parts[-1]:
+            yield tuple(parts)
+        if len(parts) < max_width:
+            a = len(parts) + 1
+            for count in range((max_size - size) // a + 1):
+                yield from rec(parts + [count], size + a * count)
+
+    return rec([], 0)
+
+
+def test_fusion_slices_match_unrestricted_suffix_sums_in_any_request_order():
+    # the bottom-up walk over suffix sums S_c against the top-down fermionic
+    # walk that `unrestricted` keeps, whatever order the slices are asked in
+    rng = random.Random(20241019)
+    compositions = 0
+    for parts in _compositions(20, 5):
+        m = Composition(parts)
+        size = weighted_size(m)
+        want = {}
+        total = QPolynomial.zero()
+        for l in range(size, -1, -2):
+            total = total + unrestricted(l, m)
+            want[l] = total
+        ascending = sorted(range(-size - 2, size + 3), key=abs)
+        shuffled = ascending[:]
+        rng.shuffle(shuffled)
+        for order in (ascending, ascending[::-1], shuffled):
+            _fusion_tables.pop(parts, None)
+            for alpha in order:
+                got = fusion_weight_char(m, alpha)
+                assert got == want.get(abs(alpha), QPolynomial.zero()), (parts, alpha)
+        compositions += 1
+    assert compositions == 1124
+    qkostka.clear_caches()
 
 
 def test_fusion_char_dimensions():
@@ -270,6 +329,21 @@ def test_fusion_char_dimensions():
     assert fusion_weight_char(m, 1).evaluate_at_one() == 3
     assert fusion_weight_char(m, 3).evaluate_at_one() == 1
     assert fusion_weight_char(m, 0).evaluate_at_one() == 0  # parity
+    # the weight-alpha space of the tensor product of m_a copies of the
+    # spin-a module V_a, whose weights are -a, -a + 2, .., a
+    for parts in _compositions(14, 14):
+        weights = {0: 1}
+        for a, count in enumerate(parts, start=1):
+            for _ in range(count):
+                product = {}
+                for w, mult in weights.items():
+                    for step in range(-a, a + 1, 2):
+                        product[w + step] = product.get(w + step, 0) + mult
+                weights = product
+        size = weighted_size(parts)
+        for alpha in range(-size - 2, size + 3):
+            got = fusion_weight_char(parts, alpha).evaluate_at_one()
+            assert got == weights.get(alpha, 0), (parts, alpha)
 
 
 def test_fusion_char_hook_frozen():
@@ -279,8 +353,8 @@ def test_fusion_char_hook_frozen():
 
 
 def test_fusion_char_hook_matches_generic_route():
-    for N in range(0, 7):
-        for j in range(0, 3):
+    for N in range(0, 13):
+        for j in range(0, 5):
             parts = [0] * max(1, j + 1)
             parts[0] = N
             parts[j] += 1
@@ -448,12 +522,16 @@ def test_unrestricted_terms_are_the_same_one_level_higher():
 
 
 def test_routes_sweep_walks_each_polynomial_once(monkeypatch):
-    # one walk per restricted polynomial and one per unrestricted one
+    # one top-down walk per restricted polynomial, and one slice fill per
+    # composition that yields every unrestricted polynomial the Euler route reads
     qkostka.clear_caches()
     calls = _count_calls(monkeypatch, kostka_module, "_fermionic_terms")
+    fills = _record_fills(monkeypatch)
     (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
     assert result.passed
-    assert calls == [2759]
+    assert calls == [1658]
+    assert len(fills) == len({parts for parts, _, _ in fills}) == 194
+    assert all(first == 0 for _, first, _ in fills)
     qkostka.clear_caches()
 
 

@@ -43,6 +43,13 @@ def test_minimal_model_validation():
         MinimalModel(3, 4, 1, 4)  # s out of range
 
 
+def test_minimal_model_refuses_labels_that_are_not_integers():
+    # refused at construction, not left to fail inside the character formulas
+    for labels in [(3, 4, 1.5, 1), (3.0, 4, 1, 1), (3, 4, 1, "1"), (3, Fraction(4), 1, 1)]:
+        with pytest.raises(ValueError, match="model and field labels must be integers"):
+            MinimalModel(*labels)
+
+
 def test_conformal_weights():
     assert conformal_weight(MinimalModel(3, 4, 1, 1)) == 0
     assert conformal_weight(MinimalModel(3, 4, 2, 2)) == Fraction(1, 16)
