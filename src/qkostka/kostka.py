@@ -267,22 +267,21 @@ def _fusion_slices(comp: Composition, first: int, last: int) -> list[QPolynomial
     level L down to level 1, as the top-down walk does: the packed product
     then grows from the small factors up, which is the cheaper order.
     """
-    # (Am)_a for a = 0..width, from the suffix sums M_c of m; it stays |m| past the width
+    # (Am)_a from the suffix sums M_c of m, for a = 0 up to level last + 1,
+    # the deepest the walk reads; it stays |m| past the width
     a_m = [0, *accumulate(list(accumulate(reversed(comp.parts)))[::-1])]
-    size = a_m[-1]
-    width = len(a_m) - 1
+    a_m += [a_m[-1]] * (last + 2 - len(a_m))
     slices: list[list] = [[] for _ in range(first, last + 1)]
 
     def walk(a: int, top: int, n: int, exponent: int, pairs: tuple) -> None:
         # S_a = top and n = (As)_a, with P_c >= 0 for c <= a; level 0 is the
         # empty prefix, with P_0 = 0
-        p = a_m[a] - 2 * n if a <= width else size - 2 * n
+        p = a_m[a] - 2 * n
         if n >= first:
             # S_(a+1) = 0 ends the configuration at N = n
             slices[n - first].append((1, exponent, ((p + top, top),) + pairs if p else pairs))
         # P_(a+1) >= 0 bounds S_(a+1) from above
-        bound = (a_m[a + 1] if a < width else size) // 2 - n
-        for below in range(1, min(top, last - n, bound) + 1):
+        for below in range(1, min(top, last - n, a_m[a + 1] // 2 - n) + 1):
             s = top - below
             walk(
                 a + 1, below, n + below, exponent + below * below,
