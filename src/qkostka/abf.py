@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .compositions import as_integers, check_level_weight, hook_composition
+from .compositions import Value, as_integers, check_level_weight, hook_composition
 from .kostka import fusion_char_hook, restricted_fermionic
 from .qexact import QPolynomial, shifted_sum, signed_binomial_sum
 from .reports import AuditRecord
 
 
-class AbfLabel:
+class AbfLabel(Value):
     __slots__ = ("r", "b", "a", "N")
 
     def __init__(self, r: int, b: int, a: int, N: int):
@@ -29,24 +29,7 @@ class AbfLabel:
             raise ValueError("model index r must be at least 2")
         if N < 0:
             raise ValueError("width N must be nonnegative")
-        self.r = r
-        self.b = b
-        self.a = a
-        self.N = N
-
-    def _key(self) -> tuple:
-        return (self.r, self.b, self.a, self.N)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"AbfLabel(r={self.r!r}, b={self.b!r}, a={self.a!r}, N={self.N!r})"
+        super().__init__(r, b, a, N)
 
     @property
     def parity_ok(self) -> bool:

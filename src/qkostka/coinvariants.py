@@ -35,6 +35,7 @@ from math import factorial, gcd
 
 from .compositions import (
     CompositionLike,
+    Value,
     as_composition,
     as_integers,
     check_level_weight,
@@ -49,7 +50,7 @@ class OracleScaleExceeded(RuntimeError):
     """The instance needs more variables than `VARIABLE_CAP` allows."""
 
 
-class FunctionalModelSpec:
+class FunctionalModelSpec(Value):
     __slots__ = ("variable_count", "level", "weight", "composition")
 
     def __init__(self, variable_count: int, level: int, weight: int, composition: CompositionLike):
@@ -63,27 +64,7 @@ class FunctionalModelSpec:
             raise ValueError("weight must not exceed |m| and must match its parity")
         if variable_count != (size - weight) // 2:
             raise ValueError("variable count must equal (|m| - l)/2")
-        self.variable_count = variable_count
-        self.level = level
-        self.weight = weight
-        self.composition = composition
-
-    def _key(self) -> tuple:
-        return (self.variable_count, self.level, self.weight, self.composition)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"FunctionalModelSpec(variable_count={self.variable_count!r}, level={self.level!r}, "
-            f"weight={self.weight!r}, composition={self.composition!r})"
-        )
+        super().__init__(variable_count, level, weight, composition)
 
     @classmethod
     def from_parameters(

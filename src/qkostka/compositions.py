@@ -26,7 +26,46 @@ class InvariantError(AssertionError):
     """
 
 
-class Composition:
+class Value:
+    """Immutable value whose fields are its class's `__slots__`, set once by
+    `__init__`, so a value filed in a set or a dict cannot move. Values are
+    equal when of the same class with equal fields; hash and repr read them.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, since __setattr__ refuses
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Composition(Value):
     """Immutable vector of nonnegative multiplicities m_1..m_k, with its |m|.
 
     Construction drops trailing zero multiplicities (the empty composition
@@ -41,8 +80,7 @@ class Composition:
             raise ValueError("multiplicities must be nonnegative")
         while len(parts) > 1 and parts[-1] == 0:
             parts.pop()
-        self.parts = tuple(parts) or (0,)
-        self._weighted_size = sum(a * p for a, p in enumerate(parts, start=1))
+        super().__init__(tuple(parts) or (0,), sum(a * p for a, p in enumerate(parts, start=1)))
 
     @property
     def width(self) -> int:
@@ -57,14 +95,6 @@ class Composition:
     def trimmed(self) -> "Composition":
         """Construction already drops trailing zeros, so this is the identity."""
         return self
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Composition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __iter__(self):
         return iter(self.parts)
@@ -225,31 +255,19 @@ def top_degree_h(m: CompositionLike) -> int:
     return num // 4
 
 
-class ShapeContent:
+class ShapeContent(Value):
     """A two-row shape with a partition content vector for the tableau oracle."""
 
     __slots__ = ("shape", "content")
 
     def __init__(self, shape: Sequence[int], content: Sequence[int]):
-        shape = tuple(int(x) for x in shape)
-        content = tuple(int(x) for x in content)
+        shape = tuple(as_integers(shape, "shape and content must be integers"))
+        content = tuple(as_integers(content, "shape and content must be integers"))
         if len(shape) != 2 or shape[0] < shape[1] or shape[1] < 0:
             raise ValueError("shape must be a two-row partition")
         if sum(shape) != sum(content):
             raise ValueError("content size must match the shape")
-        self.shape = shape
-        self.content = content
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShapeContent):
-            return NotImplemented
-        return self.shape == other.shape and self.content == other.content
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.content))
-
-    def __repr__(self) -> str:
-        return f"ShapeContent(shape={self.shape}, content={self.content})"
+        super().__init__(shape, content)
 
 
 def bridge_to_partition(m: CompositionLike, l: int) -> ShapeContent:

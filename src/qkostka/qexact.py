@@ -59,11 +59,12 @@ def exponent_numerator(exponent: ExponentLike) -> int:
     """Coerce an int or Fraction exponent to its quarter-grid numerator."""
     if isinstance(exponent, int):
         return EXPONENT_DENOMINATOR * exponent
-    f = Fraction(exponent)
-    num = f.numerator * EXPONENT_DENOMINATOR
-    if num % f.denominator:
+    if not isinstance(exponent, Fraction):
+        raise ValueError(f"exponent {exponent!r} is not an int or a Fraction")
+    num = exponent.numerator * EXPONENT_DENOMINATOR
+    if num % exponent.denominator:
         raise ValueError(f"exponent {exponent} does not lie on the 1/4 grid")
-    return num // f.denominator
+    return num // exponent.denominator
 
 
 class QPolynomial:
@@ -481,6 +482,8 @@ class QSeriesTruncated:
     def __init__(self, coeffs: Sequence[int], offset: Fraction | int = 0):
         if len(coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
+        if not isinstance(offset, (int, Fraction)):
+            raise ValueError(f"offset {offset!r} is not an int or a Fraction")
         self.offset = Fraction(offset)
         self.coeffs = tuple(map(_exact, coeffs))
 

@@ -8,10 +8,11 @@ residual there is data to report, never an error.
 
 from __future__ import annotations
 
+from .compositions import Value
 from .qexact import QPolynomial
 
 
-class AuditRecord:
+class AuditRecord(Value):
     __slots__ = ("params", "route_a", "route_b", "residual", "hard", "detail")
 
     def __init__(
@@ -23,27 +24,8 @@ class AuditRecord:
         hard: bool = True,
         detail: dict | None = None,
     ):
-        self.params = params
-        self.route_a = route_a
-        self.route_b = route_b
-        self.residual = residual
-        self.hard = hard
-        self.detail = {} if detail is None else detail
-
-    def _key(self) -> tuple:
-        return (self.params, self.route_a, self.route_b, self.residual, self.hard, self.detail)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (
-            f"AuditRecord(params={self.params!r}, route_a={self.route_a!r}, "
-            f"route_b={self.route_b!r}, residual={self.residual!r}, hard={self.hard!r}, "
-            f"detail={self.detail!r})"
-        )
+        detail = {} if detail is None else detail
+        super().__init__(params, route_a, route_b, residual, hard, detail)
 
     @property
     def verdict(self) -> str:

@@ -36,19 +36,6 @@ class SuiteResult:
         self.checked = checked
         self.records = [] if records is None else records
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.suite, self.checked, self.records) == (
-            other.suite, other.checked, other.records
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SuiteResult(suite={self.suite!r}, checked={self.checked!r}, "
-            f"records={self.records!r})"
-        )
-
     @property
     def failures(self) -> list[AuditRecord]:
         return [r for r in self.records if r.failed]

@@ -18,7 +18,7 @@ from math import floor, gcd
 from operator import add, mul
 from typing import Iterator, NamedTuple
 
-from .compositions import Composition, InvariantError, as_integers, hook_composition
+from .compositions import Composition, InvariantError, Value, as_integers, hook_composition
 from .kostka import _reversed_terms
 from .qexact import (
     QPolynomial,
@@ -30,7 +30,7 @@ from .qexact import (
 )
 
 
-class MinimalModel:
+class MinimalModel(Value):
     __slots__ = ("p", "p_prime", "r", "s")
 
     def __init__(self, p: int, p_prime: int, r: int, s: int):
@@ -39,24 +39,7 @@ class MinimalModel:
             raise ValueError("model labels must be coprime and at least 2")
         if not (1 <= r <= p - 1 and 1 <= s <= p_prime - 1):
             raise ValueError("field labels out of range")
-        self.p = p
-        self.p_prime = p_prime
-        self.r = r
-        self.s = s
-
-    def _key(self) -> tuple:
-        return (self.p, self.p_prime, self.r, self.s)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"MinimalModel(p={self.p!r}, p_prime={self.p_prime!r}, r={self.r!r}, s={self.s!r})"
+        super().__init__(p, p_prime, r, s)
 
 
 class BranchingSeries(NamedTuple):

@@ -1,8 +1,13 @@
+import copy
+import pickle
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+from qkostka.abf import AbfLabel
+from qkostka.coinvariants import FunctionalModelSpec
 from qkostka.compositions import (
     Composition,
     InvalidWeightError,
@@ -18,6 +23,9 @@ from qkostka.compositions import (
     top_degree_h,
     weighted_size,
 )
+from qkostka.qexact import QPolynomial
+from qkostka.reports import AuditRecord
+from qkostka.virasoro import MinimalModel
 
 
 def test_composition_basics():
@@ -197,3 +205,119 @@ def test_shape_content_validation():
         ShapeContent((1, 2), (1, 1, 1))  # not a partition
     with pytest.raises(ValueError):
         ShapeContent((2,), (1, 1))  # two rows required
+    with pytest.raises(ValueError, match="shape and content must be integers"):
+        ShapeContent((2.9, "1"), (2, 1.5))  # not rounded to ((2, 1), (2, 1))
+    with pytest.raises(ValueError, match="shape and content must be integers"):
+        ShapeContent((2, 1), (2, 1.0))
+    assert ShapeContent([2, True], [2, 1]).shape == (2, 1)
+
+
+# For each value class: two equal builds from differently spelled inputs, one
+# build differing in a field, its fields as stored, and its exact repr.
+VALUES = {
+    "Composition": (
+        lambda: Composition([1, 2]),
+        lambda: Composition((1, 2, 0)),
+        lambda: Composition([2, 1]),
+        {"parts": (1, 2)},
+        "Composition([1, 2])",
+    ),
+    "ShapeContent": (
+        lambda: ShapeContent((3, 2), (2, 2, 1)),
+        lambda: ShapeContent([3, 2], [2, 2, 1]),
+        lambda: ShapeContent((4, 1), (2, 2, 1)),
+        {"shape": (3, 2), "content": (2, 2, 1)},
+        "ShapeContent(shape=(3, 2), content=(2, 2, 1))",
+    ),
+    "MinimalModel": (
+        lambda: MinimalModel(3, 4, 1, 1),
+        lambda: MinimalModel(p=3, p_prime=4, r=1, s=1),
+        lambda: MinimalModel(3, 4, 1, 2),
+        {"p": 3, "p_prime": 4, "r": 1, "s": 1},
+        "MinimalModel(p=3, p_prime=4, r=1, s=1)",
+    ),
+    "AbfLabel": (
+        lambda: AbfLabel(3, 4, 1, 1),
+        lambda: AbfLabel(r=3, b=4, a=1, N=1),
+        lambda: AbfLabel(3, 4, 1, 3),
+        {"r": 3, "b": 4, "a": 1, "N": 1},
+        "AbfLabel(r=3, b=4, a=1, N=1)",
+    ),
+    "FunctionalModelSpec": (
+        lambda: FunctionalModelSpec(1, 2, 0, (2,)),
+        lambda: FunctionalModelSpec.from_parameters(0, Composition([2, 0]), 2),
+        lambda: FunctionalModelSpec(1, 3, 0, (2,)),
+        {"variable_count": 1, "level": 2, "weight": 0, "composition": Composition([2])},
+        "FunctionalModelSpec(variable_count=1, level=2, weight=0, composition=Composition([2]))",
+    ),
+    "AuditRecord": (
+        lambda: AuditRecord({"x": 0}, "a", "b", QPolynomial.one()),
+        lambda: AuditRecord({"x": 0}, "a", "b", QPolynomial.q_power(0), True, {}),
+        lambda: AuditRecord({"x": 0}, "a", "b", QPolynomial.one(), hard=False),
+        {
+            "params": {"x": 0},
+            "route_a": "a",
+            "route_b": "b",
+            "residual": QPolynomial.one(),
+            "hard": True,
+            "detail": {},
+        },
+        "AuditRecord(params={'x': 0}, route_a='a', route_b='b', residual=QPolynomial(1), "
+        "hard=True, detail={})",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_compare_hash_and_print_by_their_fields(name):
+    build, build_equal, build_other, fields, text = VALUES[name]
+    value, equal, other = build(), build_equal(), build_other()
+    assert repr(value) == repr(equal) == text
+    assert {field: getattr(value, field) for field in fields} == fields
+    assert value == equal and not value != equal
+    assert value != other and not value == other
+    # another class holding the same fields is a different value
+    assert value != SimpleNamespace(**fields)
+    assert value != tuple(fields.values())
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    if name == "AuditRecord":
+        # its params and detail are dicts, so a record is not hashable
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(equal)
+        assert len({value, equal, other}) == 2
+
+
+def test_value_classes_with_equal_fields_differ_by_class():
+    assert MinimalModel(3, 4, 1, 1) != AbfLabel(3, 4, 1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_refuse_assignment_and_deletion(name):
+    build, _, _, fields, text = VALUES[name]
+    value = build()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    assert repr(value) == text
+
+
+def test_a_value_in_a_set_and_its_weighted_size_cannot_go_stale():
+    model = MinimalModel(3, 4, 1, 1)
+    models = {model}
+    with pytest.raises(AttributeError):
+        model.p = 9
+    assert model in models
+    c = Composition([1, 2])
+    with pytest.raises(AttributeError):
+        c.parts = (4,)
+    with pytest.raises(AttributeError):
+        c._weighted_size = 4
+    assert c.parts == (1, 2)
+    assert weighted_size(c) == 5

@@ -127,6 +127,36 @@ def test_the_independent_oracles_import_only_the_input_and_arithmetic_layers():
         assert imported <= {"compositions", "qexact"}, (name, imported)
 
 
+# Classes that keep their own equality: the base every value class derives
+# from, and the two q-series types, which compare by their terms.
+OWN_EQUALITY = {"compositions.py:Value", "qexact.py:QPolynomial", "qexact.py:QSeriesTruncated"}
+
+
+def test_only_the_value_base_and_the_q_types_define_equality():
+    # a class compared by its fields derives from compositions.Value, so the
+    # _key/__eq__/__hash__ block is written once and not copied per class
+    src = Path(qkostka.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef) or f"{path.name}:{node.name}" in OWN_EQUALITY:
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [ast.unparse(t) for t in targets]
+                else:
+                    continue
+                found += [
+                    f"{path.name}:{item.lineno} {node.name}.{name}"
+                    for name in names
+                    if name in ("_key", "__eq__", "__hash__")
+                ]
+    assert found == []
+
+
 # Module-level functions that stay although nothing in the library names
 # them and no export lists them. Each needs its reason here.
 UNNAMED_FUNCTIONS_KEPT: dict[str, str] = {

@@ -159,6 +159,21 @@ def test_exact_types_refuse_inexact_coefficients():
     assert QPolynomial({0: 3, 4: 0}).terms() == [(0, 3)]
 
 
+def test_exact_types_refuse_exponents_that_are_not_ints_or_fractions():
+    for bad in (0.5, 0.3, 2.0, "1/2", "1", None):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            exponent_numerator(bad)
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            QPolynomial.q_power(bad)
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            shifted_sum([(1, bad, QPolynomial.one())])
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            QSeriesTruncated([1, 2], offset=bad)
+    assert exponent_numerator(True) == 4
+    assert QSeriesTruncated([1, 2], offset=Fraction(1, 10)).offset == Fraction(1, 10)
+    assert repr(QSeriesTruncated([1, 2], offset=-3)) == "QSeriesTruncated(offset=-3, coeffs=[1, 2])"
+
+
 # -- oracle tests for the arithmetic kernel --------------------------------
 #
 # The three references below are the dict-convolution multiply, the Pascal
