@@ -1,14 +1,16 @@
 """Content-addressed JSON result cache for table sweeps.
 
-One JSON file per result, named by a hash of (results schema, library
-version, kind, parameters). Values are deterministic functions of the key,
-so concurrent writers clobbering each other with identical bytes is
-harmless; writes go through a temp file and rename so readers never see a
-partial file.
+One JSON file per result, named by a hash of (source digest, kind,
+parameters). The digest, taken once per process, covers every byte of the
+package's sources, `__version__` included, so no cache directory serves
+results from older code. Values are deterministic functions of the key, so
+concurrent writers clobbering each other with identical bytes is harmless;
+writes go through a temp file and rename so readers never see a partial file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -16,11 +18,6 @@ import tempfile
 from pathlib import Path
 
 ENV_VAR = "KOSTKA_CACHE_DIR"
-
-# Bump whenever a change to the computing code could change a cached table,
-# so that no cache directory serves results from older code. A golden test
-# pins the bytes of one table to catch such a change.
-RESULTS_SCHEMA = 1
 
 
 def resolve_cache_dir(explicit: str | None) -> Path | None:
@@ -33,9 +30,20 @@ def resolve_cache_dir(explicit: str | None) -> Path | None:
     return None
 
 
-def cache_key(version: str, kind: str, params: dict) -> str:
+@functools.cache
+def source_digest() -> str:
+    """sha256 of the package's `*.py` files, each after its name and length."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def cache_key(kind: str, params: dict) -> str:
     canonical = json.dumps(
-        {"schema": RESULTS_SCHEMA, "version": version, "kind": kind, "params": params},
+        {"source": source_digest(), "kind": kind, "params": params},
         sort_keys=True,
         separators=(",", ":"),
     )

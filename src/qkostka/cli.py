@@ -227,7 +227,7 @@ def cmd_table(args) -> int:
     if cache_dir is not None:
         # a path that is not a directory fails here, as store would fail
         cache_dir.mkdir(parents=True, exist_ok=True)
-        key = cache_key(__version__, kind, _table_params(args))
+        key = cache_key(kind, _table_params(args))
         payload = load(cache_dir, key)
         if payload is not None:
             print(f"cache hit {key}", file=sys.stderr)

@@ -168,9 +168,11 @@ def hook_composition(N: int, j: int) -> Composition:
 def admissible_compositions(max_weight: int, max_width: int) -> list[Composition]:
     """Multiplicity vectors of width <= max_width and weighted size <= max_weight."""
     out: list[Composition] = []
+    # spins above max_weight add only trailing zeros; 1 keeps max_weight < 0 empty
+    top = min(max_width, max(max_weight, 1))
 
     def rec(spin: int, left: int, parts: list[int]) -> None:
-        if spin > max_width:
+        if spin > top:
             out.append(Composition(parts))
             return
         for count in range(left // spin + 1):

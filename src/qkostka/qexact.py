@@ -50,6 +50,8 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from .compositions import Value
+
 EXPONENT_DENOMINATOR = 4
 
 ExponentLike = Union[int, Fraction]
@@ -67,10 +69,10 @@ def exponent_numerator(exponent: ExponentLike) -> int:
     return num // exponent.denominator
 
 
-class QPolynomial:
+class QPolynomial(Value):
     """Sparse exact Laurent polynomial in q on the quarter-integer grid.
 
-    Immutable once built; zero coefficients are never stored. Internally the
+    An immutable `Value`; zero coefficients are never stored. Internally the
     terms map quarter-grid numerators to integer coefficients, so q**(5/4) is
     held as numerator 5 and q**2 as numerator 8.
     """
@@ -84,7 +86,7 @@ class QPolynomial:
                 coeff = _exact(coeff)
                 if coeff:
                     data[num] = coeff
-        self._terms = data
+        _set_terms(self, data)
 
     # -- constructors ------------------------------------------------------
 
@@ -242,8 +244,12 @@ def _exact(coeff) -> int:
 def _wrap(data: dict[int, int]) -> QPolynomial:
     """A QPolynomial owning `data`, which must hold no zero coefficient."""
     out = QPolynomial.__new__(QPolynomial)
-    out._terms = data
+    _set_terms(out, data)
     return out
+
+
+# the slot's own setter: Value.__setattr__ refuses, and Value.__init__ is slower
+_set_terms = QPolynomial._terms.__set__
 
 
 def _convolution(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -469,12 +475,12 @@ def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int
     return _wrap({EXPONENT_DENOMINATOR * (k + low): c for k, c in enumerate(digits) if c})
 
 
-class QSeriesTruncated:
+class QSeriesTruncated(Value):
     """Truncated q-series: q**offset * (c_0 + c_1 q + ... + c_order q**order).
 
-    The offset is an exact rational and may fall off the quarter grid; the
-    tail always steps by integer powers. Lookups never claim coefficients
-    beyond the stated order.
+    An immutable `Value`. The offset is an exact rational and may fall off
+    the quarter grid; the tail always steps by integer powers. Lookups never
+    claim coefficients beyond the stated order.
     """
 
     __slots__ = ("offset", "coeffs")
@@ -484,8 +490,7 @@ class QSeriesTruncated:
             raise ValueError("series needs at least the constant coefficient")
         if not isinstance(offset, (int, Fraction)):
             raise ValueError(f"offset {offset!r} is not an int or a Fraction")
-        self.offset = Fraction(offset)
-        self.coeffs = tuple(map(_exact, coeffs))
+        super().__init__(Fraction(offset), tuple(map(_exact, coeffs)))
 
     @property
     def order(self) -> int:
@@ -501,19 +506,16 @@ class QSeriesTruncated:
             raise IndexError("coefficient beyond the truncation order")
         return self.coeffs[n]
 
-    def coefficient_at(self, exponent: Fraction) -> int | None:
+    def coefficient_at(self, exponent: ExponentLike) -> int | None:
         """Coefficient at an absolute exponent; None when outside the known window."""
-        rel = Fraction(exponent) - self.offset
+        if not isinstance(exponent, (int, Fraction)):
+            raise ValueError(f"exponent {exponent!r} is not an int or a Fraction")
+        rel = exponent - self.offset
         if rel < 0 or rel > self.order:
             return None
         if rel.denominator != 1:
             return 0
         return self.coeffs[int(rel)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeriesTruncated):
-            return NotImplemented
-        return self.offset == other.offset and self.coeffs == other.coeffs
 
     def __str__(self) -> str:
         return f"q^({self.offset}) * {list(self.coeffs)}"

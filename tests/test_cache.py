@@ -1,15 +1,45 @@
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qkostka import __version__, cache, cli
+from qkostka import cache, cli
 
 
-def test_cache_key_changes_with_the_results_schema(monkeypatch):
-    params = {"max_weight": 8, "max_level": 3}
-    before = cache.cache_key("0.1.0", "kostka", params)
-    monkeypatch.setattr(cache, "RESULTS_SCHEMA", cache.RESULTS_SCHEMA + 1)
-    assert cache.cache_key("0.1.0", "kostka", params) != before
+def test_a_changed_source_byte_changes_the_key_and_an_unchanged_tree_hits(tmp_path):
+    # a copy of the package in its own process: the key follows its sources
+    package = tmp_path / "src" / "qkostka"
+    shutil.copytree(
+        Path(cache.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "qkostka.cli", "table", "kostka", "--max-weight", "4",
+            "--max-level", "2", "--cache-dir", str(tmp_path / "cache")]
+
+    def run():
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout, done.stderr
+
+    key = cache.cache_key("kostka", {"max_weight": 4, "max_level": 2})
+    out, err = run()
+    assert err == f"cache store {key}\n"
+    assert run() == (out, f"cache hit {key}\n")
+    # swap the case of the first letter of one module's docstring
+    source = package / "kostka.py"
+    data = bytearray(source.read_bytes())
+    first = data.index(b'"""') + 3
+    assert chr(data[first]).isalpha()
+    data[first] ^= 0x20
+    source.write_bytes(data)
+    out_after, err_after = run()
+    assert out_after == out
+    assert err_after.startswith("cache store ") and key not in err_after
+    assert run() == (out, err_after.replace("store", "hit"))
 
 
 # sha256 of `qkostka table kostka --max-weight 8 --max-level 3` as CSV
@@ -22,8 +52,8 @@ def test_golden_table_bytes(capsys):
     assert code == 0
     assert out.count("\n") == 289
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256, (
-        "the computed table changed: disk caches now hold stale results, so bump "
-        "qkostka.cache.RESULTS_SCHEMA and then update GOLDEN_TABLE_SHA256"
+        "the computed table changed: if that is meant, update GOLDEN_TABLE_SHA256 "
+        "(cache keys follow the sources, so no disk cache serves the old table)"
     )
 
 
@@ -45,7 +75,7 @@ def test_a_json_entry_that_is_no_table_is_a_miss(tmp_path, capsys, entry):
     argv = ["table", "kostka", "--max-weight", "4", "--max-level", "2"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
-    key = cache.cache_key(__version__, "kostka", {"max_weight": 4, "max_level": 2})
+    key = cache.cache_key("kostka", {"max_weight": 4, "max_level": 2})
     (tmp_path / f"{key}.json").write_text(entry)
     assert cache.load(tmp_path, key) is None
     assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 0

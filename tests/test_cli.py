@@ -385,7 +385,7 @@ def test_resolve_cache_dir(monkeypatch, tmp_path):
 
 
 def test_cache_load_tolerates_garbage(tmp_path):
-    key = cache_key("0", "kostka", {"a": 1})
+    key = cache_key("kostka", {"a": 1})
     assert load(tmp_path, key) is None
     (tmp_path / f"{key}.json").write_text("{not json")
     assert load(tmp_path, key) is None
@@ -394,12 +394,14 @@ def test_cache_load_tolerates_garbage(tmp_path):
     assert load(tmp_path, key) == payload
 
 
-def test_cache_key_stability():
-    a = cache_key("0.1.0", "kostka", {"max_weight": 8, "max_level": 3})
-    b = cache_key("0.1.0", "kostka", {"max_level": 3, "max_weight": 8})
+def test_cache_key_stability(monkeypatch):
+    a = cache_key("kostka", {"max_weight": 8, "max_level": 3})
+    b = cache_key("kostka", {"max_level": 3, "max_weight": 8})
     assert a == b
-    assert a != cache_key("0.1.0", "kostka", {"max_weight": 9, "max_level": 3})
-    assert a != cache_key("0.2.0", "kostka", {"max_weight": 8, "max_level": 3})
+    assert a != cache_key("kostka", {"max_weight": 9, "max_level": 3})
+    assert a != cache_key("verlinde", {"max_weight": 8, "max_level": 3})
+    monkeypatch.setattr("qkostka.cache.source_digest", lambda: "0" * 64)
+    assert a != cache_key("kostka", {"max_weight": 8, "max_level": 3})
 
 
 def test_factor_string_round_trip(capsys):

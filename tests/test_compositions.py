@@ -2,6 +2,7 @@ import copy
 import pickle
 import re
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,7 @@ from qkostka.compositions import (
     top_degree_h,
     weighted_size,
 )
-from qkostka.qexact import QPolynomial
+from qkostka.qexact import QPolynomial, QSeriesTruncated
 from qkostka.reports import AuditRecord
 from qkostka.virasoro import MinimalModel
 
@@ -264,6 +265,20 @@ VALUES = {
         },
         "AuditRecord(params={'x': 0}, route_a='a', route_b='b', residual=QPolynomial(1), "
         "hard=True, detail={})",
+    ),
+    "QPolynomial": (
+        lambda: QPolynomial({0: 1, 4: 2}),
+        lambda: QPolynomial.from_integer_terms({1: 2, 0: 1, 5: 0}),
+        lambda: QPolynomial.q_power(1, 2),
+        {"_terms": {0: 1, 4: 2}},
+        "QPolynomial(1 + 2*q)",
+    ),
+    "QSeriesTruncated": (
+        lambda: QSeriesTruncated([1, 2], offset=-3),
+        lambda: QSeriesTruncated((True, 2), offset=Fraction(-6, 2)),
+        lambda: QSeriesTruncated([1, 2], offset=-2),
+        {"offset": -3, "coeffs": (1, 2)},
+        "QSeriesTruncated(offset=-3, coeffs=[1, 2])",
     ),
 }
 

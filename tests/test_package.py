@@ -128,8 +128,8 @@ def test_the_independent_oracles_import_only_the_input_and_arithmetic_layers():
 
 
 # Classes that keep their own equality: the base every value class derives
-# from, and the two q-series types, which compare by their terms.
-OWN_EQUALITY = {"compositions.py:Value", "qexact.py:QPolynomial", "qexact.py:QSeriesTruncated"}
+# from, and QPolynomial, which compares and hashes by its terms.
+OWN_EQUALITY = {"compositions.py:Value", "qexact.py:QPolynomial"}
 
 
 def test_only_the_value_base_and_the_q_types_define_equality():

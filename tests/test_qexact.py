@@ -160,7 +160,7 @@ def test_exact_types_refuse_inexact_coefficients():
 
 
 def test_exact_types_refuse_exponents_that_are_not_ints_or_fractions():
-    for bad in (0.5, 0.3, 2.0, "1/2", "1", None):
+    for bad in (0.5, 0.3, 1.5, 2.0, "1/2", "3/2", "1", None):
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             exponent_numerator(bad)
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
@@ -169,9 +169,32 @@ def test_exact_types_refuse_exponents_that_are_not_ints_or_fractions():
             shifted_sum([(1, bad, QPolynomial.one())])
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             QSeriesTruncated([1, 2], offset=bad)
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            QSeriesTruncated([1, 2, 3]).coefficient_at(bad)
     assert exponent_numerator(True) == 4
+    assert QSeriesTruncated([1, 2, 3]).coefficient_at(2) == 3
     assert QSeriesTruncated([1, 2], offset=Fraction(1, 10)).offset == Fraction(1, 10)
     assert repr(QSeriesTruncated([1, 2], offset=-3)) == "QSeriesTruncated(offset=-3, coeffs=[1, 2])"
+
+
+def test_the_q_types_refuse_assignment_so_the_shared_zero_stays_zero():
+    # every lookup miss returns the one qexact._ZERO; a product is built by
+    # _wrap, a series by the Value base
+    values = [
+        (qexact._ZERO, "_terms"),
+        (QPolynomial.q_power(1) * QPolynomial.q_power(2), "_terms"),
+        (QSeriesTruncated([1, 2], offset=-3), "offset"),
+        (QSeriesTruncated([1, 2], offset=-3), "coeffs"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, {4: 1})
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert qexact._ZERO.is_zero() and qexact._ZERO == QPolynomial.zero()
+    assert gaussian_binomial(-1, 0) is qexact._ZERO
+    assert str(QPolynomial.q_power(1) * QPolynomial.q_power(2)) == "q^3"
+    assert QSeriesTruncated([1, 2], offset=-3).offset == -3
 
 
 # -- oracle tests for the arithmetic kernel --------------------------------
@@ -199,9 +222,7 @@ def reference_mul(self, other):
                 data[key] = new
             else:
                 del data[key]
-    out = QPolynomial.__new__(QPolynomial)
-    out._terms = data
-    return out
+    return QPolynomial(data)
 
 
 _reference_gaussian_cache: dict[tuple[int, int], QPolynomial] = {}

@@ -61,6 +61,15 @@ def test_admissible_compositions_match_the_explicit_trimming_enumeration():
     assert digest == "3ddcddf8ba0e677045157fdb45e7f70c21181f302cab70d229620104195b84bf"
 
 
+def test_admissible_compositions_stop_recursing_at_spin_max_weight():
+    # a spin above max_weight has count 0, so a width far above max_weight
+    # neither changes the list nor recurses once per spin
+    assert admissible_compositions(2, 5000) == admissible_compositions(2, 2)
+    assert admissible_compositions(0, 5000) == [Composition((0,))]
+    assert admissible_compositions(-1, 5000) == []
+    assert admissible_compositions(-1, 0) == [Composition((0,))]
+
+
 def test_run_suites_all_expansion():
     results = run_suites(["all"], small())
     assert [r.suite for r in results] == list(SUITES)
