@@ -10,16 +10,22 @@ DAG, which places all copies of a letter at once, sums charge letter by
 letter. A DAG state keeps only the row of each subword's last pick: a
 letter's new copies sit at the right end of row 2 or of row 1 in the
 reading word, so which copy the cyclic scan takes next depends on that row
-alone, not on the position. The shape only prunes the DAG, so the oracle
-keeps one pass per content, with row 1 free and row 2 capped at the longest
-requested, for all its weights. enumerate_ssyt, reading_word and charge
-grade tableaux one by one, as the brute-force cross-check. Nothing here is
-shared with the fermionic route in kostka.py, so one bug cannot make both
+alone, not on the position. Each state's charge tally is packed into one
+int, a digit per charge from the lowest that reaches the state, and digits
+are as wide as a bound on the paths into a state, so a merge never carries.
+A letter's moves do not depend on the content, so every pass reads them
+from one table, bounded in size and emptied by clear_caches. The shape only
+prunes the DAG, so the oracle keeps one pass per content, with row 1 free
+and row 2 capped at the longest requested, for all its weights.
+enumerate_ssyt, reading_word and charge grade tableaux one by one, as the
+brute-force cross-check. Nothing here is shared with the fermionic route in
+kostka.py, whose packed kernel lives in qexact, so one bug cannot make both
 routes agree on a wrong answer.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from typing import Sequence
 
@@ -32,7 +38,7 @@ from .compositions import (
     norm_ss,
     weighted_size,
 )
-from .qexact import _ZERO, QPolynomial
+from .qexact import _ZERO, EXPONENT_DENOMINATOR, QPolynomial, _wrap
 
 Tableau = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -47,26 +53,26 @@ def enumerate_ssyt(sc: ShapeContent) -> list[Tableau]:
     Letters are placed one value at a time: the copies of v go to the ends of
     the two rows, x of them to row 2. Row lengths bound x from both sides, and
     x <= r1 - r2 keeps every new row-2 entry under a smaller row-1 entry,
-    which is all column strictness asks of two rows.
+    which is all column strictness asks of two rows. An explicit stack holds
+    the partial tableaux, so a long row costs no recursion.
     """
     len1, len2 = sc.shape
     counts = sc.content
     if sum(counts) != len1 + len2:
         return []
-    letters = len(counts)
     results: list[Tableau] = []
-
-    def place(v: int, row1: tuple[int, ...], row2: tuple[int, ...]) -> None:
-        if v > letters:
+    stack = [(1, (), ())]
+    while stack:
+        v, row1, row2 = stack.pop()
+        if v > len(counts):
             results.append((row1, row2))
-            return
+            continue
         c = counts[v - 1]
         r1, r2 = len(row1), len(row2)
-        # ascending x puts the most copies of v in row 1 first
-        for x in range(max(0, r1 + c - len1), min(c, r1 - r2, len2 - r2) + 1):
-            place(v + 1, row1 + (v,) * (c - x), row2 + (v,) * x)
-
-    place(1, (), ())
+        # descending x is popped ascending, which puts the most copies of v
+        # in row 1 first
+        for x in range(min(c, r1 - r2, len2 - r2), max(0, r1 + c - len1) - 1, -1):
+            stack.append((v + 1, row1 + (v,) * (c - x), row2 + (v,) * x))
     return results
 
 
@@ -121,6 +127,62 @@ def charge(word: Sequence[int]) -> int:
     return total
 
 
+# (rows, c, after) -> for x = 0..c, (the live subwords' new rows, the
+# subwords that wrap). A letter's moves depend only on the key, not on the
+# content, so every pass shares them. The table holds at most _STEPS_BOUND
+# keys, each with c + 1 moves of at most c rows: a miss that finds it full
+# empties it first. clear_caches empties it too.
+_steps = {}
+_STEPS_BOUND = 1 << 10
+
+
+def _moves(rows: tuple[int, ...], c: int, after: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The moves of c copies from the live subwords' rows, filed in _steps.
+
+    A subword after row 1 takes a row-2 copy while one is free; any other
+    subword wraps (unless it has no letter yet, row 0) and takes a row-1
+    copy while one is free, else a row-2 copy (see _charge_by_row2).
+    """
+    moves = []
+    for x in range(c + 1):
+        free2, free1 = x, c - x
+        taken, wrapped = [], []
+        for s, row in enumerate(rows):
+            if row == 1 and free2:
+                free2 -= 1
+                taken.append(2)
+                continue
+            if row:
+                wrapped.append(s)
+            if free1:
+                free1 -= 1
+                taken.append(1)
+            else:
+                free2 -= 1
+                taken.append(2)
+        # subwords with no letter after this one drop out of the state
+        moves.append((tuple(taken[:after]), tuple(wrapped)))
+    if len(_steps) >= _STEPS_BOUND:
+        _steps.clear()
+    moves = _steps[rows, c, after] = tuple(moves)
+    return moves
+
+
+# memoryview formats that read a buffer of 1-, 2-, 4- or 8-byte digits
+_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _unpack(low: int, packed: int, width: int) -> dict[int, int]:
+    """{low + i: digit i} over the nonzero digits of packed, each `width`
+    bytes wide, in one pass over its bytes."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, sys.byteorder)
+    if width in _DIGIT_FORMATS:
+        digits = memoryview(raw).cast(_DIGIT_FORMATS[width])
+    else:
+        digits = (int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width))
+    return {low + i: d for i, d in enumerate(digits) if d}
+
+
 def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, dict[int, int]]:
     """{row-2 length: {charge: count}} over the tableaux of the content
     whose rows stay within the caps.
@@ -138,67 +200,62 @@ def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, di
     every row-1 position, and the new row-1 copies right of everything
     before them. So a pick after row 1 takes the rightmost free row-2 copy
     if one is left and wraps otherwise, a pick after row 2 always wraps,
-    and a wrap takes the rightmost free copy: row 1 while any is free. A
-    state (row-2 length, each live subword's last row) holds a
-    {charge: count} tally shared by every path through it; each letter's
-    transitions are computed once per (rows, x), in a memo the pass drops.
+    and a wrap takes the rightmost free copy: row 1 while any is free.
+
+    A state (row-2 length, each live subword's last row) holds the tally
+    shared by every path through it, packed as (lowest charge, int): digit
+    i, unit bits wide, counts the paths of charge lowest + i. At most
+    prod(min(c, cap2) + 1) paths reach a state, one per choice of x at each
+    letter, so unit is that bound's width, rounded up to the 8, 16, 32 or
+    64 bits a memoryview reads natively or else to whole bytes, and digits
+    never carry: a merge is one shift and one add. Since the lowest charge
+    is kept, the int spans only the charges that occur; a single row of n
+    letters holds one digit per state. The new rows and wrapped subwords
+    come from the shared table _steps; the charge the wraps add depends on
+    the content and is worked out once per letter and rows in each pass.
     """
     top = counts[0] if counts else 0
     # subword s holds letters 1..ends[s]: a wrap at counts[v] adds ends[s] - v
     ends = [0] * top
+    paths = 1
     for c in counts:
         for s in range(min(c, top)):
             ends[s] += 1
+        paths *= min(c, cap2) + 1
+    width = paths.bit_length() // 8 + 1
+    unit = 8 * (1 << (width - 1).bit_length() if width <= 8 else width)
     # row 0 marks a subword before its first letter: it takes the rightmost
     # copy without a wrap
-    frontier: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {(0, (0,) * top): {0: 1}}
+    frontier: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {(0, (0,) * top): (0, 1)}
     placed = 0
     for v, (c, after) in enumerate(zip(counts, (*counts[1:], 0))):
-        nxt: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
-        # (rows, x) -> (the live subwords' new rows, charge added)
-        steps: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
-        for (r2, rows), tally in frontier.items():
+        nxt: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+        # rows -> for x = 0..c, (the live subwords' new rows, charge added)
+        shifts: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        for (r2, rows), (low, packed) in frontier.items():
+            moves = shifts.get(rows)
+            if moves is None:
+                moves = shifts[rows] = [
+                    (taken, sum(map(ends.__getitem__, wrapped)) - v * len(wrapped))
+                    for taken, wrapped in _steps.get((rows, c, after)) or _moves(rows, c, after)
+                ]
             r1 = placed - r2
             # same bounds on x as enumerate_ssyt
             for x in range(max(0, r1 + c - cap1), min(c, r1 - r2, cap2 - r2) + 1):
-                step = steps.get((rows, x))
-                if step is None:
-                    free2, free1 = x, c - x
-                    taken = []
-                    shift = 0
-                    for s, row in enumerate(rows):
-                        if row == 1 and free2:
-                            free2 -= 1
-                            taken.append(2)
-                            continue
-                        if row:
-                            shift += ends[s] - v
-                        if free1:
-                            free1 -= 1
-                            taken.append(1)
-                        else:
-                            free2 -= 1
-                            taken.append(2)
-                    # subwords with no letter after this one drop out of the state
-                    step = steps[rows, x] = tuple(taken[:after]), shift
-                taken, shift = step
-                into = nxt.get((r2 + x, taken))
-                if into is None:
-                    nxt[r2 + x, taken] = {e + shift: k for e, k in tally.items()}
-                    continue
-                get = into.get
-                for e, k in tally.items():
-                    e += shift
-                    into[e] = get(e, 0) + k
+                taken, shift = moves[x]
+                e = low + shift
+                key = r2 + x, taken
+                held_low, held = nxt.get(key, (e, 0))
+                if e >= held_low:
+                    nxt[key] = held_low, held + (packed << unit * (e - held_low))
+                else:
+                    nxt[key] = e, packed + (held << unit * (held_low - e))
         frontier = nxt
         placed += c
     if frontier and any(a < b for a, b in zip(counts, counts[1:])):
         raise ValueError("charge needs partition content")
     # after the last letter no subword is live: one state per row-2 length
-    out = {}
-    for (r2, _), tally in frontier.items():
-        out[r2] = tally
-    return out
+    return {r2: _unpack(low, packed, unit // 8) for (r2, _), (low, packed) in frontier.items()}
 
 
 def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
@@ -224,6 +281,7 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     bridged shape and content. One pass per content runs with row 1 free and
     row 2 capped at the longest requested, so it answers every weight down
     to the requested one; a request below that reruns it with the new cap.
+    Each row-2 length's tally becomes its polynomial in one dict pass.
     """
     comp = as_composition(m)
     size = weighted_size(comp)
@@ -238,6 +296,6 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
         for r2, tally in _charge_by_row2(bridge_to_partition(comp, l).content, size, cap2).items():
             if max(tally) > norm:
                 raise InvariantError("reversal produced a negative exponent")
-            polys[r2] = QPolynomial.from_integer_terms({norm - e: k for e, k in tally.items()})
+            polys[r2] = _wrap({EXPONENT_DENOMINATOR * (norm - e): k for e, k in tally.items()})
         _oracle_tables[comp.parts] = (cap2, polys)
     return polys.get(len2, _ZERO)

@@ -1,3 +1,5 @@
+import inspect
+import math
 import random
 import sys
 import time
@@ -8,6 +10,7 @@ import pytest
 import qkostka
 from qkostka.compositions import (
     Composition,
+    InvariantError,
     ShapeContent,
     bridge_to_partition,
     norm_ss,
@@ -217,6 +220,26 @@ def test_enumerate_ssyt_matches_reference_off_partition_content():
         assert enumerate_ssyt(sc) == _reference_enumerate_ssyt(sc), sc
 
 
+def test_enumerate_ssyt_lists_first_rows_in_lexicographic_order():
+    # the first row fixes the tableau, so the first rows strictly increase
+    shapes = 0
+    for m in admissible_compositions(11, 11):
+        size = weighted_size(m)
+        for l in range(size % 2, size + 1, 2):
+            rows = [row1 for row1, _ in enumerate_ssyt(bridge_to_partition(m, l))]
+            assert rows == sorted(set(rows)), (m, l)
+            shapes += len(rows) > 1
+    assert shapes > 300
+
+
+def test_enumerate_ssyt_long_single_row_needs_no_recursion():
+    # one tableau, whose 1200 letters are placed one value at a time
+    n = 1200
+    sc = ShapeContent((n, 0), (1,) * n)
+    assert enumerate_ssyt(sc) == [(tuple(range(1, n + 1)), ())]
+    assert kostka_foulkes(sc) == QPolynomial.q_power(719400)
+
+
 def test_charge_matches_reference_on_random_words():
     rng = random.Random(20050303)
     for _ in range(5000):
@@ -388,6 +411,18 @@ def test_oracle_pass_frees_row_1_and_caps_row_2_at_the_longest_request(monkeypat
     assert [caps for _, *caps in passes] == [[30, 5], [30, 7]]
 
 
+def test_oracle_refuses_a_charge_above_the_norm(monkeypatch):
+    # a weight-|m| tableau has charge norm_ss(m), so one less sends its
+    # reversed exponent below q^0
+    module = _charge_module()
+    norm = module.norm_ss
+    monkeypatch.setattr(module, "norm_ss", lambda m: norm(m) - 1)
+    qkostka.clear_caches()
+    with pytest.raises(InvariantError, match="reversal produced a negative exponent"):
+        kostka_sl2_oracle(0, (4,))
+    assert _oracle_tables == {}
+
+
 def test_routes_grid_runs_one_oracle_pass_per_content(monkeypatch):
     passes = _record_passes(monkeypatch)
     qkostka.clear_caches()
@@ -486,3 +521,106 @@ def test_row_keyed_pass_refuses_what_the_reference_refuses(counts):
                 assert str(new.value) == str(ref), (counts, cap1, cap2)
             else:
                 assert _charge_module()._charge_by_row2(counts, cap1, cap2) == want
+
+
+# Each DAG state packs its {charge: count} tally into one int, with digits
+# as wide as the content's bound on the paths into a state, and every pass
+# reads its moves from one shared table. Hold both to the reference pass:
+# digits wider than 8 bytes, merges of a lower charge into a held tally,
+# passes that share the table with other contents, and the table's bound.
+
+
+def _random_partition(rng, letters, parts):
+    return sorted((rng.choice(parts) for _ in range(letters)), reverse=True)
+
+
+def test_packed_pass_reads_digits_wider_than_8_bytes():
+    pass_ = _charge_module()._charge_by_row2
+    # m = 1^80 at weight 4: 2^80 paths bound a digit, and some charge is
+    # reached by more than 2^64 tableaux
+    sc = bridge_to_partition(Composition((80,)), 4)
+    got = pass_(sc.content, *sc.shape)
+    assert got == _reference_charge_by_row2(sc.content, *sc.shape)
+    assert max(got[sc.shape[1]].values()) >= 1 << 64
+    rng = random.Random(20261020)
+    wide = 0
+    for _ in range(40):
+        counts = _random_partition(rng, rng.randint(40, 60), (1, 1, 1, 2, 2, 3))
+        n = sum(counts)
+        cap2 = rng.randint(1, 8)
+        cap1 = rng.randint(max(0, n - cap2 - 3), n)
+        wide += math.prod(min(c, cap2) + 1 for c in counts) >= 1 << 64
+        assert pass_(counts, cap1, cap2) == _reference_charge_by_row2(counts, cap1, cap2), (counts, cap1, cap2)
+    assert wide > 10
+
+
+def _lines_run(fn, *args):
+    """The line numbers of fn's own body that ran on args."""
+    code, ran = fn.__code__, set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+def test_packed_pass_merges_a_lower_charge_into_a_held_tally():
+    pass_ = _charge_module()._charge_by_row2
+    lines, first = inspect.getsourcelines(pass_)
+    # the merge that shifts the held tally up under an incoming lower charge
+    lower = first + next(i for i, text in enumerate(lines) if "packed + (held <<" in text)
+    for counts in [(2, 1, 1), (1, 1, 1, 1), (3, 2, 1), (2, 2, 2), (2, 2, 1, 1)]:
+        n = sum(counts)
+        assert lower in _lines_run(pass_, counts, n, n // 2), counts
+        assert pass_(counts, n, n // 2) == _reference_charge_by_row2(counts, n, n // 2), counts
+
+
+def test_passes_sharing_the_move_table_match_fresh_passes():
+    pass_ = _charge_module()._charge_by_row2
+    rng = random.Random(20261021)
+    draws = []
+    for _ in range(30):
+        counts = tuple(_random_partition(rng, rng.randint(1, 12), (1, 1, 2, 2, 3, 4)))
+        n = sum(counts)
+        draws.append((counts, n, rng.randint(0, n // 2)))
+    fresh = {}
+    for draw in draws:
+        qkostka.clear_caches()
+        fresh[draw] = pass_(*draw)
+        assert fresh[draw] == _reference_charge_by_row2(*draw), draw
+    qkostka.clear_caches()
+    for draw in draws + draws[::-1] + rng.sample(draws, len(draws)):
+        assert pass_(*draw) == fresh[draw], draw
+
+
+def test_move_table_stays_within_its_bound(monkeypatch):
+    module = _charge_module()
+    qkostka.clear_caches()
+    (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
+    assert result.passed
+    assert 0 < len(module._steps) <= module._STEPS_BOUND
+    # a bound the sweep overruns: a full table is emptied before it grows
+    monkeypatch.setattr(module, "_STEPS_BOUND", 8)
+    qkostka.clear_caches()
+    sizes = []
+    moves = module._moves
+
+    def recorded(*args):
+        found = moves(*args)
+        sizes.append(len(module._steps))
+        return found
+
+    monkeypatch.setattr(module, "_moves", recorded)
+    (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
+    assert result.passed
+    assert max(sizes) == 8 and sizes.count(1) > 1

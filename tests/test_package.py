@@ -9,7 +9,7 @@ from types import ModuleType
 import pytest
 
 import qkostka
-from qkostka.charge import _oracle_tables, kostka_sl2_oracle
+from qkostka.charge import _oracle_tables, _steps, kostka_sl2_oracle
 from qkostka.kostka import (
     _fusion_tables,
     fusion_weight_char,
@@ -23,6 +23,7 @@ from qkostka.weyl import _orbit_items, euler_characteristic_bgg
 def _cache_sizes():
     return (
         len(_oracle_tables),
+        len(_steps),
         len(_fusion_tables),
         _orbit_items.cache_info().currsize,
         len(_row_store),
@@ -45,7 +46,7 @@ def test_clear_caches_empties_every_cache_and_keeps_results():
     warm = _workload()
     assert all(size > 0 for size in _cache_sizes())
     qkostka.clear_caches()
-    assert _cache_sizes() == (0, 0, 0, 0)
+    assert _cache_sizes() == (0, 0, 0, 0, 0)
     assert _workload() == warm
     assert "clear_caches" in qkostka.__all__
 
@@ -69,6 +70,7 @@ def test_every_module_level_cache_is_one_clear_caches_empties():
                 found.add(f"{path.stem}.{ast.unparse(target)}")
     assert found == {
         "charge._oracle_tables",
+        "charge._steps",
         "kostka._fusion_tables",
         "qexact._row_store",
         "weyl._orbit_items",
