@@ -92,10 +92,11 @@ def clear_caches() -> None:
     """Empty every in-memory result cache, so the next calls compute cold.
 
     Covers the charge oracle's per-content passes and the table of letter
-    moves every pass shares (at most 1024 keys), the fusion slice tables,
-    the Weyl orbit walks per (l, k, |m|) and the Gaussian row store, whose
-    walked rows are held up to a fixed budget of bits. Results do not
-    change; only the time to the next answer does.
+    moves every pass shares, held up to a fixed number of row and subword
+    numbers, the fusion slice tables, the Weyl orbit walks per (l, k, |m|)
+    and the Gaussian row store, whose walked rows are held up to a fixed
+    budget of bits. Results do not change; only the time to the next
+    answer does.
     """
     # imported here to keep private names out of the package namespace
     from .charge import _oracle_tables, _steps

@@ -1,4 +1,3 @@
-import inspect
 import math
 import random
 import sys
@@ -554,34 +553,18 @@ def test_packed_pass_reads_digits_wider_than_8_bytes():
     assert wide > 10
 
 
-def _lines_run(fn, *args):
-    """The line numbers of fn's own body that ran on args."""
-    code, ran = fn.__code__, set()
-
-    def trace(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(previous)
-    return ran
-
-
 def test_packed_pass_merges_a_lower_charge_into_a_held_tally():
     pass_ = _charge_module()._charge_by_row2
-    lines, first = inspect.getsourcelines(pass_)
-    # the merge that shifts the held tally up under an incoming lower charge
-    lower = first + next(i for i, text in enumerate(lines) if "packed + (held <<" in text)
-    for counts in [(2, 1, 1), (1, 1, 1, 1), (3, 2, 1), (2, 2, 2), (2, 2, 1, 1)]:
+    # content 1123 with a row 2 of one cell: states are visited in the order
+    # they were made, so 112/3 (charge 2) reaches the last state before
+    # 113/2 (charge 1), whose lower charge shifts the held tally up a digit
+    assert charge(reading_word(((1, 1, 2), (3,)))) == 2
+    assert charge(reading_word(((1, 1, 3), (2,)))) == 1
+    assert pass_((2, 1, 1), 4, 2) == {0: {3: 1}, 1: {1: 1, 2: 1}, 2: {1: 1}}
+    # content 1234: charges 5, 4 and 3 reach row-2 length 1 in that order
+    assert pass_((1, 1, 1, 1), 4, 2) == {0: {6: 1}, 1: {3: 1, 4: 1, 5: 1}, 2: {2: 1, 4: 1}}
+    for counts in [(3, 2, 1), (2, 2, 2), (2, 2, 1, 1)]:
         n = sum(counts)
-        assert lower in _lines_run(pass_, counts, n, n // 2), counts
         assert pass_(counts, n, n // 2) == _reference_charge_by_row2(counts, n, n // 2), counts
 
 
@@ -605,22 +588,38 @@ def test_passes_sharing_the_move_table_match_fresh_passes():
 
 def test_move_table_stays_within_its_bound(monkeypatch):
     module = _charge_module()
+
+    def numbers(rows, c):
+        # an entry's row and subword numbers: its key's rows and two tuples
+        # per move
+        return (2 * c + 3) * len(rows)
+
     qkostka.clear_caches()
     (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
     assert result.passed
-    assert 0 < len(module._steps) <= module._STEPS_BOUND
-    # a bound the sweep overruns: a full table is emptied before it grows
-    monkeypatch.setattr(module, "_STEPS_BOUND", 8)
+    assert 0 < len(module._steps) <= module._STEPS_KEYS
+    for (rows, c, _), moves in module._steps.items():
+        held = len(rows) + sum(len(taken) + len(wrapped) for taken, wrapped in moves)
+        assert held <= numbers(rows, c) <= module._STEP_NUMBERS
+    # bounds the sweep overruns: a full table is emptied before it grows,
+    # and an entry larger than its bound is not filed
+    monkeypatch.setattr(module, "_STEPS_KEYS", 8)
+    monkeypatch.setattr(module, "_STEP_NUMBERS", 30)
     qkostka.clear_caches()
-    sizes = []
+    sizes, refused = [], 0
     moves = module._moves
 
-    def recorded(*args):
-        found = moves(*args)
+    def recorded(rows, c, after):
+        nonlocal refused
+        found = moves(rows, c, after)
+        filed = (rows, c, after) in module._steps
+        assert filed == (numbers(rows, c) <= 30)
+        refused += not filed
         sizes.append(len(module._steps))
         return found
 
     monkeypatch.setattr(module, "_moves", recorded)
     (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
     assert result.passed
+    assert refused > 0
     assert max(sizes) == 8 and sizes.count(1) > 1
