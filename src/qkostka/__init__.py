@@ -93,7 +93,7 @@ def clear_caches() -> None:
 
     Covers the charge oracle's per-content passes and the table of letter
     moves every pass shares, held up to a fixed number of row and subword
-    numbers, the fusion slice tables, the Weyl orbit walks per (l, k, |m|)
+    numbers, the fusion slice tables, the Weyl orbit items per (l, k, |m|)
     and the Gaussian row store, whose walked rows are held up to a fixed
     budget of bits. Results do not change; only the time to the next
     answer does.

@@ -178,13 +178,14 @@ def cmd_verify(args) -> int:
 
 
 def _table_params(args) -> dict:
-    """The cache-key params of a table; kostka and verlinde tables print them too."""
+    """The params a table prints, which also key its cache entry."""
     if args.kind == "characters":
-        return {"model": list(args.model), "order": args.order}
+        p, pp = args.model
+        return {"p": p, "p_prime": pp, "order": args.order}
     return {"max_weight": args.max_weight, "max_level": args.max_level}
 
 
-def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
+def _table_rows(kind: str, args) -> tuple[list[dict], list[str]]:
     if kind == "characters":
         from .virasoro import MinimalModel, rocha_caridi
 
@@ -197,7 +198,7 @@ def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
                 terms = [(4 * d, c) for d, c in enumerate(bs.coefficients()) if c]
                 rows += _polynomial_rows(params, terms)
         columns = ["p", "p_prime", "r", "s", "offset", *_TERM_COLUMNS]
-        return {"p": p, "p_prime": pp, "order": args.order}, rows, columns
+        return rows, columns
     if kind == "verlinde":
         from .verlinde import structure_constants
     rows = []
@@ -209,7 +210,7 @@ def _table_rows(kind: str, args) -> tuple[dict, list[dict], list[str]]:
                 by_weight = [[(0, c)] if c else [] for c in structure_constants(m, k)]
             for l, terms in enumerate(by_weight):
                 rows += _polynomial_rows({"level": k, "weight": l, "m": factor_string(m)}, terms)
-    return _table_params(args), rows, ["level", "weight", "m", *_TERM_COLUMNS]
+    return rows, ["level", "weight", "m", *_TERM_COLUMNS]
 
 
 def cmd_table(args) -> int:
@@ -223,16 +224,17 @@ def cmd_table(args) -> int:
         MinimalModel(*args.model, 1, 1)
     _check_out(args.out)
     cache_dir = resolve_cache_dir(args.cache_dir)
+    params = _table_params(args)
     payload = key = None
     if cache_dir is not None:
         # a path that is not a directory fails here, as store would fail
         cache_dir.mkdir(parents=True, exist_ok=True)
-        key = cache_key(kind, _table_params(args))
+        key = cache_key(kind, params)
         payload = load(cache_dir, key)
         if payload is not None:
             print(f"cache hit {key}", file=sys.stderr)
     if payload is None:
-        params, rows, columns = _table_rows(kind, args)
+        rows, columns = _table_rows(kind, args)
         payload = {"kind": kind, "params": params, "columns": columns, "rows": rows}
         if key is not None:
             store(cache_dir, key, payload)
@@ -256,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--level", "-k", type=int, default=None)
     pk.add_argument("--reversed", action="store_true",
                     help="degree-reversed restricted polynomial (needs --level)")
-    pk.add_argument("--route",
-                    choices=["fermionic", "alternating", "charge", "bgg"],
-                    default="fermionic")
+    pk.add_argument("--route", choices=list(_ROUTES), default="fermionic")
     pk.add_argument("--format", choices=["text", "json", "csv"], default="text")
     pk.set_defaults(func=cmd_kostka)
 

@@ -155,27 +155,24 @@ def alternating_sum_raw(
     """The bare signed sum of unrestricted polynomials, without any level check.
 
     Sum over i >= 0 of q**((k+2)i^2 + (l+1)i) K_{2(k+2)i + l, m} minus the sum
-    over i >= 1 of q**((k+2)i^2 - (l+1)i) K_{2(k+2)i - l - 2, m}. Both sums
-    truncate themselves once the shifted weights pass |m|, and are summed in
-    one `shifted_sum` pass. This raw form represents the graded homology
-    Euler characteristic only for compositions whose spins all fit below the
-    level; restricted_alternating adds that admissibility check.
+    over i >= 1 of q**((k+2)i^2 - (l+1)i) K_{2(k+2)i - l - 2, m}. A weight
+    past |m| gives zero, so i stops at the last 2(k+2)i - l - 2 <= |m|, and
+    both sums are summed in one `shifted_sum` pass. This raw form represents
+    the graded homology Euler characteristic only for compositions whose
+    spins all fit below the level; restricted_alternating adds that
+    admissibility check.
     """
     check_level_weight(l, k)
     comp = as_composition(m)
     size = weighted_size(comp)
     kostka = _unrestricted_source(source)
     items = []
-    i = 0
-    while True:
+    for i in range((size + l + 2) // (2 * (k + 2)) + 1):
         w = 2 * (k + 2) * i
         if w + l <= size:
             items.append((1, (k + 2) * i * i + (l + 1) * i, kostka(w + l, comp)))
         if i:
-            if w - l - 2 > size:
-                break
             items.append((-1, (k + 2) * i * i - (l + 1) * i, kostka(w - l - 2, comp)))
-        i += 1
     return shifted_sum(items)
 
 

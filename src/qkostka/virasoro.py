@@ -76,29 +76,23 @@ def coset_central_charge(k: int) -> Fraction:
 
 
 def _theta_coefficients(mm: MinimalModel, order: int) -> list[int]:
-    """Coefficients of the numerator theta sum, exponents 0..order."""
+    """Coefficients of the numerator theta sum, exponents 0..order.
+
+    For |n| >= 1 both exponents are at least pp'|n|(|n| - 2), because
+    |p'r - ps| < p'r + ps < 2pp', so no |n| past order // (pp') + 2 reaches
+    the window.
+    """
     p, pp, r, s = mm.p, mm.p_prime, mm.r, mm.s
     coeffs = [0] * (order + 1)
-
-    def add(exponent: int, sign: int) -> bool:
-        if 0 <= exponent <= order:
-            coeffs[exponent] += sign
-            return True
-        return False
-
-    n = 0
-    while True:
-        hit = False
-        for nn in ({0} if n == 0 else {n, -n}):
-            e1 = p * pp * nn * nn + (pp * r - p * s) * nn
-            e2 = p * pp * nn * nn + (pp * r + p * s) * nn + r * s
-            hit |= add(e1, +1)
-            hit |= add(e2, -1)
-        # the quadratic term dominates, so once a full |n| shell misses
-        # the window every later shell does too
-        if not hit and n > 0:
-            return coeffs
-        n += 1
+    span = order // (p * pp) + 2
+    for n in range(-span, span + 1):
+        e1 = p * pp * n * n + (pp * r - p * s) * n
+        e2 = p * pp * n * n + (pp * r + p * s) * n + r * s
+        if 0 <= e1 <= order:
+            coeffs[e1] += 1
+        if 0 <= e2 <= order:
+            coeffs[e2] -= 1
+    return coeffs
 
 
 def rocha_caridi(mm: MinimalModel, order: int) -> BranchingSeries:

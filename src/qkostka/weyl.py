@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple
 
 from .compositions import (
     CompositionLike,
-    InvariantError,
     as_composition,
     check_level_weight,
     weighted_size,
@@ -116,46 +115,30 @@ def bgg_generators(p: int, l: int, k: int) -> list[AffineWeight]:
 @lru_cache(maxsize=None)
 def _orbit_items(l: int, k: int, size: int) -> tuple[tuple[int, int, int], ...]:
     """(sign, grade, slice weight -h0) for every orbit image (h0, k, grade)
-    of length p with |h0| <= size, sign (-1)^p, in walk order.
+    of length p with |h0| <= size, sign (-1)^p, in order of p.
 
-    The walk stops once the |h0| floor has passed size + 2 at two
-    consecutive lengths; a floor that shrinks past the cutoff raises
-    InvariantError, which is not memoized.
+    Every image of length p >= 1 has |h0| >= (p - 1)(k + 2) + 2, so no
+    length past size // (k + 2) + 1 holds one and the loop stops there.
     """
     items = []
-    prev_floor = -1
-    clear_streak = 0
-    p = 0
-    while True:
-        gens = bgg_generators(p, l, k)
-        floor = min(abs(g.weight) for g in gens)
+    for p in range(size // (k + 2) + 2):
         sign = -1 if p % 2 else 1
-        for g in gens:
+        for g in bgg_generators(p, l, k):
             if abs(g.weight) <= size:
                 items.append((sign, g.grade, -g.weight))
-        if floor > size + 2:
-            if floor < prev_floor:
-                raise InvariantError("orbit weights stopped growing")
-            clear_streak += 1
-            if clear_streak >= 2:
-                return tuple(items)
-        else:
-            clear_streak = 0
-        prev_floor = floor
-        p += 1
+    return tuple(items)
 
 
 def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
     """Alternating sum over the shifted orbit of graded weight-slice characters.
 
     Sum over p of (-1)^p sum over length-p images (h0, k, d) of
-    q^d * fusion_weight_char(m, -h0). Terms vanish once every |h0| at
-    length p passes |m|, so the sum is finite; termination insists the
-    |h0| floor grows monotonically for two consecutive lengths past the
-    cutoff before trusting that all later terms vanish too. The orbit walk
-    depends only on (l, k, |m|) and is memoized per key; the terms are
-    summed in one `shifted_sum` pass. A bad level or weight is refused as
-    in the fermionic route.
+    q^d * fusion_weight_char(m, -h0). A slice past |m| is empty, and every
+    image of length p >= 1 has |h0| >= (p - 1)(k + 2) + 2, so the lengths
+    run to |m| // (k + 2) + 1 and no further. The orbit items depend only
+    on (l, k, |m|) and are memoized per key; the terms are summed in one
+    `shifted_sum` pass. A bad level or weight is refused as in the
+    fermionic route.
     """
     check_level_weight(l, k)
     comp = as_composition(m)

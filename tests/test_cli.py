@@ -366,6 +366,28 @@ def test_table_cache_round_trip(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_characters_cache_round_trip(fmt, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["table", "characters", "--model", "4", "5", "--order", "12", "--format", fmt]
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+    # the entry is keyed on the params the table prints
+    key = cache_key("characters", {"p": 4, "p_prime": 5, "order": 12})
+    outputs = []
+    for verdict in ("store", "hit"):
+        code, out, err = run(capsys, *args, "--cache-dir", str(cache))
+        assert (code, err) == (0, f"cache {verdict} {key}\n")
+        outputs.append(out)
+    assert outputs == [plain, plain]
+    assert load(cache, key)["params"] == {"p": 4, "p_prime": 5, "order": 12}
+    # another model at the same order is another entry
+    code, _, err = run(capsys, "table", "characters", "--model", "3", "5", "--order", "12",
+                       "--cache-dir", str(cache))
+    assert code == 0 and err.startswith("cache store ")
+    assert len(list(cache.glob("*.json"))) == 2
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("KOSTKA_CACHE_DIR", str(cache))

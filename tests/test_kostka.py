@@ -469,23 +469,44 @@ def test_restricted_fermionic_beyond_native_integers():
     assert values[0] > 2**128
 
 
-def _reference_alternating_sum_raw(l, m, k, source):
-    """The signed sum as one out = out +- p.shifted(e) chain, term by term."""
-    comp = as_composition(m).trimmed()
-    size = weighted_size(comp)
-    kostka = unrestricted if source == "fermionic" else kostka_sl2_oracle
-    out = QPolynomial.zero()
+def _reference_alternating_items(l, k, size):
+    """(sign, shift, unrestricted weight) of the signed sum, by a loop that
+    finds its own end: it breaks once a reflected weight passes size."""
+    items = []
     i = 0
     while True:
         w = 2 * (k + 2) * i
         if w + l <= size:
-            out = out + kostka(w + l, comp).shifted((k + 2) * i * i + (l + 1) * i)
+            items.append((1, (k + 2) * i * i + (l + 1) * i, w + l))
         if i:
             if w - l - 2 > size:
                 break
-            out = out - kostka(w - l - 2, comp).shifted((k + 2) * i * i - (l + 1) * i)
+            items.append((-1, (k + 2) * i * i - (l + 1) * i, w - l - 2))
         i += 1
+    return items
+
+
+def _reference_alternating_sum_raw(l, m, k, source):
+    """The signed sum as one out = out +- p.shifted(e) chain, term by term."""
+    comp = as_composition(m).trimmed()
+    kostka = unrestricted if source == "fermionic" else kostka_sl2_oracle
+    out = QPolynomial.zero()
+    for sign, shift, weight in _reference_alternating_items(l, k, weighted_size(comp)):
+        term = kostka(weight, comp).shifted(shift)
+        out = out + term if sign > 0 else out - term
     return out
+
+
+def test_alternating_items_bounded_before_the_loop_match_the_breaking_loop(monkeypatch):
+    # the unrestricted polynomial stands in as its weight and the sum as its
+    # item list, so every (k, l, |m|) with k <= 11 and |m| < 200 is cheap
+    monkeypatch.setattr(kostka_module, "unrestricted", lambda weight, comp: weight)
+    monkeypatch.setattr(kostka_module, "shifted_sum", list)
+    for k in range(1, 12):
+        for l in range(k + 1):
+            for size in range(200):
+                want = _reference_alternating_items(l, k, size)
+                assert alternating_sum_raw(l, (size,), k) == want, (l, k, size)
 
 
 def test_alternating_sum_matches_the_reference_chain():

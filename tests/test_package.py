@@ -9,6 +9,7 @@ from types import ModuleType
 import pytest
 
 import qkostka
+from qkostka import compositions, virasoro, weyl
 from qkostka.charge import _oracle_tables, _steps, kostka_sl2_oracle
 from qkostka.kostka import (
     _fusion_tables,
@@ -327,3 +328,78 @@ def test_charge_stays_the_function_after_every_lazy_export_loads():
         assert qkostka.restricted_alternating(l, m, 2, source="charge") == (
             qkostka.restricted_fermionic(l, m, 2)
         )
+
+
+_REFUSALS = {
+    "hook with a negative count": (
+        lambda: qkostka.fusion_char_hook(-1, 0, 0), ValueError, "hook parameters must be nonnegative"),
+    "reversed 1^N with parity 2": (
+        lambda: qkostka.reversed_char_1N(1, 2, 0), ValueError, "i selects a parity and must be 0 or 1"),
+    "reversed 1^N with a negative s": (
+        lambda: qkostka.reversed_char_1N(1, 0, -1), ValueError, "s must be nonnegative"),
+    "vector binomial of unequal lengths": (
+        lambda: qkostka.vector_gaussian_binomial([1], []), ValueError, "vector length mismatch"),
+    "partition series of negative order": (
+        lambda: qkostka.bounded_partition_series(3, -1), ValueError, "order must be nonnegative"),
+    "empty truncated series": (
+        lambda: qkostka.QSeriesTruncated([]), ValueError,
+        "series needs at least the constant coefficient"),
+    "coefficient past the order": (
+        lambda: qkostka.QSeriesTruncated([1, 2]).coefficient(2), IndexError,
+        "coefficient beyond the truncation order"),
+    "Rocha-Caridi of negative order": (
+        lambda: qkostka.rocha_caridi(qkostka.MinimalModel(3, 4, 1, 1), -1), ValueError,
+        "order must be nonnegative"),
+    "Kostka limit of negative order": (
+        lambda: qkostka.branching_via_kostka_limit(0, 0, 1, 0, -1), ValueError,
+        "order must be nonnegative"),
+    "fermionic character of negative order": (
+        lambda: qkostka.fermionic_character_sum(0, 0, 1, -1), ValueError,
+        "order must be nonnegative"),
+    "fermionic limit term of the wrong width": (
+        lambda: qkostka.fermionic_term_limit((1,), 0, 0, 2), ValueError,
+        "t must be a nonnegative vector of width k"),
+    "coset gap of odd label sum": (
+        lambda: virasoro.coset_gap(0, 0, 1, 1), ValueError, "i + j + l must be even"),
+    "closed form of negative power": (
+        lambda: qkostka.closed_form_action("b", -1, qkostka.AffineWeight(0, 1, 0)), ValueError,
+        "word power must be nonnegative"),
+    "closed form of unknown branch": (
+        lambda: qkostka.closed_form_action("e", 0, qkostka.AffineWeight(0, 1, 0)),
+        weyl.BranchError, "unknown branch 'e'"),
+    "generators of negative length": (
+        lambda: qkostka.bgg_generators(-1, 0, 1), ValueError, "length must be nonnegative"),
+    "homology slice of negative length": (
+        lambda: qkostka.homology_dim_predicate(-1, 0, 0, 1), ValueError,
+        "length and weight must be nonnegative"),
+    "shape and content of unequal size": (
+        lambda: qkostka.ShapeContent((2, 1), (1, 1)), ValueError,
+        "content size must match the shape"),
+    "functional model of the wrong variable count": (
+        lambda: qkostka.FunctionalModelSpec(3, 2, 0, (4,)), ValueError,
+        "variable count must equal (|m| - l)/2"),
+    "grouped identity with the hook spin at the level": (
+        lambda: qkostka.grouped_identity_check(2, 2, 0, 4), ValueError,
+        "hook spin must stay strictly below the level"),
+    "lowest exponent of zero": (
+        lambda: qkostka.QPolynomial.zero().min_exponent(), ValueError,
+        "zero polynomial has no minimum exponent"),
+    "highest exponent of zero": (
+        lambda: qkostka.QPolynomial.zero().max_exponent(), ValueError,
+        "zero polynomial has no maximum exponent"),
+    "JSON polynomial with denominator 2": (
+        lambda: qkostka.QPolynomial.from_json_dict({"den": 2, "terms": []}), ValueError,
+        "unsupported exponent denominator"),
+    "hook vector of a negative count": (
+        lambda: compositions.hook_composition(-1, 0), ValueError,
+        "hook parameters must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_public_refusals_raise_their_documented_error(case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

@@ -224,7 +224,7 @@ def broken_routes(monkeypatch):
     monkeypatch.setattr(weyl, "closed_form_action", bad_closed_form)
     monkeypatch.setattr(weyl, "bgg_generators", bad_generators)
     monkeypatch.setattr(weyl, "homology_dim_predicate", bad_predicate)
-    # the memoized orbit walks and fusion tables must neither serve correct
+    # the memoized orbit items and fusion tables must neither serve correct
     # values to the broken run nor keep its broken values afterwards
     qkostka.clear_caches()
     yield

@@ -362,6 +362,39 @@ def test_golden_rocha_caridi_characters():
     assert digest == GOLDEN_ROCHA_CARIDI_SHA256
 
 
+def _reference_theta_coefficients(mm, order):
+    """The theta coefficients by a loop that finds its own end: it stops at
+    the first |n| >= 1 shell that puts no exponent in 0..order."""
+    p, pp, r, s = mm.p, mm.p_prime, mm.r, mm.s
+    coeffs = [0] * (order + 1)
+    n = 0
+    while True:
+        hit = False
+        for nn in ({0} if n == 0 else {n, -n}):
+            for exponent, sign in ((p * pp * nn * nn + (pp * r - p * s) * nn, 1),
+                                   (p * pp * nn * nn + (pp * r + p * s) * nn + r * s, -1)):
+                if 0 <= exponent <= order:
+                    coeffs[exponent] += sign
+                    hit = True
+        if not hit and n > 0:
+            return coeffs
+        n += 1
+
+
+def test_theta_coefficients_bounded_before_the_loop_match_the_shell_loop():
+    cases = 0
+    for p, pp in product(range(2, 10), repeat=2):
+        if gcd(p, pp) != 1:
+            continue
+        for r, s in product(range(1, p), range(1, pp)):
+            mm = MinimalModel(p, pp, r, s)
+            for order in range(41):
+                want = _reference_theta_coefficients(mm, order)
+                assert virasoro._theta_coefficients(mm, order) == want, (mm, order)
+                cases += 1
+    assert cases == 32308
+
+
 def _reference_series_mismatches(a, b):
     # series_mismatches before its grid became one comprehension, kept verbatim
     lo = min(a.offset, b.offset)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 import qkostka
-from qkostka import weyl
 from qkostka.compositions import InvariantError, as_composition, weighted_size
 from qkostka.kostka import fusion_weight_char, restricted_fermionic
 from qkostka.qexact import QPolynomial
@@ -134,11 +133,10 @@ def test_euler_characteristic_matches_fermionic():
         )
 
 
-def _reference_euler_characteristic(m, l, k):
-    """The orbit sum as one out = out +- p.shifted(e) chain, term by term."""
-    comp = as_composition(m).trimmed()
-    size = weighted_size(comp)
-    out = QPolynomial.zero()
+def _reference_orbit_items(l, k, size):
+    """The orbit items by a walk that finds its own end: it stops once the
+    |h0| floor has passed size + 2 at two consecutive lengths."""
+    items = []
     prev_floor = -1
     clear_streak = 0
     p = 0
@@ -146,20 +144,28 @@ def _reference_euler_characteristic(m, l, k):
         gens = bgg_generators(p, l, k)
         floor = min(abs(g.weight) for g in gens)
         for g in gens:
-            if abs(g.weight) > size:
-                continue
-            term = fusion_weight_char(comp, -g.weight).shifted(g.grade)
-            out = out + term if p % 2 == 0 else out - term
+            if abs(g.weight) <= size:
+                items.append((-1 if p % 2 else 1, g.grade, -g.weight))
         if floor > size + 2:
             if floor < prev_floor:
                 raise InvariantError("orbit weights stopped growing")
             clear_streak += 1
             if clear_streak >= 2:
-                return out
+                return tuple(items)
         else:
             clear_streak = 0
         prev_floor = floor
         p += 1
+
+
+def _reference_euler_characteristic(m, l, k):
+    """The orbit sum as one out = out +- p.shifted(e) chain, term by term."""
+    comp = as_composition(m).trimmed()
+    out = QPolynomial.zero()
+    for sign, grade, weight in _reference_orbit_items(l, k, weighted_size(comp)):
+        term = fusion_weight_char(comp, weight).shifted(grade)
+        out = out + term if sign > 0 else out - term
+    return out
 
 
 def test_euler_characteristic_matches_the_reference_chain():
@@ -175,18 +181,19 @@ def test_euler_characteristic_matches_the_reference_chain():
     assert nonzero > 750
 
 
-def test_orbit_walk_that_stops_growing_raises_on_every_call(monkeypatch):
-    # floors 100 then 50, both past the cutoff: the walk must refuse, and
-    # the refusal must not be memoized as an answer
-    floors = {0: 100, 1: 50}
-    monkeypatch.setattr(
-        weyl, "bgg_generators", lambda p, l, k: [AffineWeight(floors.get(p, 200), k, p)]
-    )
+def test_orbit_items_bounded_before_the_loop_match_the_walk():
+    # every key with k <= 11 and |m| < 200; the last length the bound admits
+    # holds an image for many of them, so the bound is not loose by a length
     qkostka.clear_caches()
-    for _ in range(2):
-        with pytest.raises(InvariantError, match="orbit weights stopped growing"):
-            euler_characteristic_bgg((4,), 0, 2)
-    assert _orbit_items.cache_info().currsize == 0
+    last_length_used = 0
+    for k in range(1, 12):
+        for l in range(k + 1):
+            for size in range(200):
+                assert _orbit_items(l, k, size) == _reference_orbit_items(l, k, size), (l, k, size)
+                last = size // (k + 2) + 1
+                last_length_used += any(abs(g.weight) <= size for g in bgg_generators(last, l, k))
+    assert last_length_used > 5000
+    qkostka.clear_caches()
 
 
 def test_compositions_of_equal_size_share_one_orbit_walk():
