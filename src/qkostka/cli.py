@@ -15,17 +15,19 @@ All output is deterministic: repeated runs print the same bytes.
 
 `kostka` picks its function from one route table, the `table` kinds share
 one row builder, and one function renders JSON and CSV. A command imports
-only what it uses: `kostka` the core (plus `weyl` for `--route bgg`),
-`table` the cache and its kind's modules, `verify` every route.
+only what it uses, since a process that has no bytecode cache compiles
+every module it loads: `kostka` the core (plus `weyl` for `--route bgg`);
+`verify` the routes suite's layers, `kostka` and `weyl`, and each other
+suite its own layer when it runs; `table` the cache and, only on a miss,
+its kind's modules, so a `characters` hit never loads `virasoro` (the model
+is checked on a miss, still before `--out`). `json`, `csv` and `io` load
+only where those formats are printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import io
-import json
 import os
 import stat
 import sys
@@ -66,6 +68,8 @@ _TERM_COLUMNS = ["exponent_numerator", "coefficient"]
 
 
 def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
+    import csv
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([row.get(c, "") for c in columns] for row in rows)
@@ -74,7 +78,11 @@ def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
 def _render(fmt: str, blob: dict | None, columns: list[str], rows: list[dict]) -> str:
     """Compact sorted-key JSON of blob, or CSV of rows under columns."""
     if fmt == "json":
+        import json
+
         return json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n"
+    import io
+
     buf = io.StringIO()
     _write_csv(buf, columns, rows)
     return buf.getvalue()
@@ -171,6 +179,8 @@ def cmd_verify(args) -> int:
         _emit("".join(summary), args.out)
     if args.format == "json" or not all_passed:
         # a failing text run follows its summary with the report on stdout
+        import json
+
         report = {"suites": [r.to_json_dict() for r in results]}
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         _emit(text, args.out if args.format == "json" else None)
@@ -217,23 +227,26 @@ def cmd_table(args) -> int:
     from .cache import cache_key, load, resolve_cache_dir, store
 
     kind = args.kind
-    if kind == "characters":
-        from .virasoro import MinimalModel
-
-        # (1, 1) is a field of every valid model, so only P and P' can fail
-        MinimalModel(*args.model, 1, 1)
-    _check_out(args.out)
     cache_dir = resolve_cache_dir(args.cache_dir)
     params = _table_params(args)
     payload = key = None
     if cache_dir is not None:
-        # a path that is not a directory fails here, as store would fail
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        # reading needs no directory: a missing one, or a file, is a miss
         key = cache_key(kind, params)
         payload = load(cache_dir, key)
-        if payload is not None:
-            print(f"cache hit {key}", file=sys.stderr)
-    if payload is None:
+    if payload is None and kind == "characters":
+        from .virasoro import MinimalModel
+
+        # checked only on a miss, so a hit never loads virasoro; (1, 1) is a
+        # field of every valid model, so only P and P' can fail
+        MinimalModel(*args.model, 1, 1)
+    _check_out(args.out)
+    if cache_dir is not None:
+        # a path that is not a directory fails here, as store would fail
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    if payload is not None:
+        print(f"cache hit {key}", file=sys.stderr)
+    else:
         rows, columns = _table_rows(kind, args)
         payload = {"kind": kind, "params": params, "columns": columns, "rows": rows}
         if key is not None:
@@ -308,6 +321,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         # a fault (InvariantError, RecursionError, ...) must not exit 1,
         # which means a hard identity failed
+        import json
+
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
 

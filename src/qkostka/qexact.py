@@ -353,20 +353,20 @@ def signed_binomial_sum(items: Iterable[tuple[int, int, int, int]]) -> QPolynomi
 
 
 # The row store: (t, bits) -> ([[t, 1], ..., [t, x]] at q = 2**bits, the bits
-# of memory those ints take), oldest use first. _row_store_bits is the total
-# held, kept at most _ROW_STORE_BITS by dropping the oldest rows.
+# of memory those ints take), oldest use first. _row_store_bits[0] is the
+# total held, kept at most _ROW_STORE_BITS by dropping the oldest rows; a
+# one-item list, so that the total changes without rebinding a module name.
 _row_store: dict[tuple[int, int], tuple[list[int], int]] = {}
-_row_store_bits = 0
+_row_store_bits = [0]
 _ROW_STORE_BITS = 1 << 22
 _row_store_lock = threading.Lock()
 
 
 def _clear_row_store() -> None:
     """Forget every stored row; the next calls walk from [t, 1] again."""
-    global _row_store_bits
     with _row_store_lock:
         _row_store.clear()
-        _row_store_bits = 0
+        _row_store_bits[0] = 0
 
 
 def _gaussian_rows(rows: dict[int, set[int]], bits: int) -> dict[tuple[int, int], int]:
@@ -379,7 +379,6 @@ def _gaussian_rows(rows: dict[int, set[int]], bits: int) -> dict[tuple[int, int]
     made its own [t, x] fit at the same width, so it holds the same ints.
     Each row keeps the longest prefix that fits the budget by itself.
     """
-    global _row_store_bits
     out = {}
     with _row_store_lock:
         for t, ns in rows.items():
@@ -407,14 +406,14 @@ def _gaussian_rows(rows: dict[int, set[int]], bits: int) -> dict[tuple[int, int]
                         held += size
                     elif x in ns:
                         out[t, x] = g
-                _row_store_bits += held - old
+                _row_store_bits[0] += held - old
             for n in ns:
                 if n <= len(row):
                     out[t, n] = row[n - 1]
             if row:
                 _row_store[key] = row, held
-                while _row_store_bits > _ROW_STORE_BITS:
-                    _row_store_bits -= _row_store.pop(next(iter(_row_store)))[1]
+                while _row_store_bits[0] > _ROW_STORE_BITS:
+                    _row_store_bits[0] -= _row_store.pop(next(iter(_row_store)))[1]
     return out
 
 

@@ -7,19 +7,26 @@ are wrong in print, so their residuals are data, not failures:
 label, zero residuals included, while `abf` keeps a finitization audit
 record only when its residual is nonzero.
 Suites are deterministic: fixed seeds and sorted enumeration.
+
+Importing this module loads what the default `routes` suite runs, `kostka`
+(with `charge`) and `weyl`. Every other layer is imported where it is
+read: `verlinde`, `virasoro` and `abf` inside the suites that call them, and
+`reports` where a record is built. A process that runs one suite thus loads
+only that suite's layers.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import abf as abf_mod
-from . import kostka, verlinde, virasoro, weyl
+from . import kostka, weyl
 from .compositions import Composition, admissible_compositions
 from .qexact import QPolynomial, QSeriesTruncated
-from .reports import AuditRecord
+
+if TYPE_CHECKING:
+    from .reports import AuditRecord
+    from .virasoro import MinimalModel
 
 
 class VerifyConfig(NamedTuple):
@@ -50,6 +57,8 @@ class SuiteResult:
 
     def fail(self, params: dict, route_a: str, route_b: str, residual=1, **detail) -> None:
         """Keep a failed hard identity; an integer residual is a constant."""
+        from .reports import AuditRecord
+
         if isinstance(residual, int):
             residual = QPolynomial.q_power(0, residual)
         self.records.append(AuditRecord(params, route_a, route_b, residual, detail=detail))
@@ -97,6 +106,8 @@ def suite_routes(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_verlinde(cfg: VerifyConfig) -> SuiteResult:
     """q = 1 specialization against fusion-ring multiplicities."""
+    from . import verlinde
+
     result = SuiteResult("verlinde")
     for k, m in _grid(cfg):
         for rep in verlinde.q1_consistency(m, k):
@@ -110,6 +121,8 @@ def suite_verlinde(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_weyl(cfg: VerifyConfig) -> SuiteResult:
     """Closed-form orbit words vs iterated reflections, plus orbit sanity."""
+    import random
+
     result = SuiteResult("weyl")
     rng = random.Random(20260816)
     triples = [
@@ -169,13 +182,16 @@ def suite_bgg(cfg: VerifyConfig) -> SuiteResult:
 
 
 def _rocha_caridi_record(
-    params: dict, route: str, series: QSeriesTruncated, mm: virasoro.MinimalModel, order: int
+    params: dict, route: str, series: QSeriesTruncated, mm: MinimalModel, order: int
 ) -> AuditRecord:
     """Compare a series with the Rocha-Caridi character of mm through `order`.
 
     The residual is the constant 1 on a mismatch; the detail lists the first
     eight disagreeing (exponent, series, Rocha-Caridi) coefficients.
     """
+    from . import virasoro
+    from .reports import AuditRecord
+
     rc = virasoro.rocha_caridi(mm, order)
     mismatches = virasoro.series_mismatches(series, rc.series)
     residual = QPolynomial.one() if mismatches else QPolynomial.zero()
@@ -194,6 +210,8 @@ def _coset_labels(k_max: int):
 
 def suite_coset(cfg: VerifyConfig) -> SuiteResult:
     """Branching functions from stabilized Kostka data against theta quotients."""
+    from . import virasoro
+
     result = SuiteResult("coset")
     order = cfg.order
     for k in range(1, 7):
@@ -225,6 +243,9 @@ def suite_coset(cfg: VerifyConfig) -> SuiteResult:
 def suite_fermionic_virasoro(cfg: VerifyConfig) -> SuiteResult:
     """Quasi-particle character sums against theta quotients, plus the
     published-exponent audit, kept for every label."""
+    from . import virasoro
+    from .reports import AuditRecord
+
     result = SuiteResult("fermionic-virasoro")
     order = cfg.order
     for k in range(1, 3):
@@ -245,25 +266,27 @@ def suite_fermionic_virasoro(cfg: VerifyConfig) -> SuiteResult:
 def suite_abf(cfg: VerifyConfig) -> SuiteResult:
     """Finitization identities: reversal lemma, grouped Kostka identity,
     published-proposition audit, and the large-N character limit."""
+    from . import abf
+
     result = SuiteResult("abf")
     for r in range(2, 5):
         for b in range(-4, 5):
             for a in range(1, 5):
                 for N in range((b - a) % 2, 11, 2):
                     result.checked += 1
-                    result.keep(abf_mod.inversion_check(abf_mod.AbfLabel(r, b, a, N)))
+                    result.keep(abf.inversion_check(abf.AbfLabel(r, b, a, N)))
     for k in range(1, 4):
         for j in range(k):
             for l in range(k + 1):
                 for N in range(0, 11):
                     result.checked += 1
-                    result.keep(abf_mod.grouped_identity_check(k, j, l, N))
+                    result.keep(abf.grouped_identity_check(k, j, l, N))
     for k in range(1, 4):
         for j in range(k):
             for l in range(k + 1):
                 for N in range((j + 1 - l) % 2, 7, 2):
                     result.checked += 1
-                    for rec in abf_mod.finitization_audit(k, j, l, N):
+                    for rec in abf.finitization_audit(k, j, l, N):
                         result.keep(rec)
     limit_order = min(cfg.order, 12)
     for r in range(2, 5):
@@ -282,12 +305,14 @@ def _abf_limit_record(r: int, b: int, a: int, order: int) -> AuditRecord:
     degree min(m, N-m), so N below is large enough for every term of the
     window; the N vs N+2 check guards the bound.
     """
+    from . import abf, virasoro
+
     mm = virasoro.MinimalModel(r, r + 1, b, a)
     N = 2 * order + abs(b - a) + 4 * (r + 1)
     N += (N - (b - a)) % 2
     window, wider = (
         [poly.coefficient(d) for d in range(order + 1)]
-        for poly in [abf_mod.abf_polynomial(abf_mod.AbfLabel(r, b, a, n)) for n in (N, N + 2)]
+        for poly in [abf.abf_polynomial(abf.AbfLabel(r, b, a, n)) for n in (N, N + 2)]
     )
     if window != wider:
         raise virasoro.StabilizationCapExceeded(

@@ -13,7 +13,7 @@ audit, with the difference reported as data.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import floor, gcd
 from operator import add, mul
 from typing import Iterator, NamedTuple
@@ -231,19 +231,18 @@ def _reversed_term_data(
         raise InvariantError("inadmissible N parity")
     # s_1 absorbs what the frozen species 2..k+1 do not occupy
     s = [(weighted - l) // 2 - sum(b * tb for b, tb in zip(range(2, level + 1), t)), *t]
-    x = [Fraction(ma, 2) - sa for ma, sa in zip(m, s)]
-    exponent = sum(
-        min(a, b) * x[a - 1] * x[b - 1]
-        for a in range(1, level + 1)
-        for b in range(1, level + 1)
-    )
-    tops = []
-    for a in range(1, level + 1):
-        v = max(0, a - level + l)
-        top = sum(min(a, b) * (m[b - 1] - 2 * s[b - 1]) for b in range(1, level + 1))
-        tops.append(top - v + s[a - 1])
+    # the exponent is sum_(a,b) min(a, b) x_a x_b with x = m/2 - s. It is
+    # summed over the integers y = 2x = m - 2s, 4 times too large. min(a, b)
+    # counts the c <= a, b, so with the tails T_c = y_c + ... + y_level that
+    # sum is sum_c T_c^2, and sum_b min(a, b) y_b is T_1 + ... + T_a
+    y = [ma - 2 * sa for ma, sa in zip(m, s)]
+    tails = list(accumulate(reversed(y)))[::-1]
+    tops = [
+        top - max(0, a - level + l) + sa
+        for a, (top, sa) in enumerate(zip(accumulate(tails), s), start=1)
+    ]
     d = tops[0] - s[0]
-    return Fraction(exponent), tuple(tops[1:]), d
+    return Fraction(sum(T * T for T in tails), 4), tuple(tops[1:]), d
 
 
 def fermionic_term_limit(

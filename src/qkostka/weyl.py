@@ -33,6 +33,15 @@ class BranchError(ValueError):
     pass
 
 
+def _reflect(gen: str, i: int, k: int, m: int) -> tuple[int, int]:
+    """(weight, grade) after one shifted simple reflection at level k."""
+    if gen == "s0":
+        return -i + 2 * k + 2, m + k - i + 1
+    if gen == "s1":
+        return -i - 2, m
+    raise BranchError(f"unknown generator {gen!r}")
+
+
 def shifted_reflection(gen: str, w: AffineWeight) -> AffineWeight:
     """Apply one shifted simple reflection.
 
@@ -40,18 +49,20 @@ def shifted_reflection(gen: str, w: AffineWeight) -> AffineWeight:
     s1: (i, k, m) -> (-i - 2, k, m)
     """
     i, k, m = w
-    if gen == "s0":
-        return AffineWeight(-i + 2 * k + 2, k, m + k - i + 1)
-    if gen == "s1":
-        return AffineWeight(-i - 2, k, m)
-    raise BranchError(f"unknown generator {gen!r}")
+    i, m = _reflect(gen, i, k, m)
+    return AffineWeight(i, k, m)
 
 
 def apply_word(word: Iterable[str], w: AffineWeight) -> AffineWeight:
-    """Apply a word of generators, rightmost factor first."""
-    for gen in reversed(list(word)):
-        w = shifted_reflection(gen, w)
-    return w
+    """Apply a word of generators, rightmost factor first.
+
+    The steps run on plain integers and one AffineWeight is built at the
+    end; `tuple` returns a tuple word itself, uncopied.
+    """
+    i, k, m = w
+    for gen in reversed(tuple(word)):
+        i, m = _reflect(gen, i, k, m)
+    return AffineWeight(i, k, m)
 
 
 def closed_form_action(branch: str, n: int, w: AffineWeight) -> AffineWeight:

@@ -275,6 +275,46 @@ def test_table_characters_refuses_a_bad_model_before_the_cache(model, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+MODEL_ERROR = "error: model labels must be coprime and at least 2\n"
+
+
+def test_table_characters_refusals_and_their_order(tmp_path, capsys):
+    # the model is checked only on a cache miss, yet a bad one still comes
+    # first, and a refused model creates no cache directory
+    cache = tmp_path / "cache"
+    missing_out = tmp_path / "missing" / "x.csv"
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    cases = [
+        (["--model", "4", "6"], (2, "", MODEL_ERROR)),
+        (["--model", "4", "6", "--out", str(missing_out)], (2, "", MODEL_ERROR)),
+        (["--model", "1", "4", "--cache-dir", str(blocker)], (2, "", MODEL_ERROR)),
+        (["--model", "3", "4", "--out", str(missing_out)],
+         (2, "", f"error: [Errno 2] No such file or directory: '{missing_out}'\n")),
+        (["--model", "3", "4", "--cache-dir", str(blocker)],
+         (2, "", f"error: [Errno 17] File exists: '{blocker}'\n")),
+    ]
+    for argv, want in cases:
+        argv = ["table", "characters", "--order", "4", *argv]
+        if "--cache-dir" not in argv:
+            argv += ["--cache-dir", str(cache)]
+        assert run(capsys, *argv) == want, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+    assert blocker.read_text() == "not a directory"
+
+
+def test_table_characters_cache_hit_checks_out_before_printing(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["table", "characters", "--order", "4", "--cache-dir", str(cache)]
+    code, stored, err = run(capsys, *args)
+    assert code == 0 and err.startswith("cache store ")
+    missing_out = tmp_path / "missing" / "x.csv"
+    assert run(capsys, *args, "--out", str(missing_out)) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{missing_out}'\n"
+    )
+    assert run(capsys, *args) == (0, stored, "cache hit " + err.split()[-1] + "\n")
+
+
 def test_table_out_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run(

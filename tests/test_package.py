@@ -215,15 +215,21 @@ NOT_AT_START_UP = (
 )
 
 
-def _fresh_process(code: str):
-    """Run code in a new interpreter and return the JSON of its last line."""
+def _last_line_of_fresh_process(code: str) -> str:
+    """Run code in a new interpreter, without KOSTKA_CACHE_DIR, and return
+    the last line it printed."""
     src = str(Path(qkostka.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k != "KOSTKA_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def _fresh_process(code: str):
+    """Run code in a new interpreter and return the JSON of its last line."""
+    return json.loads(_last_line_of_fresh_process(code))
 
 
 def test_cli_start_up_loads_only_the_core():
@@ -255,6 +261,60 @@ def test_table_kostka_cache_miss_loads_no_other_route():
         "sys.stdout = stdout\n"
         "watched = ['qkostka.' + m for m in ('verify', 'abf', 'reports', 'virasoro', 'weyl')]\n"
         "print(json.dumps(sorted(m for m in watched if m in sys.modules and m not in before)))\n"
+    )
+    assert loaded == []
+
+
+def _loaded_by_cli(argv: list[str], watched: tuple[str, ...]) -> list[str]:
+    """The watched modules a fresh `cli.main(argv)` loads, which must exit 0.
+
+    The result is printed without json, so json can be watched too.
+    """
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qkostka.cli\n"
+        f"code = qkostka.cli.main({argv!r})\n"
+        f"print('loaded', code, *[m for m in {watched!r} if m in sys.modules and m not in before])\n"
+    )
+    tag, exit_code, *loaded = _last_line_of_fresh_process(code).split()
+    assert (tag, exit_code) == ("loaded", "0")
+    return loaded
+
+
+CHARACTER_LAYERS = ("qkostka.virasoro", "qkostka.abf", "qkostka.verlinde", "qkostka.coinvariants")
+
+
+@pytest.mark.parametrize(
+    "argv, watched",
+    [
+        (["verify", "weyl"], CHARACTER_LAYERS),
+        (["verify", "bgg"], CHARACTER_LAYERS),
+        (["verify", "verlinde"], ("qkostka.virasoro", "qkostka.abf")),
+        (["kostka", "--m", "1^6", "--weight", "0", "--level", "2"], ("json", "csv")),
+    ],
+)
+def test_a_command_loads_only_its_own_layers(argv, watched):
+    # each such module is compiled in a process that has no bytecode cache
+    assert _loaded_by_cli(argv, watched) == []
+
+
+def test_a_table_characters_cache_hit_loads_no_virasoro(tmp_path):
+    argv = ["table", "characters", "--order", "6", "--cache-dir", str(tmp_path), "--out",
+            str(tmp_path / "table.csv")]
+    assert _loaded_by_cli(argv, ("qkostka.virasoro",)) == ["qkostka.virasoro"]
+    assert _loaded_by_cli(argv, ("qkostka.virasoro",)) == []
+
+
+def test_a_routes_grid_loads_nothing_verify_did_not():
+    # the default suite's layers come with `import qkostka.verify`
+    loaded = _fresh_process(
+        "import json, sys\n"
+        "import qkostka.verify as verify\n"
+        "before = set(sys.modules)\n"
+        "verify.run_suites(['routes'], verify.VerifyConfig(max_weight=6, max_level=2))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qkostka')\n"
+        "                        and m not in before)))\n"
     )
     assert loaded == []
 

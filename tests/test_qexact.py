@@ -565,7 +565,7 @@ def _stored_bits() -> int:
     for row, held in qexact._row_store.values():
         assert held == sum(8 * sys.getsizeof(g) for g in row)
         total += held
-    assert total == qexact._row_store_bits
+    assert total == qexact._row_store_bits[0]
     return total
 
 
@@ -574,7 +574,7 @@ def test_row_store_cold_and_warm_reads_match_the_pascal_recursion():
         for t, n in _reads_that_fit(bits):
             want = reference_gaussian_binomial(t, n)._terms
             qkostka.clear_caches()
-            assert qexact._row_store == {} and qexact._row_store_bits == 0
+            assert qexact._row_store == {} and qexact._row_store_bits[0] == 0
             assert _stored_read(t, n, bits) == want, (t, n, bits, "cold")
             row, _ = qexact._row_store[t, bits]
             assert len(row) == n
@@ -676,7 +676,7 @@ def test_row_store_stays_within_its_budget_over_long_sweeps():
         assert peak <= budget, (l, m, k)
     assert peak > budget // 2, "the sweep never came near the budget"
     qkostka.clear_caches()
-    assert qexact._row_store_bits == _stored_bits() == 0
+    assert qexact._row_store_bits[0] == _stored_bits() == 0
 
 
 def test_row_store_keeps_its_total_under_concurrent_calls(monkeypatch):

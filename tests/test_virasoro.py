@@ -470,3 +470,68 @@ def test_coset_gap_refuses_bad_labels(monkeypatch):
     )
     with pytest.raises(InvariantError, match="not a nonnegative integer"):
         coset_gap(0, 0, 1, 0)
+
+
+def _reference_reversed_term_data(t, j, l, k, N):
+    """_reversed_term_data on Fractions x = m/2 - s with the double sums
+    written out, kept verbatim."""
+    level = k + 1
+    m = hook_composition(N, j).padded(level)
+    weighted = sum(a * ma for a, ma in enumerate(m, start=1))
+    if (weighted - l) % 2:
+        raise InvariantError("inadmissible N parity")
+    s = [(weighted - l) // 2 - sum(b * tb for b, tb in zip(range(2, level + 1), t)), *t]
+    x = [Fraction(ma, 2) - sa for ma, sa in zip(m, s)]
+    exponent = sum(
+        min(a, b) * x[a - 1] * x[b - 1]
+        for a in range(1, level + 1)
+        for b in range(1, level + 1)
+    )
+    tops = []
+    for a in range(1, level + 1):
+        v = max(0, a - level + l)
+        top = sum(min(a, b) * (m[b - 1] - 2 * s[b - 1]) for b in range(1, level + 1))
+        tops.append(top - v + s[a - 1])
+    d = tops[0] - s[0]
+    return Fraction(exponent), tuple(tops[1:]), d
+
+
+def test_reversed_term_data_matches_the_fraction_reference(monkeypatch):
+    from qkostka import verify
+
+    # every (t, j, l, k, N) that `verify fermionic-virasoro --order 40` visits,
+    # and every one the character sums with k = 3, 4 visit through order 12
+    visited = []
+    real = virasoro._reversed_term_data
+
+    def recorded(*args):
+        visited.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(virasoro, "_reversed_term_data", recorded)
+    assert verify.suite_fermionic_virasoro(verify.VerifyConfig(order=40)).passed
+    assert len(visited) == 324
+    for k in (3, 4):
+        for j in range(k + 1):
+            for l in range(k + 2):
+                fermionic_character_sum(j, l, k, 12)
+    monkeypatch.undo()
+    assert len(visited) == 324 + 688
+    # and a box with k <= 4 that takes in small and inadmissible N
+    visited += [
+        (t, j, l, k, N)
+        for k in range(1, 5) for t in product(range(2), repeat=k)
+        for j in range(k + 1) for l in range(k + 2) for N in range(9)
+    ]
+    refused = 0
+    for args in visited:
+        try:
+            want = _reference_reversed_term_data(*args)
+        except InvariantError:
+            with pytest.raises(InvariantError, match="inadmissible N parity"):
+                virasoro._reversed_term_data(*args)
+            refused += 1
+            continue
+        got = virasoro._reversed_term_data(*args)
+        assert got == want and type(got[0]) is Fraction, args
+    assert refused > 1000

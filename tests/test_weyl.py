@@ -204,3 +204,48 @@ def test_compositions_of_equal_size_share_one_orbit_walk():
             assert euler_characteristic_bgg(m, l, 2) == restricted_fermionic(l, m, 2), (m, l)
     info = _orbit_items.cache_info()
     assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
+
+
+def _reference_apply_word(word, w):
+    """apply_word as one AffineWeight per step, with the reflection rule of
+    shifted_reflection written out, kept verbatim."""
+    for gen in reversed(list(word)):
+        i, k, m = w
+        if gen == "s0":
+            w = AffineWeight(-i + 2 * k + 2, k, m + k - i + 1)
+        elif gen == "s1":
+            w = AffineWeight(-i - 2, k, m)
+        else:
+            raise BranchError(f"unknown generator {gen!r}")
+    return w
+
+
+def test_apply_word_matches_the_per_step_reference(monkeypatch):
+    from qkostka import verify, weyl
+
+    # every (word, start) the weyl suite applies
+    visited = []
+
+    def recorded(word, w):
+        visited.append((word, w))
+        return apply_word(word, w)
+
+    monkeypatch.setattr(weyl, "apply_word", recorded)
+    assert verify.suite_weyl(verify.VerifyConfig()).passed
+    monkeypatch.undo()
+    assert len(visited) == 3600
+    # and every branch word up to n = 20 on a grid of starts
+    visited += [
+        (word_for(branch, n), AffineWeight(i, k, m))
+        for branch in "abcd" for n in range(21)
+        for i in range(-6, 7) for k in range(1, 7) for m in (-3, 0, 5)
+    ]
+    for word, w in visited:
+        got = apply_word(word, w)
+        assert got == _reference_apply_word(word, w) and type(got) is AffineWeight, (word, w)
+    # a word given as an iterator, and an unknown generator anywhere in it
+    w = AffineWeight(1, 2, 0)
+    assert apply_word(iter(("s0", "s1", "s0")), w) == _reference_apply_word(("s0", "s1", "s0"), w)
+    for word in (("s2",), ("s0", "s2"), ("s2", "s1", "s0")):
+        with pytest.raises(BranchError, match="unknown generator 's2'"):
+            apply_word(word, w)
