@@ -13,15 +13,16 @@ stderr. Audit-class residuals (published formulas known to disagree with
 their derivations) are reported as data and never affect exit codes.
 All output is deterministic: repeated runs print the same bytes.
 
-`kostka` picks its function from one route table, the `table` kinds share
-one row builder, and one function renders JSON and CSV. A command imports
-only what it uses, since a process that has no bytecode cache compiles
-every module it loads: `kostka` the core (plus `weyl` for `--route bgg`);
-`verify` the routes suite's layers, `kostka` and `weyl`, and each other
-suite its own layer when it runs; `table` the cache and, only on a miss,
-its kind's modules, so a `characters` hit never loads `virasoro` (the model
-is checked on a miss, still before `--out`). `json`, `csv` and `io` load
-only where those formats are printed.
+`kostka` picks its function from one route table, the degree reversal
+being one more route; a route with no unrestricted form needs --level. The
+`table` kinds share one row builder, and one function renders JSON and
+CSV. A command imports only what it uses, since a process that has no
+bytecode cache compiles every module it loads: `kostka` the core (plus
+`weyl` for `--route bgg`); `verify` the routes suite's layers, `kostka` and
+`weyl`, and each other suite its own layer when it runs; `table` the cache
+and, only on a miss, its kind's modules, so a `characters` hit never loads
+`virasoro` (the model is checked on a miss, still before `--out`). `json`,
+`csv` and `io` load only where those formats are printed.
 """
 
 from __future__ import annotations
@@ -133,24 +134,17 @@ _ROUTES = {
         lambda l, m: kostka_sl2_oracle(l, m),
     ),
     "bgg": (_bgg, None),
+    "reversed": (lambda l, m, k: kostka.reversed_restricted(l, m, k), None),
 }
 
 
 def cmd_kostka(args) -> int:
     k, l, m, route = args.level, args.weight, args.m, args.route
     restricted, unrestricted = _ROUTES[route]
-    if k is None and (args.reversed or unrestricted is None):
+    if k is None and unrestricted is None:
         print("error: this route needs --level", file=sys.stderr)
         return 2
-    if args.reversed and route != "fermionic":
-        print("error: --reversed takes only the fermionic route", file=sys.stderr)
-        return 2
-    if args.reversed:
-        poly, route = kostka.reversed_restricted(l, m, k), "reversed"
-    elif k is None:
-        poly = unrestricted(l, m)
-    else:
-        poly = restricted(l, m, k)
+    poly = unrestricted(l, m) if k is None else restricted(l, m, k)
     params = {"level": "" if k is None else k, "weight": l, "m": factor_string(m), "route": route}
     if args.format == "text":
         text = f"{poly}\n"
@@ -269,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="factor list, e.g. 2,1,1 or 1^4,2 (spins, not multiplicities)")
     pk.add_argument("--weight", "-l", type=int, required=True)
     pk.add_argument("--level", "-k", type=int, default=None)
-    pk.add_argument("--reversed", action="store_true",
-                    help="degree-reversed restricted polynomial (needs --level)")
     pk.add_argument("--route", choices=list(_ROUTES), default="fermionic")
     pk.add_argument("--format", choices=["text", "json", "csv"], default="text")
     pk.set_defaults(func=cmd_kostka)

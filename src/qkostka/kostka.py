@@ -12,8 +12,8 @@ a fault in the fermionic walk does not reach the Euler route. Route
 agreement across all of them is the central correctness argument.
 
 The fermionic sum walks the occupation vectors s (sum a*s_a = N) top-down,
-one recursion level per level a from min(k, N) to 1. Its state at level a
-(what remains of N, sum_(b>a) s_b and sum_(b>a) (b-a) s_b) fixes
+one recursion level per level a from max(min(k, N), 1) to 1. Its state at
+level a (what remains of N, sum_(b>a) s_b and sum_(b>a) (b-a) s_b) fixes
 (A(m-2s))_a, so a vanishing binomial prunes the whole subtree below it.
 Levels above N are never visited: there s_a = 0, and the vanishing margin
 is concave in a and nonnegative at both ends.
@@ -69,11 +69,11 @@ def _fermionic_terms(
     polynomial is zero.
 
     The vectors are walked top-down, choosing s_a at level a from level
-    min(k, N) to level 1, so the recursion is min(k, N) deep. The state at
-    level a is what remains of N, S_(a+1) = sum_(b>a) s_b and
-    R_a = sum_(b>a) (b-a) s_b. Then (As)_a = N - R_a, and the vanishing test
-    (A(m-2s))_a < v_a does not read s_a: it cuts off a whole subtree before
-    any lower level is chosen.
+    max(min(k, N), 1) to level 1, so the recursion is max(min(k, N), 1)
+    deep. The state at level a is what remains of N, S_(a+1) = sum_(b>a) s_b
+    and R_a = sum_(b>a) (b-a) s_b. Then (As)_a = N - R_a, and the vanishing
+    test (A(m-2s))_a < v_a does not read s_a: it cuts off a whole subtree
+    before any lower level is chosen.
     """
     check_level_weight(l, k)
     comp = as_composition(m)
@@ -88,9 +88,9 @@ def _fermionic_terms(
     if (size - l) % 2 or size < l:
         return []
     n = (size - l) // 2
-    # the walk reads (Am)_a only at levels a <= min(k, N), so the padding
-    # stops there: a list as long as the level would cost memory that grows
-    # with k, and unrestricted walks at level |m|
+    # the walk reads (Am)_a only at levels a <= max(min(k, N), 1), within
+    # the width or min(k, N): a list as long as the level would cost memory
+    # that grows with k, and unrestricted walks at level |m|
     a_m += [size] * (min(k, n) - comp.width)
     shift = k - l  # v_a = max(0, a - shift), the restriction vector
     terms: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
@@ -119,11 +119,10 @@ def _fermionic_terms(
     # (A(m-2s))_a - v_a = (Am)_a - 2N - v_a is concave in a, since (Am)_a has
     # nonincreasing steps M_a and v_a is convex. It is checked at a = N
     # below, and at a = k it is |m| - 2N - l = 0, so it is nonnegative in
-    # between. With N = 0 the one vector s = 0 passes every level the same way.
-    if n:
-        walk(min(k, n), n, 0, 0, 0, ())
-    else:
-        terms.append((1, 0, ()))
+    # between. With N = 0 the walk starts at level 1, whose test the one
+    # vector s = 0 passes: there free is the number of factors less v_1, and
+    # v_1 = 1 only when l = k = |m| >= 1.
+    walk(max(min(k, n), 1), n, 0, 0, 0, ())
     return terms
 
 

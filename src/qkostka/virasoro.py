@@ -107,22 +107,19 @@ def rocha_caridi(mm: MinimalModel, order: int) -> BranchingSeries:
 
 
 def series_mismatches(a: QSeriesTruncated, b: QSeriesTruncated) -> list[tuple[Fraction, int, int]]:
-    """Coefficient disagreements (exponent, a's, b's) of two series.
+    """Coefficient disagreements (exponent, a's, b's) of two series, by exponent.
 
-    The grid is each series' own exponents offset, offset + 1, ... up to the
-    lower of the two truncation edges, so both coefficients are known at
-    every grid point: a series reads 0 below its offset and off its own
-    integer ladder.
+    Each series is read as its nonzero coefficients up to the lower of the
+    two truncation edges, where both series are known: a series reads 0
+    below its offset and off its own integer ladder.
     """
     hi = min(a.hi_exponent(), b.hi_exponent())
-    grid = {s.offset + n for s in (a, b) for n in range(floor(hi - s.offset) + 1)}
-    out = []
-    for e in sorted(grid):
-        ca = a.coefficient_at(e) or 0
-        cb = b.coefficient_at(e) or 0
-        if ca != cb:
-            out.append((e, ca, cb))
-    return out
+    ca, cb = (
+        {s.offset + n: c for n, c in enumerate(s.coeffs[: max(0, floor(hi - s.offset) + 1)]) if c}
+        for s in (a, b)
+    )
+    differ = sorted(e for e in ca.keys() | cb.keys() if ca.get(e) != cb.get(e))
+    return [(e, ca.get(e, 0), cb.get(e, 0)) for e in differ]
 
 
 def coset_prefactor_exponent(i: int, j: int, k: int, l: int) -> Fraction:

@@ -54,7 +54,7 @@ def test_kostka_csv(capsys):
     code, out, _ = run(
         capsys,
         "kostka", "--m", "1^4", "--weight", "0", "--level", "2",
-        "--reversed", "--format", "csv",
+        "--route", "reversed", "--format", "csv",
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -81,7 +81,7 @@ def test_exit_code_2_on_bad_input(capsys):
     code, _, _ = run(capsys, "kostka", "--m", "bogus", "--weight", "0")
     assert code == 2
 
-    code, _, err = run(capsys, "kostka", "--m", "1^4", "--weight", "0", "--reversed")
+    code, _, err = run(capsys, "kostka", "--m", "1^4", "--weight", "0", "--route", "reversed")
     assert code == 2
     assert "level" in err
 
@@ -108,15 +108,31 @@ def test_exit_code_2_on_bad_input(capsys):
         assert argv[2] in err
 
 
-@pytest.mark.parametrize("route", ["alternating", "charge", "bgg"])
-def test_reversed_refuses_other_routes(capsys, route):
+@pytest.mark.parametrize("route", ["alternating", "bgg", "reversed"])
+def test_a_route_with_no_unrestricted_form_needs_a_level(capsys, route):
+    code, out, err = run(capsys, "kostka", "--m", "1^6,2", "--weight", "2", "--route", route)
+    assert (code, out, err) == (2, "", "error: this route needs --level\n")
+
+
+# the degree reversal as the --reversed flag printed it, before it became a route
+REVERSED_BYTES = {
+    "text": "1 + q + 2*q^2 + 3*q^3 + 2*q^4 + 2*q^5 + q^6 + q^7\n",
+    "json": '{"level":3,"m":"1^6,2","polynomial":{"den":4,"terms":[[0,"1"],[4,"1"],'
+            '[8,"2"],[12,"3"],[16,"2"],[20,"2"],[24,"1"],[28,"1"]]},'
+            '"route":"reversed","weight":2}\n',
+    "csv": "level,weight,m,route,exponent_numerator,coefficient\n"
+           + "".join(f'3,2,"1^6,2",reversed,{4 * d},{c}\n'
+                     for d, c in enumerate([1, 1, 2, 3, 2, 2, 1, 1])),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REVERSED_BYTES))
+def test_reversed_route_prints_the_bytes_of_the_removed_flag(capsys, fmt):
     code, out, err = run(
-        capsys, "kostka", "--m", "1^4", "--weight", "0", "--level", "2",
-        "--reversed", "--route", route,
+        capsys, "kostka", "--m", "1^6,2", "--weight", "2", "--level", "3",
+        "--route", "reversed", "--format", fmt,
     )
-    assert code == 2
-    assert out == ""
-    assert err == "error: --reversed takes only the fermionic route\n"
+    assert (code, out, err) == (0, REVERSED_BYTES[fmt], "")
 
 
 @pytest.mark.parametrize("route", ["fermionic", "alternating", "charge", "bgg"])
@@ -175,6 +191,7 @@ def test_verify_json(capsys):
         ("verify", "routes", "--workers", "2"),
         ("table", "kostka", "--workers", "2"),
         ("kostka", "--m", "1^4", "--weight", "0", "--level", "2", "--restricted"),
+        ("kostka", "--m", "1^4", "--weight", "0", "--level", "2", "--reversed"),
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -575,7 +592,7 @@ GOLDEN_FRONT_END_SHA256 = {
         "b0f9fb17182a41e27940d0d1508148a84627353588aa3c396f356bd67d3b675f",
     f"{RESTRICTED} --route bgg --format csv":
         "6b27c83a6e24ccca2b84103e84138fb1e49ad13c5569633a9ee525efb098c53d",
-    f"{RESTRICTED} --reversed --format csv":
+    f"{RESTRICTED} --route reversed --format csv":
         "c9081cf83524276041ffd1fb3d07f9fe65144ce7223ba44097d0d6f66e750296",
     f"{UNRESTRICTED} --format json": "114bd927258a3d628cff067fe516aaa06c76994f8186cce1fb74e1ab46688f1a",
     f"{UNRESTRICTED} --format csv": "1e3bf32eae72f4f4afe56c9a8a6fe76d00ff86068e081e656fdd3a99f984b285",

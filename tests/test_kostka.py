@@ -542,6 +542,22 @@ def test_unrestricted_terms_are_the_same_one_level_higher():
     assert checked == 6101
 
 
+def test_the_walk_gives_the_one_term_at_n_zero():
+    # at l = |m| (N = 0) the walk starts at level 1, where v_1 = 1 exactly
+    # when l = k; the one vector s = 0 must still pass and give q^0
+    compositions = admissible_compositions(12, 12)
+    assert Composition(()) in compositions
+    cases = at_level_l = 0
+    for m in compositions:
+        size = weighted_size(m)
+        for k in range(max(size, m.width, 1), size + 4):
+            assert kostka_module._fermionic_terms(size, m, k) == [(1, 0, ())], (m, k)
+            assert restricted_fermionic(size, m, k) == QPolynomial.one(), (m, k)
+            cases += 1
+            at_level_l += size == k
+    assert (cases, at_level_l) == (1087, 271)
+
+
 def test_routes_sweep_walks_each_polynomial_once(monkeypatch):
     # one top-down walk per restricted polynomial, and one slice fill per
     # composition that yields every unrestricted polynomial the Euler route reads
