@@ -6,10 +6,11 @@ independent routes (quasi-particle sums, tableau statistics, Weyl-orbit
 alternating sums, functional models, theta quotients) and the test suite
 holds the routes against each other.
 
-Importing the package loads only the core every route needs:
-`compositions`, `qexact`, `kostka` and `charge`. The names exported from
-`abf`, `coinvariants`, `reports`, `verlinde`, `virasoro` and `weyl` load
-their module on first use, so a short process pays only for what it calls.
+Importing the package loads only the core the routes need:
+`compositions`, `qexact`, `kostka` and `charge`, and not `fractions`. The
+names exported from `abf`, `coinvariants`, `reports`, `verlinde`, `virasoro`
+(the truncated q-series among them) and `weyl` load their module on first
+use, so a short process pays only for what it calls.
 """
 
 __version__ = "0.1.0"
@@ -28,14 +29,7 @@ from .compositions import (
     top_degree_h,
     weighted_size,
 )
-from .qexact import (
-    QPolynomial,
-    QSeriesTruncated,
-    bounded_partition_series,
-    gaussian_binomial,
-    partition_series,
-    vector_gaussian_binomial,
-)
+from .qexact import QPolynomial, gaussian_binomial, vector_gaussian_binomial
 from .kostka import (
     alternating_sum_raw,
     fusion_char_hook,
@@ -47,6 +41,9 @@ from .kostka import (
     reversed_restricted,
     unrestricted,
 )
+# not lazy: loading the submodule (which `kostka` does) binds the package
+# attribute `charge` to the module, and only this import rebinds it to the
+# function; a lazy export of that name would never be looked up
 from .charge import charge, enumerate_ssyt, kostka_foulkes, kostka_sl2_oracle, reading_word
 
 # exported name -> defining submodule, for the modules loaded on first use
@@ -59,10 +56,11 @@ _LAZY_EXPORTS = {
                           "build_constraint_matrix", "restricted_kostka_oracle")),
         ("reports", ("AuditRecord",)),
         ("verlinde", ("fuse_basic", "q1_consistency", "structure_constants")),
-        ("virasoro", ("BranchingSeries", "LimitTermData", "MinimalModel",
-                      "branching_via_kostka_limit", "conformal_weight",
-                      "coset_central_charge", "fermionic_character_sum",
-                      "fermionic_term_limit", "rocha_caridi", "series_mismatches")),
+        ("virasoro", ("BranchingSeries", "LimitTermData", "MinimalModel", "QSeriesTruncated",
+                      "bounded_partition_series", "branching_via_kostka_limit",
+                      "conformal_weight", "coset_central_charge", "fermionic_character_sum",
+                      "fermionic_term_limit", "partition_series", "rocha_caridi",
+                      "series_mismatches")),
         ("weyl", ("AffineWeight", "bgg_generators", "closed_form_action",
                   "euler_characteristic_bgg", "homology_dim_predicate",
                   "shifted_reflection")),

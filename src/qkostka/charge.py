@@ -36,7 +36,6 @@ from .compositions import (
     as_composition,
     bridge_to_partition,
     norm_ss,
-    weighted_size,
 )
 from .qexact import _ZERO, EXPONENT_DENOMINATOR, QPolynomial, _wrap
 
@@ -295,7 +294,7 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     Each row-2 length's tally becomes its polynomial in one dict pass.
     """
     comp = as_composition(m)
-    size = weighted_size(comp)
+    size = comp._weighted_size
     if l < 0 or l > size or (size - l) % 2:
         return _ZERO
     len2 = (size - l) // 2

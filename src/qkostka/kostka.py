@@ -32,7 +32,6 @@ from .compositions import (
     as_composition,
     check_level_weight,
     top_degree_h,
-    weighted_size,
 )
 from .qexact import _ZERO, QPolynomial, gaussian_product_sum, shifted_sum, signed_binomial_sum
 
@@ -137,7 +136,7 @@ def unrestricted(l: int, m: CompositionLike) -> QPolynomial:
     if l < 0:
         return _ZERO
     comp = as_composition(m)
-    return restricted_fermionic(l, comp, max(weighted_size(comp), l, 1))
+    return restricted_fermionic(l, comp, max(comp._weighted_size, l, 1))
 
 
 def _unrestricted_source(route: Route) -> Callable[[int, Composition], QPolynomial]:
@@ -163,7 +162,7 @@ def alternating_sum_raw(
     """
     check_level_weight(l, k)
     comp = as_composition(m)
-    size = weighted_size(comp)
+    size = comp._weighted_size
     kostka = _unrestricted_source(source)
     items = []
     for i in range((size + l + 2) // (2 * (k + 2)) + 1):
@@ -242,7 +241,7 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
     (Am)_a does not fall, so P_a >= P_L.
     """
     comp = as_composition(m)
-    size = weighted_size(comp)
+    size = comp._weighted_size
     alpha = abs(alpha)
     if alpha > size or (size - alpha) % 2:
         return _ZERO

@@ -1,11 +1,11 @@
-"""Exact arithmetic for sparse Laurent polynomials and truncated series in q.
+"""Exact arithmetic for sparse Laurent polynomials in q.
 
 Exponents live on a fixed quarter-integer grid: each exponent is stored as an
 integer numerator over the implicit denominator 4. That grid is the smallest
 one carrying every quarter power the character formulas produce; rational
 offsets with other denominators (conformal weights) are kept separately on
-truncated series, never folded into the grid. Coefficients are Python ints
-throughout, so nothing is floated and nothing overflows.
+`virasoro`'s truncated series, never folded into the grid. Coefficients are
+Python ints throughout, so nothing is floated and nothing overflows.
 
 Storage is a dict from numerator to nonzero coefficient, and a product is
 the term-by-term convolution of two such dicts. Gaussian binomials walk a
@@ -36,9 +36,6 @@ empties it.
 
 Signed sums of q-shifted polynomials already built (the alternating and
 Euler routes) go through `shifted_sum`, one pass into a single dict.
-
-Every division by (q)_d (partition series, theta quotients, quasi-particle
-sums) is `divide_by_pochhammer`, one running sum per factor 1 - q^part.
 """
 
 from __future__ import annotations
@@ -47,21 +44,27 @@ import math
 import operator
 import sys
 import threading
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .compositions import Value
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 EXPONENT_DENOMINATOR = 4
 
-ExponentLike = Union[int, Fraction]
+ExponentLike = Union[int, "Fraction"]
 
 
 def exponent_numerator(exponent: ExponentLike) -> int:
     """Coerce an int or Fraction exponent to its quarter-grid numerator."""
     if isinstance(exponent, int):
         return EXPONENT_DENOMINATOR * exponent
-    if not isinstance(exponent, Fraction):
+    # a Fraction exists only once `fractions` is loaded, so integer work never
+    # loads it (nor the `decimal` it imports), and a lookup is cheaper than
+    # an import statement on every call
+    fractions = sys.modules.get("fractions")
+    if fractions is None or not isinstance(exponent, fractions.Fraction):
         raise ValueError(f"exponent {exponent!r} is not an int or a Fraction")
     num = exponent.numerator * EXPONENT_DENOMINATOR
     if num % exponent.denominator:
@@ -125,11 +128,15 @@ class QPolynomial(Value):
     def min_exponent(self) -> Fraction:
         if not self._terms:
             raise ValueError("zero polynomial has no minimum exponent")
+        from fractions import Fraction
+
         return Fraction(min(self._terms), EXPONENT_DENOMINATOR)
 
     def max_exponent(self) -> Fraction:
         if not self._terms:
             raise ValueError("zero polynomial has no maximum exponent")
+        from fractions import Fraction
+
         return Fraction(max(self._terms), EXPONENT_DENOMINATOR)
 
     def is_integer_grid(self) -> bool:
@@ -473,86 +480,3 @@ def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int
         digits = [p - n for p, n in zip(digits, _digits(negative, width, count))]
     return _wrap({EXPONENT_DENOMINATOR * (k + low): c for k, c in enumerate(digits) if c})
 
-
-class QSeriesTruncated(Value):
-    """Truncated q-series: q**offset * (c_0 + c_1 q + ... + c_order q**order).
-
-    An immutable `Value`. The offset is an exact rational and may fall off
-    the quarter grid; the tail always steps by integer powers. Lookups never
-    claim coefficients beyond the stated order.
-    """
-
-    __slots__ = ("offset", "coeffs")
-
-    def __init__(self, coeffs: Sequence[int], offset: Fraction | int = 0):
-        if len(coeffs) == 0:
-            raise ValueError("series needs at least the constant coefficient")
-        if not isinstance(offset, (int, Fraction)):
-            raise ValueError(f"offset {offset!r} is not an int or a Fraction")
-        super().__init__(Fraction(offset), tuple(map(_exact, coeffs)))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def hi_exponent(self) -> Fraction:
-        """Largest absolute exponent whose coefficient is known."""
-        return self.offset + self.order
-
-    def coefficient(self, n: int) -> int:
-        """Coefficient of q**(offset + n)."""
-        if n < 0 or n > self.order:
-            raise IndexError("coefficient beyond the truncation order")
-        return self.coeffs[n]
-
-    def coefficient_at(self, exponent: ExponentLike) -> int | None:
-        """Coefficient at an absolute exponent; None when outside the known window."""
-        if not isinstance(exponent, (int, Fraction)):
-            raise ValueError(f"exponent {exponent!r} is not an int or a Fraction")
-        rel = exponent - self.offset
-        if rel < 0 or rel > self.order:
-            return None
-        if rel.denominator != 1:
-            return 0
-        return self.coeffs[int(rel)]
-
-    def __str__(self) -> str:
-        return f"q^({self.offset}) * {list(self.coeffs)}"
-
-    def __repr__(self) -> str:
-        return f"QSeriesTruncated(offset={self.offset}, coeffs={list(self.coeffs)})"
-
-
-def partition_series(order: int) -> QSeriesTruncated:
-    """Truncation of 1/(q)_infinity: coefficient of q^n counts partitions of n."""
-    return bounded_partition_series(order, order)
-
-
-def bounded_partition_series(max_part: int, order: int) -> QSeriesTruncated:
-    """Truncation of 1/(q)_max_part: partitions with parts of size <= max_part.
-
-    A negative max_part stands for an empty reciprocal: terms whose
-    quasi-particle count went negative contribute nothing, so the zero
-    series is returned.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if max_part < 0:
-        return QSeriesTruncated([0] * (order + 1))
-    counts = [1] + [0] * order
-    divide_by_pochhammer(counts, max_part)
-    return QSeriesTruncated(counts)
-
-
-def divide_by_pochhammer(coeffs: list[int], d: int) -> None:
-    """Divide the series c_0 + c_1 q + ... by (q)_d in place, truncated at len(coeffs).
-
-    (q)_d = (1 - q)(1 - q^2)...(1 - q^d); dividing by one factor 1 - q^part
-    is the running sum c_n += c_(n - part), and parts beyond the list's
-    length change nothing.
-    """
-    if d < 0:
-        raise ValueError("the Pochhammer index must be nonnegative")
-    for part in range(1, min(d, len(coeffs) - 1) + 1):
-        for n in range(part, len(coeffs)):
-            coeffs[n] += coeffs[n - part]

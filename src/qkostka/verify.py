@@ -12,21 +12,21 @@ Importing this module loads what the default `routes` suite runs, `kostka`
 (with `charge`) and `weyl`. Every other layer is imported where it is
 read: `verlinde`, `virasoro` and `abf` inside the suites that call them, and
 `reports` where a record is built. A process that runs one suite thus loads
-only that suite's layers.
+only that suite's layers, and the routes import loads no `fractions`: the
+rational exponents and the truncated series arrive with `virasoro`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kostka, weyl
 from .compositions import Composition, admissible_compositions
-from .qexact import QPolynomial, QSeriesTruncated
+from .qexact import QPolynomial
 
 if TYPE_CHECKING:
     from .reports import AuditRecord
-    from .virasoro import MinimalModel
+    from .virasoro import MinimalModel, QSeriesTruncated
 
 
 class VerifyConfig(NamedTuple):
@@ -210,6 +210,8 @@ def _coset_labels(k_max: int):
 
 def suite_coset(cfg: VerifyConfig) -> SuiteResult:
     """Branching functions from stabilized Kostka data against theta quotients."""
+    from fractions import Fraction
+
     from . import virasoro
 
     result = SuiteResult("coset")
@@ -318,7 +320,7 @@ def _abf_limit_record(r: int, b: int, a: int, order: int) -> AuditRecord:
         raise virasoro.StabilizationCapExceeded(
             f"finitization window does not settle for r={r}, b={b}, a={a}"
         )
-    series = QSeriesTruncated(window, offset=virasoro.conformal_weight(mm))
+    series = virasoro.QSeriesTruncated(window, offset=virasoro.conformal_weight(mm))
     params = {"r": r, "b": b, "a": a, "order": order}
     return _rocha_caridi_record(params, "finitization-limit", series, mm, order)
 

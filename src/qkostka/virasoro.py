@@ -8,6 +8,9 @@ terms. The published closed form for the linear part of the fermionic
 exponent fails at the smallest instance, so the derived exponent is
 authoritative here and the published one is evaluated alongside as an
 audit, with the difference reported as data.
+
+Every division by (q)_d (partition series, theta quotients, quasi-particle
+sums) is `divide_by_pochhammer`, one running sum per factor 1 - q^part.
 """
 
 from __future__ import annotations
@@ -16,18 +19,101 @@ from fractions import Fraction
 from itertools import accumulate, product
 from math import floor, gcd
 from operator import add, mul
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .compositions import Composition, InvariantError, Value, as_integers, hook_composition
 from .kostka import _reversed_terms
 from .qexact import (
     QPolynomial,
-    QSeriesTruncated,
-    divide_by_pochhammer,
+    _exact,
     gaussian_product_sum,
     shifted_sum,
     vector_gaussian_binomial,
 )
+
+
+class QSeriesTruncated(Value):
+    """Truncated q-series: q**offset * (c_0 + c_1 q + ... + c_order q**order).
+
+    An immutable `Value`. The offset is an exact rational and may fall off
+    the quarter grid; the tail always steps by integer powers. Lookups never
+    claim coefficients beyond the stated order.
+    """
+
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, coeffs: Sequence[int], offset: Fraction | int = 0):
+        if len(coeffs) == 0:
+            raise ValueError("series needs at least the constant coefficient")
+        if not isinstance(offset, (int, Fraction)):
+            raise ValueError(f"offset {offset!r} is not an int or a Fraction")
+        super().__init__(Fraction(offset), tuple(map(_exact, coeffs)))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def hi_exponent(self) -> Fraction:
+        """Largest absolute exponent whose coefficient is known."""
+        return self.offset + self.order
+
+    def coefficient(self, n: int) -> int:
+        """Coefficient of q**(offset + n)."""
+        if n < 0 or n > self.order:
+            raise IndexError("coefficient beyond the truncation order")
+        return self.coeffs[n]
+
+    def coefficient_at(self, exponent: int | Fraction) -> int | None:
+        """Coefficient at an absolute exponent; None when outside the known window."""
+        if not isinstance(exponent, (int, Fraction)):
+            raise ValueError(f"exponent {exponent!r} is not an int or a Fraction")
+        rel = exponent - self.offset
+        if rel < 0 or rel > self.order:
+            return None
+        if rel.denominator != 1:
+            return 0
+        return self.coeffs[int(rel)]
+
+    def __str__(self) -> str:
+        return f"q^({self.offset}) * {list(self.coeffs)}"
+
+    def __repr__(self) -> str:
+        return f"QSeriesTruncated(offset={self.offset}, coeffs={list(self.coeffs)})"
+
+
+def partition_series(order: int) -> QSeriesTruncated:
+    """Truncation of 1/(q)_infinity: coefficient of q^n counts partitions of n."""
+    return bounded_partition_series(order, order)
+
+
+def bounded_partition_series(max_part: int, order: int) -> QSeriesTruncated:
+    """Truncation of 1/(q)_max_part: partitions with parts of size <= max_part.
+
+    A negative max_part stands for an empty reciprocal: terms whose
+    quasi-particle count went negative contribute nothing, so the zero
+    series is returned.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if max_part < 0:
+        return QSeriesTruncated([0] * (order + 1))
+    counts = [1] + [0] * order
+    divide_by_pochhammer(counts, max_part)
+    return QSeriesTruncated(counts)
+
+
+def divide_by_pochhammer(coeffs: list[int], d: int) -> None:
+    """Divide the series c_0 + c_1 q + ... by (q)_d in place, truncated at len(coeffs).
+
+    (q)_d = (1 - q)(1 - q^2)...(1 - q^d); dividing by one factor 1 - q^part
+    is the running sum c_n += c_(n - part), and parts beyond the list's
+    length change nothing.
+    """
+    if d < 0:
+        raise ValueError("the Pochhammer index must be nonnegative")
+    for part in range(1, min(d, len(coeffs) - 1) + 1):
+        for n in range(part, len(coeffs)):
+            coeffs[n] += coeffs[n - part]
 
 
 class MinimalModel(Value):

@@ -17,7 +17,6 @@ from .compositions import (
     CompositionLike,
     as_composition,
     check_level_weight,
-    weighted_size,
 )
 from .kostka import fusion_weight_char
 from .qexact import QPolynomial, shifted_sum
@@ -156,7 +155,7 @@ def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
     return shifted_sum(
         [
             (sign, grade, fusion_weight_char(comp, weight))
-            for sign, grade, weight in _orbit_items(l, k, weighted_size(comp))
+            for sign, grade, weight in _orbit_items(l, k, comp._weighted_size)
         ]
     )
 

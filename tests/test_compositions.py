@@ -24,9 +24,9 @@ from qkostka.compositions import (
     top_degree_h,
     weighted_size,
 )
-from qkostka.qexact import QPolynomial, QSeriesTruncated
+from qkostka.qexact import QPolynomial
 from qkostka.reports import AuditRecord
-from qkostka.virasoro import MinimalModel
+from qkostka.virasoro import MinimalModel, QSeriesTruncated
 
 
 def test_composition_basics():

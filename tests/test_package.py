@@ -212,6 +212,7 @@ NOT_AT_START_UP = (
     "concurrent.futures",
     "dataclasses",
     "hashlib",
+    "fractions",
 )
 
 
@@ -260,6 +261,7 @@ def test_table_kostka_cache_miss_loads_no_other_route():
         "qkostka.cli.main(['table', 'kostka', '--max-weight', '4', '--max-level', '2'])\n"
         "sys.stdout = stdout\n"
         "watched = ['qkostka.' + m for m in ('verify', 'abf', 'reports', 'virasoro', 'weyl')]\n"
+        "watched.append('fractions')\n"
         "print(json.dumps(sorted(m for m in watched if m in sys.modules and m not in before)))\n"
     )
     assert loaded == []
@@ -288,10 +290,10 @@ CHARACTER_LAYERS = ("qkostka.virasoro", "qkostka.abf", "qkostka.verlinde", "qkos
 @pytest.mark.parametrize(
     "argv, watched",
     [
-        (["verify", "weyl"], CHARACTER_LAYERS),
-        (["verify", "bgg"], CHARACTER_LAYERS),
-        (["verify", "verlinde"], ("qkostka.virasoro", "qkostka.abf")),
-        (["kostka", "--m", "1^6", "--weight", "0", "--level", "2"], ("json", "csv")),
+        (["verify", "weyl"], CHARACTER_LAYERS + ("fractions",)),
+        (["verify", "bgg"], CHARACTER_LAYERS + ("fractions",)),
+        (["verify", "verlinde"], ("qkostka.virasoro", "qkostka.abf", "fractions")),
+        (["kostka", "--m", "1^6", "--weight", "0", "--level", "2"], ("json", "csv", "fractions")),
     ],
 )
 def test_a_command_loads_only_its_own_layers(argv, watched):
@@ -335,19 +337,67 @@ def test_the_lazy_layers_load_without_dataclasses_or_inspect():
 def test_lazy_export_loads_its_module_on_first_access():
     lazy = sorted(set(qkostka._LAZY_EXPORTS.values()))
     assert lazy == ["abf", "coinvariants", "reports", "verlinde", "virasoro", "weyl"]
-    before, after, stored = _fresh_process(
+    # the truncated q-series moved out of the core into virasoro
+    for name in ("rocha_caridi", "QSeriesTruncated", "partition_series"):
+        before, after, stored = _fresh_process(
+            "import json, sys\n"
+            "import qkostka\n"
+            f"lazy = {['qkostka.' + m for m in lazy]!r}\n"
+            "before = [m for m in lazy if m in sys.modules]\n"
+            f"qkostka.{name}\n"
+            "after = [m for m in lazy if m in sys.modules]\n"
+            f"print(json.dumps([before, after, {name!r} in vars(qkostka)]))\n"
+        )
+        assert before == [], name
+        # virasoro imports nothing lazy beyond itself
+        assert after == ["qkostka.virasoro"], name
+        assert stored, name
+
+
+def test_the_package_import_loads_no_fractions():
+    # `fractions` and the `decimal` it imports are compiled in every process
+    # that has no bytecode cache; only rational exponents need them
+    loaded = _fresh_process(
         "import json, sys\n"
+        "before = set(sys.modules)\n"
         "import qkostka\n"
-        f"lazy = {['qkostka.' + m for m in lazy]!r}\n"
-        "before = [m for m in lazy if m in sys.modules]\n"
-        "qkostka.rocha_caridi\n"
-        "after = [m for m in lazy if m in sys.modules]\n"
-        "print(json.dumps([before, after, 'rocha_caridi' in vars(qkostka)]))\n"
+        "print(json.dumps(sorted(m for m in ('fractions', 'decimal')\n"
+        "                        if m in sys.modules and m not in before)))\n"
     )
-    assert before == []
-    # virasoro imports nothing lazy beyond itself
-    assert after == ["qkostka.virasoro"]
-    assert stored
+    assert loaded == []
+
+
+def test_the_kernel_refuses_and_accepts_exponents_in_a_process_without_fractions():
+    # qexact never imports `fractions` for an exponent, so the refusals and
+    # the Fraction cases must not lean on an import made at start-up
+    refusals, accepted = _fresh_process(
+        "import json, sys\n"
+        "from qkostka.qexact import QPolynomial, exponent_numerator\n"
+        "if 'fractions' in sys.modules:\n"
+        "    raise SystemExit('fractions was loaded before the first exponent')\n"
+        "p = QPolynomial.q_power(2, 3)\n"
+        "calls = [exponent_numerator, QPolynomial.q_power, p.shifted, p.coefficient]\n"
+        "def refusal(call, bad):\n"
+        "    try:\n"
+        "        call(bad)\n"
+        "    except ValueError as exc:\n"
+        "        return str(exc)\n"
+        "refusals = [[refusal(call, bad) for bad in (1.5, '3/2')] for call in calls]\n"
+        "from fractions import Fraction\n"
+        "refusals += [[refusal(call, Fraction(1, 3))] for call in calls]\n"
+        "five = Fraction(5, 4)\n"
+        "q = QPolynomial.q_power(five, 7)\n"
+        "lo, hi = (q + p).min_exponent(), (q + p).max_exponent()\n"
+        "accepted = [exponent_numerator(five), q.terms(), p.shifted(five).terms(),\n"
+        "            q.coefficient(five), type(lo) is Fraction, type(hi) is Fraction,\n"
+        "            str(lo), str(hi)]\n"
+        "print(json.dumps([refusals, accepted]))\n"
+    )
+    wrong_type = ["exponent 1.5 is not an int or a Fraction",
+                  "exponent '3/2' is not an int or a Fraction"]
+    off_grid = ["exponent 1/3 does not lie on the 1/4 grid"]
+    assert refusals == [wrong_type] * 4 + [off_grid] * 4
+    assert accepted == [5, [[5, 7]], [[13, 3]], 7, True, True, "5/4", "2"]
 
 
 def test_every_export_is_its_defining_modules_object():

@@ -11,16 +11,18 @@ from qkostka import qexact
 from qkostka.kostka import restricted_fermionic
 from qkostka.qexact import (
     QPolynomial,
-    QSeriesTruncated,
-    bounded_partition_series,
-    divide_by_pochhammer,
     exponent_numerator,
     gaussian_binomial,
     gaussian_product_sum,
-    partition_series,
     shifted_sum,
     signed_binomial_sum,
     vector_gaussian_binomial,
+)
+from qkostka.virasoro import (
+    QSeriesTruncated,
+    bounded_partition_series,
+    divide_by_pochhammer,
+    partition_series,
 )
 
 

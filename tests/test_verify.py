@@ -191,7 +191,8 @@ GOLDEN_FAILING_REPORT_SHA256 = {
 @pytest.fixture
 def broken_routes(monkeypatch):
     from qkostka import abf, kostka, verlinde, virasoro, weyl
-    from qkostka.qexact import QPolynomial, QSeriesTruncated
+    from qkostka.qexact import QPolynomial
+    from qkostka.virasoro import QSeriesTruncated
 
     fermionic = kostka.restricted_fermionic
     rocha_caridi = virasoro.rocha_caridi

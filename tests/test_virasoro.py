@@ -10,10 +10,11 @@ import pytest
 from qkostka import kostka, virasoro
 from qkostka.compositions import InvariantError, hook_composition
 from qkostka.kostka import StabilizationError, reversed_restricted
-from qkostka.qexact import QPolynomial, QSeriesTruncated
+from qkostka.qexact import QPolynomial
 from qkostka.virasoro import (
     BranchingSeries,
     MinimalModel,
+    QSeriesTruncated,
     branching_via_kostka_limit,
     conformal_weight,
     coset_central_charge,
