@@ -4,12 +4,12 @@ Three independent computations live here or nearby: the fermionic sum over
 quasi-particle occupation vectors (this module), the signed theta-like sum
 through unrestricted polynomials (this module, with the unrestricted input
 taken either from the fermionic sum at a level past |m|, where it has
-stabilized, or from the tableau oracle), and the
-graded Euler characteristic over shifted Weyl orbits (module weyl), which
-sums the fusion slices of `fusion_weight_char`. Those slices come from
-their own bottom-up walk over suffix sums, not from the fermionic walk, so
-a fault in the fermionic walk does not reach the Euler route. Route
-agreement across all of them is the central correctness argument.
+stabilized, or from the tableau oracle), and the graded Euler
+characteristic over shifted Weyl orbits (module weyl), which sums the
+packed fusion slices that `fusion_weight_char` reads. Those slices come
+from their own bottom-up walk over suffix sums, not from the fermionic
+walk, so a fault in the fermionic walk does not reach the Euler route.
+Route agreement across all of them is the central correctness argument.
 
 The fermionic sum walks the occupation vectors s (sum a*s_a = N) top-down,
 one recursion level per level a from max(min(k, N), 1) to 1. Its state at
@@ -22,6 +22,7 @@ is concave in a and nonnegative at both ends.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import comb
 from typing import Callable, Literal
 
 from .charge import kostka_sl2_oracle
@@ -33,7 +34,17 @@ from .compositions import (
     check_level_weight,
     top_degree_h,
 )
-from .qexact import _ZERO, QPolynomial, gaussian_product_sum, shifted_sum, signed_binomial_sum
+from .qexact import (
+    _ZERO,
+    QPolynomial,
+    _digit_bytes,
+    _packed_difference,
+    _packed_factors,
+    _repack,
+    gaussian_product_sum,
+    shifted_sum,
+    signed_binomial_sum,
+)
 
 Route = Literal["fermionic", "charge"]
 
@@ -216,18 +227,20 @@ def reversed_restricted(l: int, m: CompositionLike, k: int) -> QPolynomial:
     return gaussian_product_sum(_reversed_terms(l, m, k))
 
 
-# m -> [0, F(|m|), F(|m| - 2), ...], down to the lowest |alpha| asked
+# m -> ((width, total), F(|m|), F(|m| - 2), ...), down to the lowest |alpha|
+# asked: each F packed at q = 2**(8 * width), total the fill's terms at q = 1
 _fusion_tables = {}
-_NO_SLICES = (_ZERO,)
+_NO_SLICES = ((1, 0),)
 
 
 def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
     """Graded dimension of the weight-alpha slice of the fusion product.
 
     Sum of K_{l,m} over l >= |alpha| with l = alpha (mod 2), from suffix
-    sums F(l) = K_{l,m} + F(l + 2) kept per composition and filled from |m|
-    down to the lowest |alpha| asked. Symmetric in alpha and -alpha; zero
-    once |alpha| exceeds |m|.
+    sums F(l) = K_{l,m} + F(l + 2) kept per composition, each one packed
+    int, and filled from |m| down to the lowest |alpha| asked (see
+    `_fusion_table`); the one asked is unpacked. Symmetric in alpha and
+    -alpha; zero once |alpha| exceeds |m|.
 
     The missing slices K_{|m| - 2N, m} come from one bottom-up walk that
     reads the unrestricted fermionic sum in the suffix sums
@@ -246,23 +259,63 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
     if alpha > size or (size - alpha) % 2:
         return _ZERO
     index = (size + 2 - alpha) // 2
+    table = _fusion_table(comp, index, 1)
+    return _packed_difference(table[index], 0, table[0][0], 0)
+
+
+def _fusion_table(comp: Composition, index: int, headroom: int) -> tuple:
+    """The table of comp filled down to its F at `index`, with digits that
+    hold a sum of `headroom` of its Fs.
+
+    Every F has nonnegative coefficients summing to at most the fill's total,
+    its terms' product of ordinary binomials C(t, s) summed, so digits that
+    hold headroom * total never carry in such a sum, however shifted. A fill
+    walks only the missing slices, fetches their rows once and adds every
+    term to one running int; a held prefix too narrow for the new total or
+    headroom is repacked once. A published table is never changed, so a
+    concurrent call reads a whole one.
+    """
     table = _fusion_tables.get(comp.parts, _NO_SLICES)
-    if index >= len(table):
-        # a published table is never changed, so a concurrent call reads a whole one
-        table = [*table]
-        for poly in _fusion_slices(comp, len(table) - 1, index - 1):
-            table.append(poly + table[-1])
-        _fusion_tables[comp.parts] = table
-    return table[index]
+    width, total = table[0]
+    if index < len(table) and (headroom * total).bit_length() <= 8 * width:
+        return table
+    slices = _fusion_slices(comp, len(table) - 1, index - 1) if index >= len(table) else []
+    combs: dict[tuple[int, int], int] = {}
+    for terms in slices:
+        for _, pairs in terms:
+            value = 1
+            for pair in pairs:
+                c = combs.get(pair)
+                if c is None:
+                    c = combs[pair] = comb(*pair)
+                value *= c
+            total += value
+    held = list(table[1:])
+    new_width = max(width, _digit_bytes((headroom * total).bit_length()))
+    if new_width != width:
+        held = [_repack(f, width, new_width) for f in held]
+    bits = 8 * new_width
+    factors = _packed_factors(combs, bits)
+    running = held[-1] if held else 0
+    for terms in slices:
+        for exponent, pairs in terms:
+            product = 1
+            for pair in pairs:
+                product *= factors[pair]
+            running += product << (bits * exponent)
+        held.append(running)
+    table = _fusion_tables[comp.parts] = ((new_width, total), *held)
+    return table
 
 
-def _fusion_slices(comp: Composition, first: int, last: int) -> list[QPolynomial]:
-    """K_{|m| - 2N, m} for N = first..last, from the suffix-sum walk that
-    `fusion_weight_char` describes.
+def _fusion_slices(comp: Composition, first: int, last: int) -> list[list]:
+    """The terms of K_{|m| - 2N, m} for N = first..last, from the suffix-sum
+    walk that `fusion_weight_char` describes.
 
-    Each slice is one `gaussian_product_sum`. A term lists its factors from
-    level L down to level 1, the order the top-down walk uses: listed from
-    level 1 up, the packed products for m = 1^60 took about 7% longer.
+    Each slice is a list of (exponent, ((t, s), ...)) terms, a product of
+    Gaussian binomials [t, s] times q**exponent. A term lists its factors
+    from level L down to level 1, the order the top-down walk uses: listed
+    from level 1 up, the packed products for m = 1^60 took about 7% longer.
     """
     # (Am)_a from the suffix sums M_c of m, for a = 0 up to level last + 1,
     # the deepest the walk reads; it stays |m| past the width
@@ -276,7 +329,7 @@ def _fusion_slices(comp: Composition, first: int, last: int) -> list[QPolynomial
         p = a_m[a] - 2 * n
         if n >= first:
             # S_(a+1) = 0 ends the configuration at N = n
-            slices[n - first].append((1, exponent, ((p + top, top),) + pairs if p else pairs))
+            slices[n - first].append((exponent, ((p + top, top),) + pairs if p else pairs))
         # P_(a+1) >= 0 bounds S_(a+1) from above
         for below in range(1, min(top, last - n, a_m[a + 1] // 2 - n) + 1):
             s = top - below
@@ -286,7 +339,7 @@ def _fusion_slices(comp: Composition, first: int, last: int) -> list[QPolynomial
             )
 
     walk(0, last, 0, 0, ())
-    return [gaussian_product_sum(terms) for terms in slices]
+    return slices
 
 
 def fusion_char_hook(N: int, j: int, l: int) -> QPolynomial:

@@ -34,8 +34,14 @@ have walked. The store holds at most _ROW_STORE_BITS (2**22) bits of int
 objects, dropping the least recently used rows first; `qkostka.clear_caches`
 empties it.
 
-Signed sums of q-shifted polynomials already built (the alternating and
-Euler routes) go through `shifted_sum`, one pass into a single dict.
+Signed sums of q-shifted polynomials already built (the alternating route,
+the character and ABF sums) go through `shifted_sum`, one pass into a single
+dict. The Euler route never unpacks: `kostka` keeps each suffix sum of fusion
+slices as one int at q = 2**bits, and `weyl` adds and subtracts those ints,
+shifted by their grades, and reads both signs' digits once with
+`_packed_difference`, the read that ends `gaussian_product_sum`. Its width
+follows the same rule: it holds the number of orbit items of one sign times
+the fill's term total at q = 1, never the fusion multiplicity.
 """
 
 from __future__ import annotations
@@ -317,6 +323,13 @@ def _digits(value: int, width: int, count: int) -> list[int]:
     return [int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width)]
 
 
+def _repack(value: int, width: int, new_width: int) -> int:
+    """`value` >= 0, packed with digits of `width` bytes, repacked with digits of `new_width`."""
+    digits = _digits(value, width, -(-value.bit_length() // (8 * width)))
+    raw = b"".join(d.to_bytes(new_width, sys.byteorder) for d in digits)
+    return int.from_bytes(raw, sys.byteorder)
+
+
 _ZERO = QPolynomial.zero()
 
 
@@ -424,6 +437,40 @@ def _gaussian_rows(rows: dict[int, set[int]], bits: int) -> dict[tuple[int, int]
     return out
 
 
+def _packed_factors(pairs: Iterable[tuple[int, int]], bits: int) -> dict:
+    """[t choose n]_q at q = 2**bits for each pair (t, n), 0 < n < t, from the row store.
+
+    A pair past the middle of its row is read as its mirror [t, t - n]. The
+    caller's width must hold every coefficient of each factor it asks for.
+    """
+    rows: dict[int, set[int]] = {}
+    mirrored = []
+    for pair in pairs:
+        t, n = pair
+        if 2 * n > t:
+            mirrored.append(pair)
+            n = t - n
+        rows.setdefault(t, set()).add(n)
+    factors = _gaussian_rows(rows, bits)
+    for t, n in mirrored:
+        factors[t, n] = factors[t, t - n]
+    return factors
+
+
+def _packed_difference(positive: int, negative: int, width: int, low: int) -> QPolynomial:
+    """q**low * (positive - negative), two sums packed at q = 2**(8 * width).
+
+    Both are read digit by digit, once each, so no digit of either may carry:
+    the caller's width must hold every coefficient of each sign's sum.
+    """
+    bits = 8 * width
+    count = -(-max(positive.bit_length(), negative.bit_length()) // bits)
+    digits = _digits(positive, width, count)
+    if negative:
+        digits = [p - n for p, n in zip(digits, _digits(negative, width, count))]
+    return _wrap({EXPONENT_DENOMINATOR * (k + low): c for k, c in enumerate(digits) if c})
+
+
 def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int]]]]) -> QPolynomial:
     """Sum of sign * q**e * prod [t choose n]_q over (sign, e, ((t, n), ...)) terms.
 
@@ -439,8 +486,6 @@ def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int
     bound = 0
     low = terms[0][1]
     combs: dict[tuple[int, int], int] = {}
-    rows: dict[int, set[int]] = {}
-    mirrored = []
     for sign, exponent, pairs in terms:
         if sign not in (1, -1):
             raise ValueError(f"sign {sign} is neither 1 nor -1")
@@ -454,17 +499,11 @@ def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int
                 if not 0 < n < t:
                     raise ValueError(f"factor [{t} choose {n}] is not a proper Gaussian binomial")
                 c = combs[pair] = math.comb(t, n)
-                if 2 * n > t:
-                    mirrored.append(pair)
-                    n = t - n
-                rows.setdefault(t, set()).add(n)
             value *= c
         bound += value
     width = _digit_bytes(bound.bit_length())
     bits = 8 * width
-    factors = _gaussian_rows(rows, bits)
-    for t, n in mirrored:
-        factors[t, n] = factors[t, t - n]
+    factors = _packed_factors(combs, bits)
     positive = negative = 0
     for sign, exponent, pairs in terms:
         product = 1
@@ -474,9 +513,4 @@ def gaussian_product_sum(terms: Iterable[tuple[int, int, Sequence[tuple[int, int
             positive += product << (bits * (exponent - low))
         else:
             negative += product << (bits * (exponent - low))
-    count = -(-max(positive.bit_length(), negative.bit_length()) // bits)
-    digits = _digits(positive, width, count)
-    if negative:
-        digits = [p - n for p, n in zip(digits, _digits(negative, width, count))]
-    return _wrap({EXPONENT_DENOMINATOR * (k + low): c for k, c in enumerate(digits) if c})
-
+    return _packed_difference(positive, negative, width, low)

@@ -18,8 +18,8 @@ from .compositions import (
     as_composition,
     check_level_weight,
 )
-from .kostka import fusion_weight_char
-from .qexact import QPolynomial, shifted_sum
+from .kostka import _fusion_table
+from .qexact import _ZERO, QPolynomial, _packed_difference
 
 
 class AffineWeight(NamedTuple):
@@ -146,18 +146,45 @@ def euler_characteristic_bgg(m: CompositionLike, l: int, k: int) -> QPolynomial:
     q^d * fusion_weight_char(m, -h0). A slice past |m| is empty, and every
     image of length p >= 1 has |h0| >= (p - 1)(k + 2) + 2, so the lengths
     run to |m| // (k + 2) + 1 and no further. The orbit items depend only
-    on (l, k, |m|) and are memoized per key; the terms are summed in one
-    `shifted_sum` pass. A bad level or weight is refused as in the
-    fermionic route.
+    on (l, k, |m|) and are memoized per key. An item whose h0 has the
+    parity of |m| + 1 has an empty slice too, and is dropped on its own; if
+    no item is left the sum is zero, and no slice is filled. The rest read
+    their slices packed from `kostka._fusion_table`, with digits that hold
+    as many slices as the larger sign has items. Each sign's slices are
+    added as ints shifted by their grades, and both sums are read once. A
+    bad level or weight is refused as in the fermionic route.
     """
     check_level_weight(l, k)
     comp = as_composition(m)
-    return shifted_sum(
-        [
-            (sign, grade, fusion_weight_char(comp, weight))
-            for sign, grade, weight in _orbit_items(l, k, comp._weighted_size)
-        ]
-    )
+    size = comp._weighted_size
+    items = []
+    plus = minus = deepest = 0
+    low = None
+    for sign, grade, weight in _orbit_items(l, k, size):
+        if (size - weight) % 2:
+            continue
+        index = (size - abs(weight)) // 2 + 1
+        items.append((sign, grade, index))
+        if sign > 0:
+            plus += 1
+        else:
+            minus += 1
+        if index > deepest:
+            deepest = index
+        if low is None or grade < low:
+            low = grade
+    if not items:
+        return _ZERO
+    table = _fusion_table(comp, deepest, max(plus, minus))
+    width = table[0][0]
+    bits = 8 * width
+    positive = negative = 0
+    for sign, grade, index in items:
+        if sign > 0:
+            positive += table[index] << (bits * (grade - low))
+        else:
+            negative += table[index] << (bits * (grade - low))
+    return _packed_difference(positive, negative, width, low)
 
 
 def homology_dim_predicate(p: int, n: int, l: int, k: int) -> int:

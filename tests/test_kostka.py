@@ -282,6 +282,37 @@ def test_fusion_weight_char_fills_only_down_to_the_slice_asked(monkeypatch):
     assert fills == [((400,), 0, 1), ((400,), 2, 2)]
 
 
+def test_a_wider_table_repacks_the_held_prefix_once(monkeypatch):
+    from qkostka.weyl import euler_characteristic_bgg
+
+    qkostka.clear_caches()
+    fills = _record_fills(monkeypatch)
+    repacks = _count_calls(monkeypatch, kostka_module, "_repack")
+    # 1^12 down to weight 8 totals C(12, 2) = 66 at q = 1, one-byte digits;
+    # down to weight 0 it totals C(12, 6) = 924, which needs two
+    m = (12,)
+    shallow = [fusion_weight_char(m, alpha) for alpha in (12, 10, 8)]
+    assert _fusion_tables[m][0] == (1, 66)
+    deep = fusion_weight_char(m, 0)
+    assert _fusion_tables[m][0] == (2, 924)
+    assert repacks == [3]
+    assert fills == [(m, 0, 0), (m, 1, 1), (m, 2, 2), (m, 3, 6)]
+    assert [fusion_weight_char(m, alpha) for alpha in (12, 10, 8)] == shallow
+    assert deep == sum((unrestricted(l, m) for l in range(0, 13, 2)), QPolynomial.zero())
+    # no new slice, but four orbit items of one sign: 4 * 66 needs two bytes
+    qkostka.clear_caches()
+    cold = euler_characteristic_bgg((5, 2), 1, 1)
+    qkostka.clear_caches()
+    fills.clear()
+    repacks[0] = 0
+    fusion_weight_char((5, 2), 1)
+    assert _fusion_tables[(5, 2)][0] == (1, 66)
+    assert euler_characteristic_bgg((5, 2), 1, 1) == cold
+    assert _fusion_tables[(5, 2)][0] == (2, 66)
+    assert (fills, repacks) == ([((5, 2), 0, 4)], [len(_fusion_tables[(5, 2)]) - 1])
+    qkostka.clear_caches()
+
+
 def _compositions(max_size: int, max_width: int) -> Iterator[tuple[int, ...]]:
     """Every composition of weighted size <= max_size and width <= max_width,
     inner zeros included and trailing zeros left out."""

@@ -1,11 +1,14 @@
 import random
+import sys
+import threading
 
 import pytest
 
 import qkostka
+from qkostka.charge import kostka_sl2_oracle
 from qkostka.compositions import InvariantError, as_composition, weighted_size
-from qkostka.kostka import fusion_weight_char, restricted_fermionic
-from qkostka.qexact import QPolynomial
+from qkostka.kostka import _fusion_tables, fusion_weight_char, restricted_fermionic
+from qkostka.qexact import QPolynomial, _digit_bytes
 from qkostka.verify import admissible_compositions
 from qkostka.weyl import (
     AffineWeight,
@@ -204,6 +207,142 @@ def test_compositions_of_equal_size_share_one_orbit_walk():
             assert euler_characteristic_bgg(m, l, 2) == restricted_fermionic(l, m, 2), (m, l)
     info = _orbit_items.cache_info()
     assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
+
+
+def _reference_packed_orbit_sum(m, l, k):
+    """The orbit sum by its definition, in a plain dict: sign * q^grade times
+    the sum of kostka_sl2_oracle(l', m) over l' >= |w| with l' = |w| (mod 2),
+    for every orbit item. It reads neither the row store nor packed digits."""
+    comp = as_composition(m)
+    size = weighted_size(comp)
+    data = {}
+    for sign, grade, weight in _reference_orbit_items(l, k, size):
+        for lp in range(abs(weight), size + 1, 2):
+            for num, coeff in kostka_sl2_oracle(lp, comp).terms():
+                data[num + 4 * grade] = data.get(num + 4 * grade, 0) + sign * coeff
+    return QPolynomial(data)
+
+
+def _per_sign_bound(m, l, k):
+    """(headroom, total): the larger sign's count of orbit items with a
+    nonempty slice, and the deepest of those slices at q = 1. No coefficient
+    of either sign's sum can exceed their product; (0, 0) when every slice
+    is empty."""
+    comp = as_composition(m)
+    size = weighted_size(comp)
+    kept = [
+        (sign, abs(weight))
+        for sign, _, weight in _reference_orbit_items(l, k, size)
+        if (size - weight) % 2 == 0
+    ]
+    if not kept:
+        return 0, 0
+    plus = sum(sign > 0 for sign, _ in kept)
+    deepest = min(weight for _, weight in kept)
+    total = sum(
+        kostka_sl2_oracle(lp, comp).evaluate_at_one() for lp in range(deepest, size + 1, 2)
+    )
+    return max(plus, len(kept) - plus), total
+
+
+def test_packed_orbit_sum_matches_the_dict_reference():
+    # every (l, k <= 4, m) of the grid, spins above the level included; the
+    # digits of the table the sum read must hold the per-sign bound
+    qkostka.clear_caches()
+    nonzero = widened = 0
+    for k in range(1, 5):
+        for m in admissible_compositions(12, 4):
+            for l in range(k + 1):
+                want = _reference_packed_orbit_sum(m, l, k)
+                assert euler_characteristic_bgg(m, l, k) == want, (l, k, m)
+                headroom, total = _per_sign_bound(m, l, k)
+                if headroom:
+                    width = _fusion_tables[m.parts][0][0]
+                    assert (headroom * total).bit_length() <= 8 * width, (l, k, m)
+                    # digits that hold one slice would not hold this sum's bound
+                    widened += _digit_bytes((headroom * total).bit_length()) > _digit_bytes(
+                        total.bit_length()
+                    )
+                nonzero += not want.is_zero()
+    assert (nonzero, widened) == (757, 188)
+    qkostka.clear_caches()
+
+
+@pytest.mark.parametrize(
+    "m, l, k, width",
+    [
+        # the table's digits exceed 8 bytes: the sliced digit read
+        ((160,), 130, 140, 9),
+        # the per-sign bound 5 * 858909578 sits just under 2**32
+        ((15, 10, 1), 2, 6, 4),
+    ],
+)
+def test_packed_orbit_sum_on_wide_digits(m, l, k, width):
+    qkostka.clear_caches()
+    assert euler_characteristic_bgg(m, l, k) == _reference_packed_orbit_sum(m, l, k)
+    headroom, total = _per_sign_bound(m, l, k)
+    bound = headroom * total
+    assert _fusion_tables[m][0][0] == width == _digit_bytes(bound.bit_length())
+    if width == 4:
+        assert 2**32 - 2**20 < bound < 2**32
+    qkostka.clear_caches()
+
+
+def test_a_zero_parity_call_fills_no_table():
+    # |m| - l odd leaves every slice empty: the sum is zero before any fill
+    qkostka.clear_caches()
+    m = as_composition((3, 1, 2))
+    for k in (3, 4, 5):
+        for l in range(0, k + 1, 2):
+            assert euler_characteristic_bgg(m, l, k).is_zero()
+    assert m.parts not in _fusion_tables
+    assert euler_characteristic_bgg(m, 1, 3) == restricted_fermionic(1, m, 3)
+    assert m.parts in _fusion_tables
+    qkostka.clear_caches()
+
+
+def test_packed_orbit_sums_are_right_under_concurrent_calls():
+    # threads fill and widen one composition's table at once: slices asked
+    # alone take one-slice digits, Euler sums at k = 1 need wider ones, and
+    # a thread may publish a table built on one another has since replaced
+    m = (9, 2, 1)
+    calls = [("slice", alpha) for alpha in range(1, 16, 2)]
+    calls += [("euler", l, k) for k in (1, 2, 3) for l in range(k + 1)]
+    want = {}
+    for call in calls:
+        qkostka.clear_caches()
+        want[call] = _run_call(m, call)
+    wrong = []
+
+    def work(call) -> None:
+        try:
+            if _run_call(m, call) != want[call]:
+                wrong.append(call)
+        except Exception as exc:  # a fault in a worker fails the test, not only warns
+            wrong.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            qkostka.clear_caches()
+            threads = [threading.Thread(target=work, args=(call,)) for call in calls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            wrong += [call for call in calls if _run_call(m, call) != want[call]]
+    finally:
+        sys.setswitchinterval(switch)
+    assert wrong == []
+    qkostka.clear_caches()
+
+
+def _run_call(m, call):
+    if call[0] == "slice":
+        return fusion_weight_char(m, call[1])
+    return euler_characteristic_bgg(m, call[1], call[2])
 
 
 def _reference_apply_word(word, w):
