@@ -36,7 +36,6 @@ from .kostka import (
     fusion_weight_char,
     restricted_alternating,
     restricted_fermionic,
-    restriction_vector,
     reversed_char_1N,
     reversed_restricted,
     unrestricted,
@@ -59,8 +58,7 @@ _LAZY_EXPORTS = {
         ("virasoro", ("BranchingSeries", "LimitTermData", "MinimalModel", "QSeriesTruncated",
                       "bounded_partition_series", "branching_via_kostka_limit",
                       "conformal_weight", "coset_central_charge", "fermionic_character_sum",
-                      "fermionic_term_limit", "partition_series", "rocha_caridi",
-                      "series_mismatches")),
+                      "fermionic_term_limit", "rocha_caridi", "series_mismatches")),
         ("weyl", ("AffineWeight", "bgg_generators", "closed_form_action",
                   "euler_characteristic_bgg", "homology_dim_predicate",
                   "shifted_reflection")),
@@ -156,13 +154,11 @@ __all__ = [
     "norm_ss",
     "parity_count",
     "parse_factor_list",
-    "partition_series",
     "q1_consistency",
     "reading_word",
     "restricted_alternating",
     "restricted_fermionic",
     "restricted_kostka_oracle",
-    "restriction_vector",
     "reversed_char_1N",
     "reversed_restricted",
     "rocha_caridi",

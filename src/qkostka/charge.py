@@ -292,6 +292,9 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     row 2 capped at the longest requested, so it answers every weight down
     to the requested one; a request below that reruns it with the new cap.
     Each row-2 length's tally becomes its polynomial in one dict pass.
+    At l = |m| with no pass held, the one tableau is a single row, whose
+    charge is read from the counts: n(c) = sum_a a (m_a S_(a+1) + m_a (m_a -
+    1) / 2), S_(a+1) the number of factors of larger spin.
     """
     comp = as_composition(m)
     size = comp._weighted_size
@@ -300,8 +303,17 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     len2 = (size - l) // 2
     cap2, polys = _oracle_tables.get(comp.parts, _NO_TABLE)
     if len2 > cap2:
-        cap2 = len2
         norm = norm_ss(comp)
+        if not len2:
+            larger = row_charge = 0
+            for a in range(comp.width, 0, -1):
+                count = comp.parts[a - 1]
+                row_charge += a * (count * larger + count * (count - 1) // 2)
+                larger += count
+            if row_charge > norm:
+                raise InvariantError("reversal produced a negative exponent")
+            return QPolynomial.q_power(norm - row_charge)
+        cap2 = len2
         polys = {}
         for r2, tally in _charge_by_row2(bridge_to_partition(comp, l).content, size, cap2).items():
             if max(tally) > norm:

@@ -40,22 +40,12 @@ from .qexact import (
     _digit_bytes,
     _packed_difference,
     _packed_factors,
-    _repack,
     gaussian_product_sum,
     shifted_sum,
     signed_binomial_sum,
 )
 
 Route = Literal["fermionic", "charge"]
-
-
-class StabilizationError(InvariantError):
-    """Internal error: a degree reversal gave a negative exponent, the formula has a bug."""
-
-
-def restriction_vector(l: int, k: int) -> tuple[int, ...]:
-    """v_a = max(0, a - k + l) for a = 1..k."""
-    return tuple(max(0, a - k + l) for a in range(1, k + 1))
 
 
 def restricted_fermionic(l: int, m: CompositionLike, k: int) -> QPolynomial:
@@ -218,7 +208,7 @@ def _reversed_terms(
         for sign, e, pairs in _fermionic_terms(l, m, k)
     ]
     if any(shift < 0 for _, shift, _ in terms):
-        raise StabilizationError("degree reversal produced a negative exponent")
+        raise InvariantError("degree reversal produced a negative exponent")
     return terms
 
 
@@ -227,10 +217,9 @@ def reversed_restricted(l: int, m: CompositionLike, k: int) -> QPolynomial:
     return gaussian_product_sum(_reversed_terms(l, m, k))
 
 
-# m -> ((width, total), F(|m|), F(|m| - 2), ...), down to the lowest |alpha|
-# asked: each F packed at q = 2**(8 * width), total the fill's terms at q = 1
+# m -> ((width, headroom), F(|m|), F(|m| - 2), ...), down to the deepest |alpha|
+# asked: each F packed at q = 2**(8 * width), in digits that hold headroom Fs
 _fusion_tables = {}
-_NO_SLICES = ((1, 0),)
 
 
 def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
@@ -238,12 +227,12 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
 
     Sum of K_{l,m} over l >= |alpha| with l = alpha (mod 2), from suffix
     sums F(l) = K_{l,m} + F(l + 2) kept per composition, each one packed
-    int, and filled from |m| down to the lowest |alpha| asked (see
+    int, and filled from |m| down to at least the |alpha| asked (see
     `_fusion_table`); the one asked is unpacked. Symmetric in alpha and
     -alpha; zero once |alpha| exceeds |m|.
 
-    The missing slices K_{|m| - 2N, m} come from one bottom-up walk that
-    reads the unrestricted fermionic sum in the suffix sums
+    The slices K_{|m| - 2N, m} come from one bottom-up walk that reads the
+    unrestricted fermionic sum in the suffix sums
     S_c = sum_(b>=c) s_b, S_1 >= S_2 >= ... >= 0, where N = sum_c S_c,
     sAs = sum_c S_c^2 and (As)_a = sum_(c<=a) S_c. Choosing S_1, S_2, ...
     in turn fixes the vacancy number P_a = (Am)_a - 2(As)_a as soon as S_a
@@ -264,23 +253,26 @@ def fusion_weight_char(m: CompositionLike, alpha: int) -> QPolynomial:
 
 
 def _fusion_table(comp: Composition, index: int, headroom: int) -> tuple:
-    """The table of comp filled down to its F at `index`, with digits that
-    hold a sum of `headroom` of its Fs.
+    """The table of comp filled down to at least its F at `index`, with
+    digits that hold a sum of at least `headroom` of its Fs.
 
-    Every F has nonnegative coefficients summing to at most the fill's total,
-    its terms' product of ordinary binomials C(t, s) summed, so digits that
-    hold headroom * total never carry in such a sum, however shifted. A fill
-    walks only the missing slices, fetches their rows once and adds every
-    term to one running int; a held prefix too narrow for the new total or
-    headroom is repacked once. A published table is never changed, so a
-    concurrent call reads a whole one.
+    A held table too shallow or too narrow for the call is replaced by one
+    fill from N = 0, as deep as the larger of the held and asked depths and
+    with digits no narrower than the held ones. Every F has nonnegative
+    coefficients summing to at most the fill's total, its terms' product of
+    ordinary binomials C(t, s) summed, so digits that hold headroom * total
+    never carry in such a sum, however shifted. A fill fetches its rows once
+    and adds every term to one running int. A published table is never
+    changed, so a concurrent call reads a whole one.
     """
-    table = _fusion_tables.get(comp.parts, _NO_SLICES)
-    width, total = table[0]
-    if index < len(table) and (headroom * total).bit_length() <= 8 * width:
+    # nothing held reads as a table of no slices
+    table = _fusion_tables.get(comp.parts, ((1, 0),))
+    if index < len(table) and headroom <= table[0][1]:
         return table
-    slices = _fusion_slices(comp, len(table) - 1, index - 1) if index >= len(table) else []
+    index = max(index, len(table) - 1)
+    slices = _fusion_slices(comp, index - 1)
     combs: dict[tuple[int, int], int] = {}
+    total = 0
     for terms in slices:
         for _, pairs in terms:
             value = 1
@@ -290,26 +282,24 @@ def _fusion_table(comp: Composition, index: int, headroom: int) -> tuple:
                     c = combs[pair] = comb(*pair)
                 value *= c
             total += value
-    held = list(table[1:])
-    new_width = max(width, _digit_bytes((headroom * total).bit_length()))
-    if new_width != width:
-        held = [_repack(f, width, new_width) for f in held]
-    bits = 8 * new_width
+    width = max(table[0][0], _digit_bytes((headroom * total).bit_length()))
+    bits = 8 * width
     factors = _packed_factors(combs, bits)
-    running = held[-1] if held else 0
+    table = [(width, ((1 << bits) - 1) // total)]
+    running = 0
     for terms in slices:
         for exponent, pairs in terms:
             product = 1
             for pair in pairs:
                 product *= factors[pair]
             running += product << (bits * exponent)
-        held.append(running)
-    table = _fusion_tables[comp.parts] = ((new_width, total), *held)
+        table.append(running)
+    table = _fusion_tables[comp.parts] = tuple(table)
     return table
 
 
-def _fusion_slices(comp: Composition, first: int, last: int) -> list[list]:
-    """The terms of K_{|m| - 2N, m} for N = first..last, from the suffix-sum
+def _fusion_slices(comp: Composition, last: int) -> list[list]:
+    """The terms of K_{|m| - 2N, m} for N = 0..last, from the suffix-sum
     walk that `fusion_weight_char` describes.
 
     Each slice is a list of (exponent, ((t, s), ...)) terms, a product of
@@ -321,15 +311,14 @@ def _fusion_slices(comp: Composition, first: int, last: int) -> list[list]:
     # the deepest the walk reads; it stays |m| past the width
     a_m = [0, *accumulate(list(accumulate(reversed(comp.parts)))[::-1])]
     a_m += [a_m[-1]] * (last + 2 - len(a_m))
-    slices: list[list] = [[] for _ in range(first, last + 1)]
+    slices: list[list] = [[] for _ in range(last + 1)]
 
     def walk(a: int, top: int, n: int, exponent: int, pairs: tuple) -> None:
         # S_a = top and n = (As)_a, with P_c >= 0 for c <= a; level 0 is the
         # empty prefix, with P_0 = 0
         p = a_m[a] - 2 * n
-        if n >= first:
-            # S_(a+1) = 0 ends the configuration at N = n
-            slices[n - first].append((exponent, ((p + top, top),) + pairs if p else pairs))
+        # S_(a+1) = 0 ends the configuration at N = n
+        slices[n].append((exponent, ((p + top, top),) + pairs if p else pairs))
         # P_(a+1) >= 0 bounds S_(a+1) from above
         for below in range(1, min(top, last - n, a_m[a + 1] // 2 - n) + 1):
             s = top - below

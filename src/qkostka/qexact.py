@@ -34,14 +34,10 @@ have walked. The store holds at most _ROW_STORE_BITS (2**22) bits of int
 objects, dropping the least recently used rows first; `qkostka.clear_caches`
 empties it.
 
-Signed sums of q-shifted polynomials already built (the alternating route,
-the character and ABF sums) go through `shifted_sum`, one pass into a single
-dict. The Euler route never unpacks: `kostka` keeps each suffix sum of fusion
-slices as one int at q = 2**bits, and `weyl` adds and subtracts those ints,
-shifted by their grades, and reads both signs' digits once with
-`_packed_difference`, the read that ends `gaussian_product_sum`. Its width
-follows the same rule: it holds the number of orbit items of one sign times
-the fill's term total at q = 1, never the fusion multiplicity.
+Every signed sum of q-shifted polynomials already built, `+`, `-` and
+`shifted` among them, is one `shifted_sum` pass into a single dict. Sums
+packed at q = 2**bits are read back once by `_packed_difference`, the read
+that ends `gaussian_product_sum`.
 """
 
 from __future__ import annotations
@@ -145,9 +141,6 @@ class QPolynomial(Value):
 
         return Fraction(max(self._terms), EXPONENT_DENOMINATOR)
 
-    def is_integer_grid(self) -> bool:
-        return all(num % EXPONENT_DENOMINATOR == 0 for num in self._terms)
-
     def evaluate_at_one(self) -> int:
         return sum(self._terms.values())
 
@@ -164,14 +157,7 @@ class QPolynomial(Value):
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        data = dict(self._terms)
-        for num, coeff in other._terms.items():
-            new = data.get(num, 0) + coeff
-            if new:
-                data[num] = new
-            else:
-                data.pop(num, None)
-        return _wrap(data)
+        return shifted_sum(((1, 0, self), (1, 0, other)))
 
     def __neg__(self) -> "QPolynomial":
         return _wrap({num: -coeff for num, coeff in self._terms.items()})
@@ -179,7 +165,7 @@ class QPolynomial(Value):
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        return self + (-other)
+        return shifted_sum(((1, 0, self), (-1, 0, other)))
 
     def __mul__(self, other) -> "QPolynomial":
         if isinstance(other, int):
@@ -194,8 +180,7 @@ class QPolynomial(Value):
 
     def shifted(self, exponent: ExponentLike) -> "QPolynomial":
         """Multiply by q**exponent."""
-        delta = exponent_numerator(exponent)
-        return _wrap({num + delta: coeff for num, coeff in self._terms.items()})
+        return shifted_sum(((1, exponent, self),))
 
     def substitute_inverse(self) -> "QPolynomial":
         """Return p(1/q): every exponent negated, exactly."""
@@ -321,13 +306,6 @@ def _digits(value: int, width: int, count: int) -> list[int]:
     if width in _NATIVE_DIGITS:
         return memoryview(raw).cast(_NATIVE_DIGITS[width]).tolist()
     return [int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width)]
-
-
-def _repack(value: int, width: int, new_width: int) -> int:
-    """`value` >= 0, packed with digits of `width` bytes, repacked with digits of `new_width`."""
-    digits = _digits(value, width, -(-value.bit_length() // (8 * width)))
-    raw = b"".join(d.to_bytes(new_width, sys.byteorder) for d in digits)
-    return int.from_bytes(raw, sys.byteorder)
 
 
 _ZERO = QPolynomial.zero()

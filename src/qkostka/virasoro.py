@@ -63,27 +63,11 @@ class QSeriesTruncated(Value):
             raise IndexError("coefficient beyond the truncation order")
         return self.coeffs[n]
 
-    def coefficient_at(self, exponent: int | Fraction) -> int | None:
-        """Coefficient at an absolute exponent; None when outside the known window."""
-        if not isinstance(exponent, (int, Fraction)):
-            raise ValueError(f"exponent {exponent!r} is not an int or a Fraction")
-        rel = exponent - self.offset
-        if rel < 0 or rel > self.order:
-            return None
-        if rel.denominator != 1:
-            return 0
-        return self.coeffs[int(rel)]
-
     def __str__(self) -> str:
         return f"q^({self.offset}) * {list(self.coeffs)}"
 
     def __repr__(self) -> str:
         return f"QSeriesTruncated(offset={self.offset}, coeffs={list(self.coeffs)})"
-
-
-def partition_series(order: int) -> QSeriesTruncated:
-    """Truncation of 1/(q)_infinity: coefficient of q^n counts partitions of n."""
-    return bounded_partition_series(order, order)
 
 
 def bounded_partition_series(max_part: int, order: int) -> QSeriesTruncated:

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -422,12 +423,52 @@ def test_oracle_refuses_a_charge_above_the_norm(monkeypatch):
     assert _oracle_tables == {}
 
 
+def test_the_one_row_oracle_reads_the_charge_from_the_counts(monkeypatch):
+    # at l = |m| the oracle answers q^(norm - n(c)) with no pass; hold it to
+    # the pass over the one-row shape for every m with |m| <= 12
+    module = _charge_module()
+    cases = []
+    for m in admissible_compositions(12, 12):
+        size = weighted_size(m)
+        tally = module._charge_by_row2(bridge_to_partition(m, size).content, size, 0)
+        want = QPolynomial.from_integer_terms({norm_ss(m) - e: k for e, k in tally[0].items()})
+        cases.append((m, size, want))
+    passes = _record_passes(monkeypatch)
+    qkostka.clear_caches()
+    for m, size, want in cases:
+        assert kostka_sl2_oracle(size, m) == want, m
+    assert passes == [] and _oracle_tables == {}
+    assert len(cases) == 272
+    # the closed form keeps the refusal of a negative exponent
+    norm = module.norm_ss
+    monkeypatch.setattr(module, "norm_ss", lambda m: norm(m) - 1)
+    with pytest.raises(InvariantError, match="reversal produced a negative exponent"):
+        kostka_sl2_oracle(4, (4,))
+
+
+def test_the_one_row_oracle_memory_does_not_grow_with_the_size():
+    # the |m| letters of the one-row content are never built
+    for m in ((10**6,), (10**5, 2 * 10**5, 10**5)):
+        size = weighted_size(m)
+        tracemalloc.start()
+        try:
+            got = kostka_sl2_oracle(size, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == QPolynomial.one()
+        assert peak < 1 << 20
+
+
 def test_routes_grid_runs_one_oracle_pass_per_content(monkeypatch):
     passes = _record_passes(monkeypatch)
     qkostka.clear_caches()
     (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
     assert result.passed
-    assert len(passes) == len({counts for counts, _, _ in passes}) == 194
+    # of the grid's 194 compositions, the empty one and 1^1 are asked only
+    # at l = |m|, which is answered from the counts without a pass
+    assert len(passes) == len({counts for counts, _, _ in passes}) == 192
+    assert (0,) not in _oracle_tables and (1,) not in _oracle_tables
 
 
 # The placement-DAG pass keys each state by the row of every live subword's

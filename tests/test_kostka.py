@@ -26,7 +26,6 @@ from qkostka.kostka import (
     fusion_weight_char,
     restricted_alternating,
     restricted_fermionic,
-    restriction_vector,
     reversed_char_1N,
     reversed_restricted,
     unrestricted,
@@ -69,7 +68,7 @@ def _reference_restricted_fermionic(l, m, k):
     size = weighted_size(comp)
     if (size - l) % 2 or size < l:
         return QPolynomial.zero()
-    v = restriction_vector(l, k)
+    v = tuple(max(0, a - k + l) for a in range(1, k + 1))
     mparts = comp.padded(k)
     out = QPolynomial.zero()
     for s in _occupation_vectors((size - l) // 2, k):
@@ -87,12 +86,6 @@ def _reference_restricted_fermionic(l, m, k):
         exponent = min_form(s, s) + sum(va * sa for va, sa in zip(v, s))
         out = out + vector_gaussian_binomial(tops, s).shifted(exponent)
     return out
-
-
-def test_restriction_vector():
-    assert restriction_vector(0, 2) == (0, 0)
-    assert restriction_vector(2, 2) == (1, 2)
-    assert restriction_vector(1, 3) == (0, 0, 1)
 
 
 def test_restricted_fermionic_frozen():
@@ -253,13 +246,13 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _record_fills(monkeypatch):
-    """Record (parts, first, last) of every slice fill from here on."""
+    """Record (parts, last) of every slice fill from here on."""
     fills = []
     real = kostka_module._fusion_slices
 
-    def recorded(comp, first, last):
-        fills.append((comp.parts, first, last))
-        return real(comp, first, last)
+    def recorded(comp, last):
+        fills.append((comp.parts, last))
+        return real(comp, last)
 
     monkeypatch.setattr(kostka_module, "_fusion_slices", recorded)
     return fills
@@ -267,49 +260,75 @@ def _record_fills(monkeypatch):
 
 def test_fusion_weight_char_fills_only_down_to_the_slice_asked(monkeypatch):
     # a full fill of 1^400 would need K_0, which takes far too long; the
-    # walk yields K_400 and K_398 (N = 0, 1) and nothing below
+    # walk yields K_400 and K_398 (N = 0, 1) and nothing below, and a deeper
+    # request refills from N = 0 down to K_396 only
     qkostka.clear_caches()
     fills = _record_fills(monkeypatch)
     start = time.perf_counter()
     got = fusion_weight_char((400,), 398)
+    deeper = fusion_weight_char((400,), 396)
     assert time.perf_counter() - start < 1.0
-    assert fills == [((400,), 0, 1)]
-    assert len(_fusion_tables[(400,)]) == 3
+    assert fills == [((400,), 1), ((400,), 2)]
+    assert len(_fusion_tables[(400,)]) == 4
     assert got == unrestricted(398, (400,)) + unrestricted(400, (400,))
-    # a lower slice fills only what is missing; a slice held fills nothing
-    assert fusion_weight_char((400,), 396) == got + unrestricted(396, (400,))
+    assert deeper == got + unrestricted(396, (400,))
+    # a slice held fills nothing
     assert fusion_weight_char((400,), 400) == unrestricted(400, (400,))
-    assert fills == [((400,), 0, 1), ((400,), 2, 2)]
+    assert len(fills) == 2
 
 
-def test_a_wider_table_repacks_the_held_prefix_once(monkeypatch):
+def _cold_table(parts: tuple[int, ...], index: int, headroom: int) -> tuple:
+    """The table one fill makes when none is held for parts."""
+    _fusion_tables.pop(parts, None)
+    return kostka_module._fusion_table(Composition(parts), index, headroom)
+
+
+def test_a_deeper_or_wider_request_replaces_the_table_with_one_fill_from_n_zero(monkeypatch):
     from qkostka.weyl import euler_characteristic_bgg
 
     qkostka.clear_caches()
-    fills = _record_fills(monkeypatch)
-    repacks = _count_calls(monkeypatch, kostka_module, "_repack")
     # 1^12 down to weight 8 totals C(12, 2) = 66 at q = 1, one-byte digits;
     # down to weight 0 it totals C(12, 6) = 924, which needs two
     m = (12,)
-    shallow = [fusion_weight_char(m, alpha) for alpha in (12, 10, 8)]
-    assert _fusion_tables[m][0] == (1, 66)
-    deep = fusion_weight_char(m, 0)
-    assert _fusion_tables[m][0] == (2, 924)
-    assert repacks == [3]
-    assert fills == [(m, 0, 0), (m, 1, 1), (m, 2, 2), (m, 3, 6)]
-    assert [fusion_weight_char(m, alpha) for alpha in (12, 10, 8)] == shallow
-    assert deep == sum((unrestricted(l, m) for l in range(0, 13, 2)), QPolynomial.zero())
-    # no new slice, but four orbit items of one sign: 4 * 66 needs two bytes
-    qkostka.clear_caches()
+    cold_deep = _cold_table(m, 7, 1)
+    cold_wide = _cold_table((5, 2), 5, 4)
     cold = euler_characteristic_bgg((5, 2), 1, 1)
     qkostka.clear_caches()
+    fills = _record_fills(monkeypatch)
+    shallow = [fusion_weight_char(m, alpha) for alpha in (12, 10, 8)]
+    assert fills == [(m, 0), (m, 1), (m, 2)]
+    held = _fusion_tables[m]
+    snapshot = list(held)
+    # one-byte digits hold 255 // 66 = 3 Fs
+    assert held[0] == (1, 3)
+    deep = fusion_weight_char(m, 0)
+    assert fills[3:] == [(m, 6)]
+    assert _fusion_tables[m] == cold_deep
+    assert _fusion_tables[m][0] == (2, 65535 // 924)
+    # the replaced tuple is left as it was
+    assert list(held) == snapshot and _fusion_tables[m] is not held
+    assert [fusion_weight_char(m, alpha) for alpha in (12, 10, 8)] == shallow
+    assert deep == sum((unrestricted(l, m) for l in range(0, 13, 2)), QPolynomial.zero())
+    assert len(fills) == 4
+    # a wider request for a shallower slice refills down to the held depth
+    wide = kostka_module._fusion_table(Composition(m), 2, 100)
+    assert fills[4:] == [(m, 6)] and len(wide) == 8 and wide[0][1] >= 100
+    # no new slice, but four orbit items of one sign: 4 * 66 needs two bytes,
+    # so the wider request refills at the held depth
+    qkostka.clear_caches()
     fills.clear()
-    repacks[0] = 0
     fusion_weight_char((5, 2), 1)
-    assert _fusion_tables[(5, 2)][0] == (1, 66)
+    assert _fusion_tables[(5, 2)][0] == (1, 3)
     assert euler_characteristic_bgg((5, 2), 1, 1) == cold
-    assert _fusion_tables[(5, 2)][0] == (2, 66)
-    assert (fills, repacks) == ([((5, 2), 0, 4)], [len(_fusion_tables[(5, 2)]) - 1])
+    assert _fusion_tables[(5, 2)] == cold_wide
+    assert _fusion_tables[(5, 2)][0] == (2, 65535 // 66)
+    assert fills == [((5, 2), 4), ((5, 2), 4)]
+    # requests the held table serves fill nothing
+    for alpha in range(-10, 11):
+        want = sum((unrestricted(l, (5, 2)) for l in range(abs(alpha), 10, 2)), QPolynomial.zero())
+        assert fusion_weight_char((5, 2), alpha) == want, alpha
+    assert euler_characteristic_bgg((5, 2), 1, 1) == cold
+    assert len(fills) == 2
     qkostka.clear_caches()
 
 
@@ -598,8 +617,7 @@ def test_routes_sweep_walks_each_polynomial_once(monkeypatch):
     (result,) = run_suites(["routes"], VerifyConfig(max_weight=13, max_level=4))
     assert result.passed
     assert calls == [1658]
-    assert len(fills) == len({parts for parts, _, _ in fills}) == 194
-    assert all(first == 0 for _, first, _ in fills)
+    assert len(fills) == len({parts for parts, _ in fills}) == 194
     qkostka.clear_caches()
 
 

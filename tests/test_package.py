@@ -338,7 +338,7 @@ def test_lazy_export_loads_its_module_on_first_access():
     lazy = sorted(set(qkostka._LAZY_EXPORTS.values()))
     assert lazy == ["abf", "coinvariants", "reports", "verlinde", "virasoro", "weyl"]
     # the truncated q-series moved out of the core into virasoro
-    for name in ("rocha_caridi", "QSeriesTruncated", "partition_series"):
+    for name in ("rocha_caridi", "QSeriesTruncated", "bounded_partition_series"):
         before, after, stored = _fresh_process(
             "import json, sys\n"
             "import qkostka\n"
