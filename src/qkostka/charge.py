@@ -16,7 +16,9 @@ are as wide as a bound on the paths into a state, so a merge never carries.
 A letter's moves do not depend on the content, so every pass reads them
 from one table, bounded in size and emptied by clear_caches. The shape only
 prunes the DAG, so the oracle keeps one pass per content, with row 1 free
-and row 2 capped at the longest requested, for all its weights.
+and row 2 capped at the longest requested, for all its weights, and keeps
+its tallies packed: the alternating route's signed sum adds them, shifted,
+into one int per sign, with no polynomial built per weight.
 enumerate_ssyt, reading_word and charge grade tableaux one by one, as the
 brute-force cross-check. Nothing here is shared with the fermionic route in
 kostka.py, whose packed kernel lives in qexact, so one bug cannot make both
@@ -30,6 +32,7 @@ from bisect import bisect_left
 from typing import Sequence
 
 from .compositions import (
+    Composition,
     CompositionLike,
     InvariantError,
     ShapeContent,
@@ -177,26 +180,23 @@ def _moves(rows: tuple[int, ...], c: int, after: int) -> tuple[tuple[tuple[int, 
 _DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _unpack(low: int, packed: int, width: int) -> dict[int, int]:
-    """{low + i: digit i} over the nonzero digits of packed, each `width`
-    bytes wide, in one pass over its bytes.
+def _digits(packed: int, width: int, count: int) -> Sequence[int]:
+    """The lowest `count` digits of packed >= 0, each `width` bytes wide,
+    lowest first, in one pass over its bytes.
 
-    A memoryview cast reads 1-, 2-, 4- and 8-byte digits; other widths are
-    sliced. The cast is the common case (the routes grid at max_weight 13
-    unpacks 1093 tallies of 1- and 2-byte digits) and twice as fast there:
-    1.5 against 3.5 ms on a 2-core host, Python 3.11.7.
+    A memoryview cast reads 1-, 2-, 4- and 8-byte digits, the widths a pass
+    rounds to up to 8 bytes; wider digits are sliced.
     """
-    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, sys.byteorder)
+    raw = packed.to_bytes(count * width, sys.byteorder)
     if width in _DIGIT_FORMATS:
-        digits = memoryview(raw).cast(_DIGIT_FORMATS[width])
-    else:
-        digits = (int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width))
-    return {low + i: d for i, d in enumerate(digits) if d}
+        return memoryview(raw).cast(_DIGIT_FORMATS[width])
+    return [int.from_bytes(raw[k : k + width], sys.byteorder) for k in range(0, len(raw), width)]
 
 
-def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, dict[int, int]]:
-    """{row-2 length: {charge: count}} over the tableaux of the content
-    whose rows stay within the caps.
+def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """(width, {row-2 length: (lowest charge, packed)}): the charge tallies
+    of the content's tableaux whose rows stay within the caps, digit i of
+    packed, `width` bytes wide, counting those of charge lowest + i.
 
     Placing the c copies of v, x in row 2, puts them at reading-word
     positions [r2, r2 + x) and n + [r1, r1 + c - x), n = |content|: row 1
@@ -217,8 +217,10 @@ def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, di
     shared by every path through it, packed as (lowest charge, int): digit
     i, unit bits wide, counts the paths of charge lowest + i. At most
     prod(min(c, cap2) + 1) paths reach a state, one per choice of x at each
-    letter, so unit is that bound's width rounded up to whole bytes, and
-    digits never carry: a merge is one shift and one add. Since the lowest
+    letter, so unit is that bound's width rounded up to 1, 2, 4 or 8 bytes,
+    or to whole bytes above 8, and digits never carry: a merge is one shift
+    and one add. The final states share the bound, so no sum of their
+    tallies, however shifted, carries either. Since the lowest
     charge is kept, the int spans only the charges that occur; a single row
     of n letters holds one digit per state. The new rows and wrapped subwords
     come from the shared table _steps; the charge the wraps add depends on
@@ -232,7 +234,9 @@ def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, di
         for s in range(min(c, top)):
             ends[s] += 1
         paths *= min(c, cap2) + 1
-    width = paths.bit_length() // 8 + 1
+    width = (paths.bit_length() + 7) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
     unit = 8 * width
     # row 0 marks a subword before its first letter: it takes the rightmost
     # copy without a wrap
@@ -265,7 +269,7 @@ def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> dict[int, di
     if frontier and any(a < b for a, b in zip(counts, counts[1:])):
         raise ValueError("charge needs partition content")
     # after the last letter no subword is live: one state per row-2 length
-    return {r2: _unpack(low, packed, width) for (r2, _), (low, packed) in frontier.items()}
+    return width, {r2: tally for (r2, _), tally in frontier.items()}
 
 
 def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
@@ -274,13 +278,52 @@ def kostka_foulkes(sc: ShapeContent) -> QPolynomial:
     Zero when the content cannot fill the shape; content that is not a
     partition raises ValueError if the shape admits a tableau at all.
     """
-    tallies = _charge_by_row2(sc.content, *sc.shape)
-    return QPolynomial.from_integer_terms(tallies.get(sc.shape[1], {}))
+    width, tallies = _charge_by_row2(sc.content, *sc.shape)
+    low, packed = tallies.get(sc.shape[1], (0, 0))
+    digits = _digits(packed, width, -(-packed.bit_length() // (8 * width)))
+    return _wrap({EXPONENT_DENOMINATOR * (low + i): d for i, d in enumerate(digits) if d})
 
 
-# m (it fixes the content) -> (row-2 cap, {row-2 length: K})
+# m (it fixes the content) -> (row-2 cap, norm, width, {row-2 length: (lowest
+# charge, packed)}), the pass's tallies as it leaves them
 _oracle_tables = {}
-_NO_TABLE = (-1, {})
+_NO_TABLE = (-1,)
+
+
+def _oracle_pass(comp: Composition, len2: int) -> tuple:
+    """The table of comp's pass with row 2 capped at len2, for a caller that
+    holds none capped that long; it replaces the one held.
+
+    With none held, len2 = 0 asks only for the one-row tableau, whose
+    charge is read from the counts and not filed: n(c) =
+    sum_a a (m_a S_(a+1) + m_a (m_a - 1) / 2), S_(a+1) the number of factors
+    of larger spin. A charge above the norm would reverse to a negative
+    exponent and is refused.
+    """
+    norm = norm_ss(comp)
+    if not len2:
+        larger = row_charge = 0
+        for a in range(comp.width, 0, -1):
+            count = comp.parts[a - 1]
+            row_charge += a * (count * larger + count * (count - 1) // 2)
+            larger += count
+        tallies = {0: (row_charge, 1)}
+        width = 1
+    else:
+        size = comp._weighted_size
+        width, tallies = _charge_by_row2(bridge_to_partition(comp, size - 2 * len2).content, size, len2)
+    unit = 8 * width
+    if any(low + (packed.bit_length() - 1) // unit > norm for low, packed in tallies.values()):
+        raise InvariantError("reversal produced a negative exponent")
+    table = len2, norm, width, tallies
+    if len2:
+        _oracle_tables[comp.parts] = table
+    return table
+
+
+def _reversed(top: int, digits: Sequence[int]) -> QPolynomial:
+    """Sum of digit t * q**(top - t) over the nonzero digits."""
+    return _wrap({EXPONENT_DENOMINATOR * (top - t): d for t, d in enumerate(digits) if d})
 
 
 def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
@@ -291,33 +334,66 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     bridged shape and content. One pass per content runs with row 1 free and
     row 2 capped at the longest requested, so it answers every weight down
     to the requested one; a request below that reruns it with the new cap.
-    Each row-2 length's tally becomes its polynomial in one dict pass.
-    At l = |m| with no pass held, the one tableau is a single row, whose
-    charge is read from the counts: n(c) = sum_a a (m_a S_(a+1) + m_a (m_a -
-    1) / 2), S_(a+1) the number of factors of larger spin.
+    The pass's packed tally for the weight's row-2 length is reversed on
+    demand. At l = |m| with no pass held, the one tableau is a single row,
+    whose charge is read from the counts (see _oracle_pass).
     """
     comp = as_composition(m)
     size = comp._weighted_size
     if l < 0 or l > size or (size - l) % 2:
         return _ZERO
     len2 = (size - l) // 2
-    cap2, polys = _oracle_tables.get(comp.parts, _NO_TABLE)
-    if len2 > cap2:
-        norm = norm_ss(comp)
-        if not len2:
-            larger = row_charge = 0
-            for a in range(comp.width, 0, -1):
-                count = comp.parts[a - 1]
-                row_charge += a * (count * larger + count * (count - 1) // 2)
-                larger += count
-            if row_charge > norm:
-                raise InvariantError("reversal produced a negative exponent")
-            return QPolynomial.q_power(norm - row_charge)
-        cap2 = len2
-        polys = {}
-        for r2, tally in _charge_by_row2(bridge_to_partition(comp, l).content, size, cap2).items():
-            if max(tally) > norm:
-                raise InvariantError("reversal produced a negative exponent")
-            polys[r2] = _wrap({EXPONENT_DENOMINATOR * (norm - e): k for e, k in tally.items()})
-        _oracle_tables[comp.parts] = (cap2, polys)
-    return polys.get(len2, _ZERO)
+    table = _oracle_tables.get(comp.parts, _NO_TABLE)
+    _, norm, width, tallies = table if len2 <= table[0] else _oracle_pass(comp, len2)
+    if len2 not in tallies:
+        return _ZERO
+    low, packed = tallies[len2]
+    return _reversed(norm - low, _digits(packed, width, -(-packed.bit_length() // (8 * width))))
+
+
+def signed_oracle_sum(comp: Composition, items: Sequence[tuple[int, int, int]]) -> QPolynomial:
+    """Sum of sign * q**shift * K_{w,m} over (sign, shift, w) items, signs 1
+    or -1, read from the oracle's packed tallies with no polynomial built
+    per weight.
+
+    One table, capped at the longest row 2 any item asks, serves every item.
+    K_{w,m} is sum_i d_i q**(norm - low - i) over the digits d_i of its
+    tally (low, packed), so each tally is placed at offset low - shift -
+    base, base the least low - shift, and each sign's tallies are added into
+    one int. Items of one sign have distinct weights, so their tableaux are
+    distinct paths of the one pass: no digit of either sum exceeds the
+    pass's bound, and nothing carries. Both ints are read once and
+    subtracted digit by digit; digit t is the coefficient of
+    q**(norm - base - t).
+    """
+    size = comp._weighted_size
+    asked = [(sign, shift, (size - w) // 2) for sign, shift, w in items if 0 <= w <= size and not (size - w) % 2]
+    if not asked:
+        return _ZERO
+    longest = max(len2 for _, _, len2 in asked)
+    table = _oracle_tables.get(comp.parts, _NO_TABLE)
+    _, norm, width, tallies = table if longest <= table[0] else _oracle_pass(comp, longest)
+    placed = []
+    base = None
+    for sign, shift, len2 in asked:
+        if len2 in tallies:
+            low, packed = tallies[len2]
+            placed.append((sign, low - shift, packed))
+            if base is None or low - shift < base:
+                base = low - shift
+    if base is None:
+        return _ZERO
+    unit = 8 * width
+    positive = negative = 0
+    for sign, offset, packed in placed:
+        if sign > 0:
+            positive += packed << unit * (offset - base)
+        else:
+            negative += packed << unit * (offset - base)
+    count = -(-max(positive.bit_length(), negative.bit_length()) // unit)
+    digits = _digits(positive, width, count)
+    if not negative:
+        return _reversed(norm - base, digits)
+    top = EXPONENT_DENOMINATOR * (norm - base)
+    pairs = enumerate(zip(digits, _digits(negative, width, count)))
+    return _wrap({top - EXPONENT_DENOMINATOR * t: p - n for t, (p, n) in pairs if p != n})

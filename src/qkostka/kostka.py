@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from typing import Callable, Literal
+from typing import Literal
 
-from .charge import kostka_sl2_oracle
+from .charge import signed_oracle_sum
 from .compositions import (
     Composition,
     CompositionLike,
@@ -140,14 +140,6 @@ def unrestricted(l: int, m: CompositionLike) -> QPolynomial:
     return restricted_fermionic(l, comp, max(comp._weighted_size, l, 1))
 
 
-def _unrestricted_source(route: Route) -> Callable[[int, Composition], QPolynomial]:
-    if route == "fermionic":
-        return unrestricted
-    if route == "charge":
-        return kostka_sl2_oracle
-    raise ValueError(f"unknown unrestricted route {route!r}")
-
-
 def alternating_sum_raw(
     l: int, m: CompositionLike, k: int, source: Route = "fermionic"
 ) -> QPolynomial:
@@ -155,24 +147,30 @@ def alternating_sum_raw(
 
     Sum over i >= 0 of q**((k+2)i^2 + (l+1)i) K_{2(k+2)i + l, m} minus the sum
     over i >= 1 of q**((k+2)i^2 - (l+1)i) K_{2(k+2)i - l - 2, m}. A weight
-    past |m| gives zero, so i stops at the last 2(k+2)i - l - 2 <= |m|, and
-    both sums are summed in one `shifted_sum` pass. This raw form represents
-    the graded homology Euler characteristic only for compositions whose
-    spins all fit below the level; restricted_alternating adds that
-    admissibility check.
+    past |m| gives zero, so i stops at the last 2(k+2)i - l - 2 <= |m|. The
+    (sign, shift, weight) items are built once. The fermionic source sums
+    `unrestricted` at each weight in one `shifted_sum` pass; the charge
+    source hands the items to `charge.signed_oracle_sum`, which adds the
+    oracle's packed tallies into one int per sign and builds no polynomial
+    per weight. This raw form represents the graded homology Euler
+    characteristic only for compositions whose spins all fit below the
+    level; restricted_alternating adds that admissibility check.
     """
     check_level_weight(l, k)
     comp = as_composition(m)
+    if source not in ("fermionic", "charge"):
+        raise ValueError(f"unknown unrestricted route {source!r}")
     size = comp._weighted_size
-    kostka = _unrestricted_source(source)
     items = []
     for i in range((size + l + 2) // (2 * (k + 2)) + 1):
         w = 2 * (k + 2) * i
         if w + l <= size:
-            items.append((1, (k + 2) * i * i + (l + 1) * i, kostka(w + l, comp)))
+            items.append((1, (k + 2) * i * i + (l + 1) * i, w + l))
         if i:
-            items.append((-1, (k + 2) * i * i - (l + 1) * i, kostka(w - l - 2, comp)))
-    return shifted_sum(items)
+            items.append((-1, (k + 2) * i * i - (l + 1) * i, w - l - 2))
+    if source == "charge":
+        return signed_oracle_sum(comp, items)
+    return shifted_sum([(sign, shift, unrestricted(w, comp)) for sign, shift, w in items])
 
 
 def restricted_alternating(

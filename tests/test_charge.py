@@ -24,6 +24,7 @@ from qkostka.charge import (
     kostka_sl2_oracle,
     reading_word,
 )
+from qkostka.kostka import restricted_alternating
 from qkostka.qexact import QPolynomial, gaussian_binomial
 from qkostka.verify import VerifyConfig, admissible_compositions, run_suites
 
@@ -375,6 +376,26 @@ def _charge_module():
     return sys.modules["qkostka.charge"]
 
 
+def _tallies(counts, cap1, cap2):
+    """The pass's packed tallies as {row-2 length: {charge: count}}, read
+    digit by digit with shifts and masks, not with the library's reader."""
+    width, packed_tallies = _charge_module()._charge_by_row2(counts, cap1, cap2)
+    # widths up to 8 bytes are the ones a memoryview cast reads
+    assert width in (1, 2, 4, 8) or width > 8, width
+    assert math.prod(min(c, cap2) + 1 for c in counts).bit_length() <= 8 * width
+    unit = 8 * width
+    out = {}
+    for r2, (low, packed) in packed_tallies.items():
+        tally = out[r2] = {}
+        charge_ = low
+        while packed:
+            if packed & ((1 << unit) - 1):
+                tally[charge_] = packed & ((1 << unit) - 1)
+            packed >>= unit
+            charge_ += 1
+    return out
+
+
 def _record_passes(monkeypatch):
     module = _charge_module()
     passes = []
@@ -430,7 +451,7 @@ def test_the_one_row_oracle_reads_the_charge_from_the_counts(monkeypatch):
     cases = []
     for m in admissible_compositions(12, 12):
         size = weighted_size(m)
-        tally = module._charge_by_row2(bridge_to_partition(m, size).content, size, 0)
+        tally = _tallies(bridge_to_partition(m, size).content, size, 0)
         want = QPolynomial.from_integer_terms({norm_ss(m) - e: k for e, k in tally[0].items()})
         cases.append((m, size, want))
     passes = _record_passes(monkeypatch)
@@ -469,6 +490,88 @@ def test_routes_grid_runs_one_oracle_pass_per_content(monkeypatch):
     # at l = |m|, which is answered from the counts without a pass
     assert len(passes) == len({counts for counts, _, _ in passes}) == 192
     assert (0,) not in _oracle_tables and (1,) not in _oracle_tables
+
+
+# The charge route's signed sum adds the pass's packed tallies, shifted, into
+# one int per sign. The reference below sums the same signed items from
+# kostka_foulkes, one shape at a time, in a plain dict: it reads neither
+# shifted_sum nor the oracle's tables.
+
+
+def _reference_charge_alternating(l, m, k):
+    m = Composition(m)
+    size, norm = weighted_size(m), norm_ss(m)
+    if m.width > k:
+        return {}
+    items = []
+    for i in range(size + 1):
+        w = 2 * (k + 2) * i
+        items.append((1, (k + 2) * i * i + (l + 1) * i, w + l))
+        if i:
+            items.append((-1, (k + 2) * i * i - (l + 1) * i, w - l - 2))
+    out = {}
+    for sign, shift, weight in items:
+        if 0 <= weight <= size and (size - weight) % 2 == 0:
+            for num, count in kostka_foulkes(bridge_to_partition(m, weight)).terms():
+                # q**charge reverses to q**(norm - charge), then shifts
+                e = 4 * (norm + shift) - num
+                out[e] = out.get(e, 0) + sign * count
+    return {e: c for e, c in out.items() if c}
+
+
+def test_signed_charge_sum_matches_the_dict_reference():
+    checked = nonzero = 0
+    for k in range(1, 5):
+        for m in admissible_compositions(12, 4):
+            qkostka.clear_caches()
+            for l in range(k + 1):
+                got = restricted_alternating(l, m, k, source="charge")
+                want = _reference_charge_alternating(l, m.parts, k)
+                assert got._terms == want, (l, m, k)
+                checked += 1
+                nonzero += bool(want)
+    assert checked == 2170 and nonzero == 645
+    # digits of 11 and 21 bytes: the pass's bound is 2**80 and 2**160
+    for l, m, k in ((4, (80,), 6), (130, (160,), 140)):
+        qkostka.clear_caches()
+        got = restricted_alternating(l, m, k, source="charge")
+        assert got._terms == _reference_charge_alternating(l, m, k), (l, m, k)
+        assert _oracle_tables[m][2] > 8
+
+
+def test_a_one_row_charge_sum_runs_no_pass(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    qkostka.clear_caches()
+    tracemalloc.start()
+    try:
+        got = restricted_alternating(10**9, (10**9,), 10**9, source="charge")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == QPolynomial.one()
+    assert passes == [] and _oracle_tables == {}
+    assert peak < 1 << 20
+
+
+def test_routes_suite_reads_no_shifted_sum(monkeypatch):
+    calls = []
+    qexact_module = sys.modules["qkostka.qexact"]
+    for module in (qexact_module, sys.modules["qkostka.kostka"]):
+        shifted_sum = module.shifted_sum
+
+        def recorded(items, shifted_sum=shifted_sum):
+            calls.append(items)
+            return shifted_sum(items)
+
+        monkeypatch.setattr(module, "shifted_sum", recorded)
+    # the recorder sees a call through QPolynomial's + as well
+    assert QPolynomial.one() + QPolynomial.one() == QPolynomial.q_power(0, 2)
+    assert len(calls) == 1
+    del calls[:]
+    qkostka.clear_caches()
+    (result,) = run_suites(["routes"], VerifyConfig(8, 4))
+    assert result.passed and result.checked > 100
+    assert calls == []
 
 
 # The placement-DAG pass keys each state by the row of every live subword's
@@ -521,7 +624,7 @@ def test_row_keyed_pass_matches_position_keyed_reference_on_every_bridge():
         for l in range(size % 2, size + 1, 2):
             sc = bridge_to_partition(m, l)
             want = _reference_charge_by_row2(sc.content, *sc.shape)
-            assert _charge_module()._charge_by_row2(sc.content, *sc.shape) == want, sc
+            assert _tallies(sc.content, *sc.shape) == want, sc
             bridges += 1
     assert bridges == 6813
 
@@ -542,7 +645,7 @@ def test_row_keyed_pass_matches_position_keyed_reference_under_random_caps():
         cap1 = rng.randint(max(0, n - cap2 - 3), n)
         capped_row_1 += cap1 < n - cap2
         want = _reference_charge_by_row2(counts, cap1, cap2)
-        assert _charge_module()._charge_by_row2(counts, cap1, cap2) == want, (counts, cap1, cap2)
+        assert _tallies(counts, cap1, cap2) == want, (counts, cap1, cap2)
     assert capped_row_1 > 100
 
 
@@ -557,10 +660,10 @@ def test_row_keyed_pass_refuses_what_the_reference_refuses(counts):
                 want = _reference_charge_by_row2(counts, cap1, cap2)
             except ValueError as ref:
                 with pytest.raises(ValueError) as new:
-                    _charge_module()._charge_by_row2(counts, cap1, cap2)
+                    _tallies(counts, cap1, cap2)
                 assert str(new.value) == str(ref), (counts, cap1, cap2)
             else:
-                assert _charge_module()._charge_by_row2(counts, cap1, cap2) == want
+                assert _tallies(counts, cap1, cap2) == want
 
 
 # Each DAG state packs its {charge: count} tally into one int, with digits
@@ -575,7 +678,7 @@ def _random_partition(rng, letters, parts):
 
 
 def test_packed_pass_reads_digits_wider_than_8_bytes():
-    pass_ = _charge_module()._charge_by_row2
+    pass_ = _tallies
     # m = 1^80 at weight 4: 2^80 paths bound a digit, and some charge is
     # reached by more than 2^64 tableaux
     sc = bridge_to_partition(Composition((80,)), 4)
@@ -595,7 +698,7 @@ def test_packed_pass_reads_digits_wider_than_8_bytes():
 
 
 def test_packed_pass_merges_a_lower_charge_into_a_held_tally():
-    pass_ = _charge_module()._charge_by_row2
+    pass_ = _tallies
     # content 1123 with a row 2 of one cell: states are visited in the order
     # they were made, so 112/3 (charge 2) reaches the last state before
     # 113/2 (charge 1), whose lower charge shifts the held tally up a digit
@@ -610,7 +713,7 @@ def test_packed_pass_merges_a_lower_charge_into_a_held_tally():
 
 
 def test_passes_sharing_the_move_table_match_fresh_passes():
-    pass_ = _charge_module()._charge_by_row2
+    pass_ = _tallies
     rng = random.Random(20261021)
     draws = []
     for _ in range(30):
