@@ -321,11 +321,6 @@ def _oracle_pass(comp: Composition, len2: int) -> tuple:
     return table
 
 
-def _reversed(top: int, digits: Sequence[int]) -> QPolynomial:
-    """Sum of digit t * q**(top - t) over the nonzero digits."""
-    return _wrap({EXPONENT_DENOMINATOR * (top - t): d for t, d in enumerate(digits) if d})
-
-
 def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     """Unrestricted Kostka polynomial K_{l,m} from the tableau model.
 
@@ -334,21 +329,12 @@ def kostka_sl2_oracle(l: int, m: CompositionLike) -> QPolynomial:
     bridged shape and content. One pass per content runs with row 1 free and
     row 2 capped at the longest requested, so it answers every weight down
     to the requested one; a request below that reruns it with the new cap.
-    The pass's packed tally for the weight's row-2 length is reversed on
-    demand. At l = |m| with no pass held, the one tableau is a single row,
-    whose charge is read from the counts (see _oracle_pass).
+    It is the signed sum of the one item (1, 0, l): the pass's packed tally
+    for the weight's row-2 length is reversed on demand. At l = |m| with no
+    pass held, the one tableau is a single row, whose charge is read from
+    the counts (see _oracle_pass).
     """
-    comp = as_composition(m)
-    size = comp._weighted_size
-    if l < 0 or l > size or (size - l) % 2:
-        return _ZERO
-    len2 = (size - l) // 2
-    table = _oracle_tables.get(comp.parts, _NO_TABLE)
-    _, norm, width, tallies = table if len2 <= table[0] else _oracle_pass(comp, len2)
-    if len2 not in tallies:
-        return _ZERO
-    low, packed = tallies[len2]
-    return _reversed(norm - low, _digits(packed, width, -(-packed.bit_length() // (8 * width))))
+    return signed_oracle_sum(as_composition(m), ((1, 0, l),))
 
 
 def signed_oracle_sum(comp: Composition, items: Sequence[tuple[int, int, int]]) -> QPolynomial:
@@ -373,16 +359,10 @@ def signed_oracle_sum(comp: Composition, items: Sequence[tuple[int, int, int]]) 
     longest = max(len2 for _, _, len2 in asked)
     table = _oracle_tables.get(comp.parts, _NO_TABLE)
     _, norm, width, tallies = table if longest <= table[0] else _oracle_pass(comp, longest)
-    placed = []
-    base = None
-    for sign, shift, len2 in asked:
-        if len2 in tallies:
-            low, packed = tallies[len2]
-            placed.append((sign, low - shift, packed))
-            if base is None or low - shift < base:
-                base = low - shift
-    if base is None:
+    placed = [(sign, tallies[len2][0] - shift, tallies[len2][1]) for sign, shift, len2 in asked if len2 in tallies]
+    if not placed:
         return _ZERO
+    base = min(offset for _, offset, _ in placed)
     unit = 8 * width
     positive = negative = 0
     for sign, offset, packed in placed:
@@ -391,9 +371,6 @@ def signed_oracle_sum(comp: Composition, items: Sequence[tuple[int, int, int]]) 
         else:
             negative += packed << unit * (offset - base)
     count = -(-max(positive.bit_length(), negative.bit_length()) // unit)
-    digits = _digits(positive, width, count)
-    if not negative:
-        return _reversed(norm - base, digits)
     top = EXPONENT_DENOMINATOR * (norm - base)
-    pairs = enumerate(zip(digits, _digits(negative, width, count)))
+    pairs = enumerate(zip(_digits(positive, width, count), _digits(negative, width, count)))
     return _wrap({top - EXPONENT_DENOMINATOR * t: p - n for t, (p, n) in pairs if p != n})
