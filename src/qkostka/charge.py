@@ -217,10 +217,11 @@ def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> tuple[int, d
     shared by every path through it, packed as (lowest charge, int): digit
     i, unit bits wide, counts the paths of charge lowest + i. At most
     prod(min(c, cap2) + 1) paths reach a state, one per choice of x at each
-    letter, so unit is that bound's width rounded up to 1, 2, 4 or 8 bytes,
-    or to whole bytes above 8, and digits never carry: a merge is one shift
-    and one add. The final states share the bound, so no sum of their
-    tallies, however shifted, carries either. Since the lowest
+    letter, so unit is that bound's width plus a spare top bit, rounded up
+    to 1, 2, 4 or 8 bytes, or to whole bytes above 8, and digits never
+    carry: a merge is one shift and one add. The final states share the
+    bound, so no sum of their tallies, however shifted, carries either, and
+    the spare bit holds a digit's sign in a signed sum. Since the lowest
     charge is kept, the int spans only the charges that occur; a single row
     of n letters holds one digit per state. The new rows and wrapped subwords
     come from the shared table _steps; the charge the wraps add depends on
@@ -234,7 +235,7 @@ def _charge_by_row2(counts: Sequence[int], cap1: int, cap2: int) -> tuple[int, d
         for s in range(min(c, top)):
             ends[s] += 1
         paths *= min(c, cap2) + 1
-    width = (paths.bit_length() + 7) // 8
+    width = paths.bit_length() // 8 + 1
     if width <= 8:
         width = 1 << (width - 1).bit_length()
     unit = 8 * width
@@ -345,32 +346,45 @@ def signed_oracle_sum(comp: Composition, items: Sequence[tuple[int, int, int]]) 
     One table, capped at the longest row 2 any item asks, serves every item.
     K_{w,m} is sum_i d_i q**(norm - low - i) over the digits d_i of its
     tally (low, packed), so each tally is placed at offset low - shift -
-    base, base the least low - shift, and each sign's tallies are added into
-    one int. Items of one sign have distinct weights, so their tableaux are
-    distinct paths of the one pass: no digit of either sum exceeds the
-    pass's bound, and nothing carries. Both ints are read once and
-    subtracted digit by digit; digit t is the coefficient of
-    q**(norm - base - t).
+    base, base the least low - shift, and added to or taken from one int.
+    Items of one sign have distinct weights, so their tableaux are distinct
+    paths of the one pass: a digit of either sign's sum stays within the
+    pass's bound, below half the digit range (see _charge_by_row2). The
+    difference plus half the range in every digit therefore needs no
+    borrow, and one read gives each digit t as half plus the coefficient
+    of q**(norm - base - t).
     """
     size = comp._weighted_size
-    asked = [(sign, shift, (size - w) // 2) for sign, shift, w in items if 0 <= w <= size and not (size - w) % 2]
+    asked = []
+    longest = -1
+    for sign, shift, w in items:
+        if 0 <= w <= size and not (size - w) % 2:
+            len2 = (size - w) // 2
+            asked.append((sign, shift, len2))
+            longest = max(longest, len2)
     if not asked:
         return _ZERO
-    longest = max(len2 for _, _, len2 in asked)
     table = _oracle_tables.get(comp.parts, _NO_TABLE)
     _, norm, width, tallies = table if longest <= table[0] else _oracle_pass(comp, longest)
-    placed = [(sign, tallies[len2][0] - shift, tallies[len2][1]) for sign, shift, len2 in asked if len2 in tallies]
-    if not placed:
+    placed = []
+    base = None
+    for sign, shift, len2 in asked:
+        if len2 in tallies:
+            low, packed = tallies[len2]
+            placed.append((sign, low - shift, packed))
+            if base is None or low - shift < base:
+                base = low - shift
+    if base is None:
         return _ZERO
-    base = min(offset for _, offset, _ in placed)
     unit = 8 * width
-    positive = negative = 0
+    total = 0
     for sign, offset, packed in placed:
         if sign > 0:
-            positive += packed << unit * (offset - base)
+            total += packed << unit * (offset - base)
         else:
-            negative += packed << unit * (offset - base)
-    count = -(-max(positive.bit_length(), negative.bit_length()) // unit)
+            total -= packed << unit * (offset - base)
+    half = 1 << (unit - 1)
+    count = abs(total).bit_length() // unit + 1
+    total += int.from_bytes(half.to_bytes(width, sys.byteorder) * count, sys.byteorder)
     top = EXPONENT_DENOMINATOR * (norm - base)
-    pairs = enumerate(zip(_digits(positive, width, count), _digits(negative, width, count)))
-    return _wrap({top - EXPONENT_DENOMINATOR * t: p - n for t, (p, n) in pairs if p != n})
+    return _wrap({top - EXPONENT_DENOMINATOR * t: d - half for t, d in enumerate(_digits(total, width, count)) if d != half})

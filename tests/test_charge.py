@@ -382,7 +382,8 @@ def _tallies(counts, cap1, cap2):
     width, packed_tallies = _charge_module()._charge_by_row2(counts, cap1, cap2)
     # widths up to 8 bytes are the ones a memoryview cast reads
     assert width in (1, 2, 4, 8) or width > 8, width
-    assert math.prod(min(c, cap2) + 1 for c in counts).bit_length() <= 8 * width
+    # the signed sum keeps a digit's sign in the spare top bit
+    assert math.prod(min(c, cap2) + 1 for c in counts).bit_length() < 8 * width
     unit = 8 * width
     out = {}
     for r2, (low, packed) in packed_tallies.items():
