@@ -17,8 +17,8 @@ A letter's moves do not depend on the content, so every pass reads them
 from one table, bounded in size and emptied by clear_caches. The shape only
 prunes the DAG, so the oracle keeps one pass per content, with row 1 free
 and row 2 capped at the longest requested, for all its weights, and keeps
-its tallies packed: the alternating route's signed sum adds them, shifted,
-into one int per sign, with no polynomial built per weight.
+its tallies packed: the alternating route's signed sum adds and subtracts
+them, shifted, in one int read once, with no polynomial built per weight.
 enumerate_ssyt, reading_word and charge grade tableaux one by one, as the
 brute-force cross-check. Nothing here is shared with the fermionic route in
 kostka.py, whose packed kernel lives in qexact, so one bug cannot make both

@@ -150,9 +150,9 @@ def alternating_sum_raw(
     past |m| gives zero, so i stops at the last 2(k+2)i - l - 2 <= |m|. The
     (sign, shift, weight) items are built once. The fermionic source sums
     `unrestricted` at each weight in one `shifted_sum` pass; the charge
-    source hands the items to `charge.signed_oracle_sum`, which adds the
-    oracle's packed tallies into one int per sign and builds no polynomial
-    per weight. This raw form represents the graded homology Euler
+    source hands the items to `charge.signed_oracle_sum`, which adds and
+    subtracts the oracle's packed tallies in one int and builds no
+    polynomial per weight. This raw form represents the graded homology Euler
     characteristic only for compositions whose spins all fit below the
     level; restricted_alternating adds that admissibility check.
     """
